@@ -181,12 +181,13 @@ def test_bench_million_session_aggregate(results_dir, request):
       to one discrete flow per session on the same path.  By the
       aggregate/discrete equivalence (tests/network/test_fluid_incremental.py)
       both legs produce identical fluid dynamics and identical simulated
-      time, so the wall-clock ratio isolates the representation cost.  The
-      full run asserts the aggregate leg is >= 20x faster.
+      time, so the wall-clock ratio isolates the representation cost.  Both
+      modes assert only that the aggregate leg is faster: the columnar fabric
+      advances every flow with array operations, so a discrete flow no longer
+      costs per-flow Python on every event and the ratio is recorded rather
+      than held to a floor.
 
-    The CI smoke run (``--benchmark-disable``) scales both measurements down
-    and relaxes the head-to-head floor (fixed per-recompute topology costs
-    weigh more at small scale).
+    The CI smoke run (``--benchmark-disable``) scales both measurements down.
     """
     import time as _time
 
@@ -201,7 +202,6 @@ def test_bench_million_session_aggregate(results_dir, request):
     multiplicity = 500
     headline_sessions = 50_000 if smoke else 1_000_000
     common_sessions = 5_000 if smoke else 40_000
-    min_advantage = 3.0 if smoke else 20.0
     session_size_bytes = 4e6  # one ~4 MB video per session
 
     topology = _fat_tree()
@@ -286,4 +286,4 @@ def test_bench_million_session_aggregate(results_dir, request):
     # Identical fluid dynamics: both representations simulate the same span.
     assert agg_sim_s == pytest.approx(discrete_sim_s, rel=1e-6), section
     assert section["sessions_per_flow_object"] == multiplicity
-    assert advantage >= min_advantage, section
+    assert advantage > 1.0, section

@@ -14,6 +14,15 @@ fluid fashion:
 
 The fabric is transport-agnostic: the same machinery runs the RandTCP
 baseline and SCDA.
+
+State layout: once the fabric's incidence table exists, every active flow's
+state lives in the table's row columns and every link's state in its
+topology's link columns (see :class:`~repro.network.incidence.IncidenceTable`
+and :class:`~repro.network.topology.LinkColumns`), and advancing, scheduling
+and rate write-back are array operations over them.  The table is built the
+first time the fabric advances with :data:`_PAIRWISE_MIN_FLOWS` or more
+active flows (or a solver needs it); until then flows and links hold their
+own values and are advanced through their own scalar methods.
 """
 
 from __future__ import annotations
@@ -21,22 +30,22 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-try:  # numpy accelerates bulk flow advancement; the fabric runs without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
+import numpy as np
 
 from repro.network.flow import Flow, FlowKind, FlowState
-from repro.network.incidence import IncidenceCache
+from repro.network.fluid_fast import DeltaWaterFiller, RowRates
+from repro.network.incidence import IncidenceCache, IncidenceTable
 from repro.network.routing import NoPathError, Router
-from repro.network.topology import Link, Node, Topology
+from repro.network.topology import Link, LinkColumns, Node, Topology
 from repro.sim.engine import Simulator
 
-#: Below this many active flows the pure-python advance loop beats the numpy
-#: setup cost; per-flow arithmetic is bit-identical on both paths.
-_VECTOR_MIN_FLOWS = 64
+#: From this many active flows the first advance builds the incidence table,
+#: and delivered bytes are summed pairwise (one numpy sum); below it they are
+#: added one flow at a time in active order, and so are each link's offered
+#: loads.  Both orders are the ones the results have always been computed in.
+_PAIRWISE_MIN_FLOWS = 64
 
 
 @dataclass
@@ -100,10 +109,13 @@ class FabricSimulator:
         #: every arrival/departure/reroute and shared with the water-filler
         #: and the SCDA control round (instead of each re-deriving it).
         self.incidence = IncidenceCache()
-        if _np is not None:
-            from repro.network.fluid_fast import DeltaWaterFiller
-
-            DeltaWaterFiller.attach(self.incidence)
+        DeltaWaterFiller.attach(self.incidence)
+        #: Table rows of the active flows in active order, cached per cache
+        #: epoch; a reroute re-adds its flow at the end of the table, after
+        #: which row order may differ from active order.
+        self._rows: Optional[np.ndarray] = None
+        self._rows_epoch = -1
+        self._rows_reordered = False
         self._last_advance = sim.now
         self._next_recompute_event = None
         self._next_tick_time = sim.now
@@ -128,17 +140,18 @@ class FabricSimulator:
         self._churn_pending = False
         self.recomputes = 0
         self.recomputes_coalesced = 0
-        #: Links that currently hold backlog — the drain pass visits only
-        #: these instead of scanning every link in the topology.
+        #: Links holding backlog while the table does not exist — the drain
+        #: pass visits only these instead of scanning every link in the
+        #: topology.  The first columnar advance binds them and empties this.
         self._queued_links: Dict[str, Link] = {}
         #: Per-fabric flow ids: flow numbering restarts at 0 for every fabric,
         #: so a run's records are identical no matter what ran earlier in the
         #: process (or concurrently in another thread) — a prerequisite for
         #: bit-identical results across executor backends.
         self._flow_ids = itertools.count()
-        #: Active flows with ``multiplicity > 1`` — when zero, the vectorized
-        #: advance/schedule paths skip building the multiplicity arrays
-        #: entirely, keeping the all-discrete fast path untouched.
+        #: Active flows with ``multiplicity > 1`` — when zero, the columnar
+        #: advance/schedule paths skip the multiplicity column entirely,
+        #: keeping the all-discrete fast path untouched.
         self._aggregate_active = 0
 
         self.transport.attach(self)
@@ -300,13 +313,18 @@ class FabricSimulator:
         return flow
 
     def abort_flow(self, flow: Flow) -> None:
-        """Cancel an active flow (e.g. SLA mitigation moving it elsewhere)."""
+        """Cancel an active flow (e.g. SLA mitigation moving it elsewhere).
+
+        A no-op when the flow is no longer active once the fabric has caught
+        up to now: it completed during that advance, or was already aborted.
+        """
         now = self.sim.now
         self._advance_to(now)
-        if self._active.pop(flow.flow_id, None) is not None:
-            self._active_list = None
-            if flow.multiplicity > 1:
-                self._aggregate_active -= 1
+        if self._active.pop(flow.flow_id, None) is None:
+            return
+        self._active_list = None
+        if flow.multiplicity > 1:
+            self._aggregate_active -= 1
         self.incidence.remove_flow(flow)
         flow.abort(now)
         self.transport.on_flow_finish(flow, now)
@@ -329,6 +347,7 @@ class FabricSimulator:
         now = self.sim.now
         self._advance_to(now)
         self.incidence.remove_flow(flow)
+        self._rows_reordered = True
         flow.path = list(new_path)
         flow.base_rtt_s = 2.0 * sum(l.delay_s for l in flow.path) if flow.path else 1e-4
         self.incidence.add_flow(flow)
@@ -428,17 +447,27 @@ class FabricSimulator:
             self._last_advance = now
             return
 
-        if _np is not None and len(self._active) >= _VECTOR_MIN_FLOWS:
-            finished = self._advance_vectorized(dt)
+        table = self.incidence.built_table
+        if table is None and len(self._active) >= _PAIRWISE_MIN_FLOWS:
+            table = self.incidence.table()
+        if table is None:
+            finished = self._advance_handles(dt)
         else:
-            finished = self._advance_python(dt)
+            finished = self._advance_columns(dt, table)
 
         self._last_advance = now
         for flow in finished:
             self._finish_flow(flow, now)
 
-    def _advance_python(self, dt: float) -> List[Flow]:
-        """Per-flow advancement loop (small flow counts, or numpy absent)."""
+    def _advance_handles(self, dt: float) -> List[Flow]:
+        """Advance unbound flows and links through their own scalar methods.
+
+        Only runs before the fabric's table exists: until an advance first
+        finds :data:`_PAIRWISE_MIN_FLOWS` or more active flows, or an
+        incremental solve builds it.  Binding a handful of flows to columns
+        costs more per event (binding, unbinding, column reads by transports
+        and control planes) than the array operations save.
+        """
         # Offered load per link (demand may exceed capacity — that is how
         # queues build for TCP-style transports).
         flows = self.active_flows
@@ -457,114 +486,209 @@ class FabricSimulator:
                 queued[link_id] = link
             else:
                 queued.pop(link_id, None)
-        self._drain_untouched(touched, dt)
+        for link_id in list(queued):
+            if link_id not in touched:
+                link = queued[link_id]
+                link.integrate_queue(0.0, dt)
+                if link.queue_bytes <= 0.0:
+                    del queued[link_id]
 
         finished: List[Flow] = []
         tolerance = self.config.completion_tolerance_bytes
         for flow in flows:
-            delivered = flow.advance(dt)
-            self.total_bytes_delivered += delivered
+            self.total_bytes_delivered += flow.advance(dt)
             if flow.remaining_bytes <= tolerance:
                 finished.append(flow)
         return finished
 
-    def _advance_vectorized(self, dt: float) -> List[Flow]:
-        """Bulk advancement over the incidence table's flat pair arrays.
+    def _active_rows(self, table: IncidenceTable) -> np.ndarray:
+        """Table rows of the active flows, in active (arrival) order."""
+        epoch = self.incidence.epoch
+        if self._rows_epoch == epoch:
+            return self._rows
+        if self._rows_reordered:
+            rows = np.fromiter(
+                (flow._index for flow in self.active_flows), np.intp, len(self._active)
+            )
+            self._rows_reordered = bool((rows[1:] < rows[:-1]).any())
+        else:
+            rows = np.flatnonzero(table.live[: table.num_rows])
+        self._rows = rows
+        self._rows_epoch = epoch
+        return rows
 
-        Per-flow arithmetic mirrors :meth:`Flow.advance` operation for
-        operation, so the two paths produce bit-identical flow state; only
-        the ``total_bytes_delivered`` accumulation order differs (pairwise
-        numpy sum vs sequential adds).
+    def _advance_columns(self, dt: float, table: IncidenceTable) -> List[Flow]:
+        """Advance every active flow and loaded link with array operations.
+
+        Per-flow and per-link arithmetic is :meth:`Flow.advance` and
+        :meth:`Link.integrate_queue` operation for operation, on the row and
+        link columns.  Summation orders follow :data:`_PAIRWISE_MIN_FLOWS`.
         """
-        np = _np
-        flows = self.active_flows
-        table = self.incidence.table()
-        row_flows = table.row_flows
-        rows = len(row_flows)
-        pairs = table.pair_count
-        # Offered load per link: one weighted bincount over the link×flow
-        # pairs instead of a python dict accumulation.  Dead (tombstoned)
-        # rows hold no demand, so scratch contributions are zero.
-        demand = np.fromiter(
-            (0.0 if f is None else f.demand_rate_bps for f in row_flows),
-            np.float64,
-            count=rows,
-        )
-        offered = np.bincount(
-            table.pair_link[:pairs],
-            weights=demand[table.pair_flow[:pairs]],
-            minlength=table.num_slots,
-        )
         queued = self._queued_links
-        link_slots = table.link_slots
-        touched: Set[str] = set()
-        for slot in np.nonzero(offered)[0].tolist():
-            link = link_slots[slot]
-            if link is None:
-                continue
-            link.integrate_queue(float(offered[slot]), dt)
-            touched.add(link.link_id)
-            if link.queue_bytes > 0.0:
-                queued[link.link_id] = link
-            else:
-                queued.pop(link.link_id, None)
-        self._drain_untouched(touched, dt)
+        if queued:
+            # Backlog built before the table existed: its links join the
+            # columns, whose backlog pass below drains them with the rest.
+            for link in queued.values():
+                table.bind_link(link)
+            queued.clear()
+        rows = self._active_rows(table)
+        count = rows.shape[0]
+        sequential = count < _PAIRWISE_MIN_FLOWS
+        pairs = table.pair_count
+        pair_flow = table.pair_flow[:pairs]
+        pair_link = table.pair_link[:pairs]
+        if sequential and self._rows_reordered:
+            # Visit the pairs in active order, each row's in path order, so
+            # every link adds up its offered load in the per-flow order.
+            rank = np.full(table.num_rows, count, dtype=np.intp)
+            rank[rows] = np.arange(count)
+            order = np.argsort(rank[pair_flow], kind="stable")
+            pair_flow = pair_flow[order]
+            pair_link = pair_link[order]
+        # Offered load per slot; dead pairs sit on the scratch row and slot.
+        offered = np.bincount(
+            pair_link, weights=table.demand_rate[pair_flow], minlength=table.num_slots
+        )
+        offered[IncidenceTable.SCRATCH] = 0.0
+        slots = np.flatnonzero(offered)
+        links = table.links
+        loaded = table.slot_link[slots]
+        self._integrate_links(links, loaded, offered[slots], dt)
+        # Drain the backlogged links that carried nothing this interval.
+        backlogged = np.flatnonzero(links.queue > 0.0)
+        if backlogged.shape[0]:
+            idle = np.ones(links.size, dtype=np.bool_)
+            idle[loaded] = False
+            backlogged = backlogged[idle[backlogged]]
+            self._integrate_links(links, backlogged, np.zeros(backlogged.shape[0]), dt)
 
-        # Remaining-bytes advancement: min(remaining, rate * dt / 8.0) per
-        # session, exactly as Flow.advance computes it, for every flow at
-        # once.  The multiplicity division only exists when an aggregate flow
-        # is actually active — the all-discrete path is untouched.
-        count = len(flows)
-        rate = np.fromiter((f.current_rate_bps for f in flows), np.float64, count=count)
-        remaining = np.fromiter((f.remaining_bytes for f in flows), np.float64, count=count)
+        # Remaining bytes: min(remaining, rate * dt / 8.0) per session, as in
+        # Flow.advance; the multiplicity division only exists while an
+        # aggregate flow is active.
+        rate = table.current_rate[rows]
+        remaining = table.remaining[rows]
         if self._aggregate_active:
-            mult = np.fromiter((f.multiplicity for f in flows), np.float64, count=count)
+            mult = table.multiplicity[rows]
             delivered = np.minimum(remaining, (rate / mult) * dt / 8.0)
-            np.subtract(remaining, delivered, out=remaining)
-            self.total_bytes_delivered += float((delivered * mult).sum())
+            sent = delivered * mult
         else:
             delivered = np.minimum(remaining, rate * dt / 8.0)
-            np.subtract(remaining, delivered, out=remaining)
-            self.total_bytes_delivered += float(delivered.sum())
+            sent = delivered
+        remaining -= delivered
+        table.remaining[rows] = remaining
+        if sequential:
+            total = self.total_bytes_delivered
+            for value in sent.tolist():
+                total += value
+            self.total_bytes_delivered = total
+        else:
+            self.total_bytes_delivered += float(sent.sum())
 
-        finished: List[Flow] = []
-        tolerance = self.config.completion_tolerance_bytes
-        for flow, rem, dlv in zip(flows, remaining.tolist(), delivered.tolist()):
-            if dlv:
-                flow.remaining_bytes = rem
-            if rem <= tolerance:
-                finished.append(flow)
-        return finished
+        done = np.flatnonzero(remaining <= self.config.completion_tolerance_bytes)
+        if not done.shape[0]:
+            return []
+        flows = self.active_flows
+        return [flows[i] for i in done.tolist()]
 
-    def _drain_untouched(self, touched: "Set[str] | Dict[str, Link]", dt: float) -> None:
-        """Drain backlogged links that carried no demand this interval.
-
-        Only links the fabric has ever seen build a queue are visited (the
-        ``_queued_links`` set), not the whole topology.  ``restore_link``
-        clears its entry when it zeroes a queue by hand.
-        """
-        queued = self._queued_links
-        if not queued:
-            return
-        for link_id in list(queued):
-            if link_id in touched:
-                continue
-            link = queued[link_id]
-            link.integrate_queue(0.0, dt)
-            if link.queue_bytes <= 0.0:
-                del queued[link_id]
+    @staticmethod
+    def _integrate_links(
+        links: LinkColumns, index: np.ndarray, offered: np.ndarray, dt: float
+    ) -> None:
+        """:meth:`Link.integrate_queue` for the links at ``index`` at once."""
+        capacity = links.capacity[index]
+        queue = links.queue[index] + (offered - capacity) * dt / 8.0
+        over = queue > links.buffer[index]
+        if over.any():
+            lost = index[over]
+            links.loss_flag[lost] = True
+            links.loss_events[lost] += 1
+            queue[over] = links.buffer[lost]
+        links.queue[index] = np.where(queue > 0.0, queue, 0.0)
+        links.carried[index] += np.minimum(offered, capacity) * dt / 8.0
 
     def _finish_flow(self, flow: Flow, now: float) -> None:
-        flow.finish(now)
         if self._active.pop(flow.flow_id, None) is not None:
             self._active_list = None
             if flow.multiplicity > 1:
                 self._aggregate_active -= 1
         self.incidence.remove_flow(flow)
+        flow.finish(now)
         self.finished_flows.append(flow)
         self.transport.on_flow_finish(flow, now)
         for callback in self._finish_callbacks:
             callback(flow, now)
+
+    # -- per-flow views for transports ---------------------------------------------------
+    def _columnar(self, flows: Sequence[Flow]) -> Optional[IncidenceTable]:
+        """The table, when ``flows`` is the active list and its rows exist."""
+        table = self.incidence.built_table
+        if table is None or flows is not self._active_list:
+            return None
+        return table
+
+    def set_rates(
+        self,
+        flows: Sequence[Flow],
+        demand: Mapping[int, float],
+        delivered: Mapping[int, float],
+    ) -> None:
+        """Give every flow of ``flows`` its demand and delivered rate.
+
+        ``demand`` and ``delivered`` map flow ids to bits/s.  On the active
+        list of a columnar fabric this is one column write each, straight
+        from a solve's row-aligned vector when ``delivered`` is a
+        :class:`~repro.network.fluid_fast.RowRates` of the fabric's table.
+        """
+        table = self._columnar(flows)
+        if table is None:
+            for flow in flows:
+                flow.demand_rate_bps = demand[flow.flow_id]
+                flow.current_rate_bps = delivered[flow.flow_id]
+            return
+        rows = self._active_rows(table)
+        for column, rates in ((table.demand_rate, demand), (table.current_rate, delivered)):
+            if isinstance(rates, RowRates) and rates.table is table:
+                column[: rates.rates.shape[0]] = rates.rates
+            else:
+                column[rows] = np.fromiter(
+                    (rates[flow.flow_id] for flow in flows), np.float64, len(flows)
+                )
+
+    def path_congestion(self, flows: Sequence[Flow]) -> Tuple[List[float], List[bool]]:
+        """Per flow of ``flows``: the queueing delay summed along its path (as
+        in :meth:`Flow.rtt_estimate`) and whether a link on it latched a loss.
+
+        Consumes the loss latch of every link the flows cross
+        (:meth:`Link.consume_loss_flag`).  On the active list of a columnar
+        fabric both come from the link columns with one ``bincount`` each,
+        which adds each path's delays in path order like the per-flow sum.
+        """
+        table = self._columnar(flows)
+        if table is None:
+            lossy_links: Set[str] = set()
+            seen: Set[str] = set()
+            for flow in flows:
+                for link in flow.path:
+                    if link.link_id in seen:
+                        continue
+                    seen.add(link.link_id)
+                    if link.consume_loss_flag():
+                        lossy_links.add(link.link_id)
+            queueing = [sum(link.queueing_delay() for link in flow.path) for flow in flows]
+            lossy = [any(link.link_id in lossy_links for link in flow.path) for flow in flows]
+            return queueing, lossy
+        rows = self._active_rows(table)
+        links = table.links
+        pairs = table.pair_count
+        pair_flow = table.pair_flow[:pairs]
+        pair_link = table.slot_link[table.pair_link[:pairs]]
+        delay = links.queue[pair_link] * 8.0 / links.capacity[pair_link]
+        queueing = np.bincount(pair_flow, weights=delay, minlength=table.num_rows)
+        flagged = np.bincount(
+            pair_flow, weights=links.loss_flag[pair_link], minlength=table.num_rows
+        )
+        links.loss_flag[pair_link] = False
+        return queueing[rows].tolist(), (flagged[rows] > 0.0).tolist()
 
     # -- recompute scheduling --------------------------------------------------------------
     def _recompute(self, now: float) -> None:
@@ -591,24 +715,23 @@ class FabricSimulator:
             self._next_recompute_event = None
         if not self._active:
             return
-        flows = self.active_flows
-        if _np is not None and len(flows) >= _VECTOR_MIN_FLOWS:
-            # Same arithmetic as Flow.time_to_complete, all flows at once.
-            count = len(flows)
-            rate = _np.fromiter((f.current_rate_bps for f in flows), _np.float64, count=count)
+        table = self.incidence.built_table
+        if table is None:
+            earliest_completion = min(f.time_to_complete() for f in self.active_flows)
+        else:
+            # Flow.time_to_complete for every active flow at once.
+            rows = self._active_rows(table)
+            rate = table.current_rate[rows]
             if self._aggregate_active:
-                mult = _np.fromiter((f.multiplicity for f in flows), _np.float64, count=count)
-                rate = rate / mult
-            remaining = _np.fromiter((f.remaining_bytes for f in flows), _np.float64, count=count)
-            with _np.errstate(divide="ignore", invalid="ignore"):
-                ttc = _np.where(
+                rate = rate / table.multiplicity[rows]
+            remaining = table.remaining[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ttc = np.where(
                     remaining <= 0.0,
                     0.0,
-                    _np.where(rate > 0.0, remaining * 8.0 / rate, _np.inf),
+                    np.where(rate > 0.0, remaining * 8.0 / rate, np.inf),
                 )
             earliest_completion = float(ttc.min())
-        else:
-            earliest_completion = min(f.time_to_complete() for f in flows)
         next_time = now + min(self.config.control_interval_s, max(earliest_completion, 0.0))
         # Guard against zero-length steps caused by floating-point round-off.
         next_time = max(next_time, now + 1e-9)

@@ -7,11 +7,12 @@ rate changes each flow delivers ``current_rate_bps * dt / 8`` bytes.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 import itertools
 from typing import Dict, List, Optional
 
-from repro.network.topology import Link, Node
+from repro.network.topology import Link, Node, column_attribute
 
 
 class FlowState(enum.Enum):
@@ -59,11 +60,23 @@ class Flow:
         per-session and scale by ``multiplicity`` at the aggregate level.
     tenant:
         Opaque tenant label for per-tenant metrics ("" = untagged).
+
+    A flow holds its own values until a fabric's incidence table takes it
+    in.  While a table holds it, ``remaining_bytes``, ``current_rate_bps``,
+    ``demand_rate_bps`` and ``priority_weight`` live in the table's
+    row-aligned columns (with a copy of the immutable ``multiplicity``) and
+    the flow is a handle onto its row; the table hands the values back when
+    it lets the flow go.  Reading and writing the attributes works the same
+    either way.
     """
 
     _ids = itertools.count()
 
+    # ``_cols``/``_index`` come first: copy and pickle restore slots in this
+    # order, and a bound flow's state attributes write through them.
     __slots__ = (
+        "_cols",
+        "_index",
         "flow_id",
         "src",
         "dst",
@@ -132,6 +145,9 @@ class Flow:
         # Per-transport scratch space (cwnd, ssthresh, allocated rates, ...).
         self.transport_state: Dict[str, float] = {}
         self.meta: Dict[str, object] = {}
+        #: the incidence table holding this flow's state once bound, and its row
+        self._cols = None
+        self._index = 0
 
     # -- aggregate views --------------------------------------------------------
     @property
@@ -251,3 +267,40 @@ class Flow:
             f"<Flow {self.flow_id} {self.src.node_id}->{self.dst.node_id} "
             f"{self.size_bytes / 1e3:.1f}KB {self.state.value}>"
         )
+
+
+class BoundFlow(Flow):
+    """A :class:`Flow` whose state lives in an incidence table's row columns
+    (see :class:`~repro.network.incidence.IncidenceTable`)."""
+
+    __slots__ = ()
+
+    remaining_bytes = column_attribute("remaining", "Bytes left per session.")
+    current_rate_bps = column_attribute("current_rate", "Delivered rate in bits/s.")
+    demand_rate_bps = column_attribute("demand_rate", "Offered rate in bits/s.")
+    priority_weight = column_attribute("priority_weight", "SCDA priority weight.")
+
+    #: the plain slots the column attributes above shadow
+    OWN_SLOTS = tuple(
+        Flow.__dict__[attr]
+        for attr in ("remaining_bytes", "current_rate_bps", "demand_rate_bps", "priority_weight")
+    )
+
+    def __reduce_ex__(self, protocol):
+        """Copy and pickle as an unbound :class:`Flow` holding the current values.
+
+        A copy belongs to no table, and the table refers back to the flow, a
+        cycle pickle cannot rebuild through the column attributes.
+        """
+        state = {name: getattr(self, name) for name in copyreg._slotnames(Flow)}
+        state["_cols"] = None
+        state["_index"] = 0
+        return _unbound_flow, (state,)
+
+
+def _unbound_flow(state: Dict[str, object]) -> Flow:
+    """A plain :class:`Flow` with the slot values in ``state``."""
+    flow = Flow.__new__(Flow)
+    for name, value in state.items():
+        setattr(flow, name, value)
+    return flow

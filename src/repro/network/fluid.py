@@ -63,7 +63,7 @@ def max_min_shares(
     capacity_overrides: Optional[Mapping[str, float]] = None,
     solver: str = "auto",
     cache: Optional[IncidenceCache] = None,
-) -> Dict[int, float]:
+) -> Mapping[int, float]:
     """Compute (weighted) max-min fair rates for ``flows``.
 
     Parameters
@@ -96,8 +96,10 @@ def max_min_shares(
 
     Returns
     -------
-    dict
-        ``flow_id -> rate`` in bits/s.
+    Mapping
+        ``flow_id -> rate`` in bits/s: a dict, or from the incremental solver
+        a :class:`~repro.network.fluid_fast.RowRates` view that stays valid
+        until the cache's flow set next changes.
 
     Notes
     -----
@@ -177,14 +179,23 @@ def _max_min_shares_python(
     if not active:
         return rates
 
+    weight_seen: Dict[int, float] = {}
+
     def weight_of(flow: Flow) -> float:
         # Explicit weights are per-session, like priority_weight: an
         # aggregate of N sessions weighs N times its per-session weight.
+        # Read once per flow and solve: from 64 active flows up to
+        # AUTO_NUMPY_MIN_FLOWS this solver runs on flows bound to a fabric
+        # table, whose priority_weight is a column read.
+        w = weight_seen.get(flow.flow_id)
+        if w is not None:
+            return w
         w = float(weights.get(flow.flow_id, flow.priority_weight))
         if w <= 0:
             raise ValueError(f"flow {flow.flow_id} has non-positive weight {w}")
         if flow.multiplicity != 1:
             w *= flow.multiplicity
+        weight_seen[flow.flow_id] = w
         return w
 
     def cap_of(flow: Flow) -> float:

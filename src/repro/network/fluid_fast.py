@@ -38,7 +38,7 @@ bottleneck links, both of which perturb results at machine epsilon only.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -197,6 +197,38 @@ def max_min_shares_numpy(
     return rates
 
 
+class RowRates(Mapping):
+    """``flow_id -> rate`` over a row-aligned rate vector of an incidence table.
+
+    What :class:`DeltaWaterFiller` solves return instead of a dict: ``rates``
+    is a copy of the solved vector (entry ``row`` is the rate of the flow in
+    that row), so a caller bound to the same table can write it into the
+    row columns without a per-flow loop.  Lookups by flow id go through the
+    table's live ``row_of``, so the mapping is valid until the table's flow
+    set next changes.
+    """
+
+    __slots__ = ("table", "rates", "_row_of", "_values")
+
+    def __init__(self, table: IncidenceTable, rates: "np.ndarray") -> None:
+        self.table = table
+        self.rates = rates
+        self._row_of = table.row_of
+        self._values: Optional[List[float]] = None
+
+    def __getitem__(self, flow_id: int) -> float:
+        values = self._values
+        if values is None:
+            values = self._values = self.rates.tolist()
+        return values[self._row_of[flow_id]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._row_of)
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+
 class DeltaWaterFiller:
     """Incremental max-min solver bound to one :class:`IncidenceCache`.
 
@@ -208,13 +240,16 @@ class DeltaWaterFiller:
     1. verifies the runtime-mutable inputs against the snapshots (priority
        weights are mutated in place by the SCDA priority manager every control
        round; SLA boosts mutate link capacities without an epoch bump) —
-       changed entries become dirty seeds, exactly like churned flows;
+       changed entries become dirty seeds, exactly like churned flows.  Both
+       are array comparisons: weights are read from the table's row columns
+       and capacities from the topology's link columns;
     2. grows the dirty set to the full connected component of the incidence
        graph (the unit on which max-min decomposes exactly), aborting early
        to a full solve past :data:`MAX_DIRTY_FRACTION`;
     3. solves only the component with the shared kernel, on sub-arrays
        extracted in global row/slot order so tie-breaking matches the full
-       solve bit for bit, and merges the component rates into the kept vector.
+       solve bit for bit, and merges the component rates into the kept vector,
+       which every solve returns as a :class:`RowRates`.
 
     ``app_limit_bps`` is treated as immutable after a flow starts (nothing in
     the runtime mutates it; it is an admission-time property), which is what
@@ -227,7 +262,6 @@ class DeltaWaterFiller:
         cache.delta = self
 
         self._cold = True
-        self._rates: Dict[int, float] = {}
         self._rate_row: Optional[np.ndarray] = None
         self._w_row: Optional[np.ndarray] = None
         self._cap_row: Optional[np.ndarray] = None
@@ -286,7 +320,6 @@ class DeltaWaterFiller:
         self._pending_added.clear()
         self._pending_links.clear()
         self._pending_removed.clear()
-        self._rates = {}
         self._rate_row = None
 
     # -- stats ---------------------------------------------------------------------
@@ -313,7 +346,7 @@ class DeltaWaterFiller:
         weights: Optional[Mapping[int, float]] = None,
         capacity_scale: float = 1.0,
         capacity_overrides: Optional[Mapping[str, float]] = None,
-    ) -> Dict[int, float]:
+    ) -> Mapping[int, float]:
         """Max-min rates for ``flows``, incrementally when the state allows."""
         cache = self.cache
         # Membership check: the fabric's lock-step list is trusted outright;
@@ -370,8 +403,6 @@ class DeltaWaterFiller:
                 flow = row_flows[row]
                 self._cap_row[row] = self._effective_cap(flow, caps)
                 self._w_row[row] = self._effective_weight(flow, wdict)
-        for fid in self._pending_removed:
-            self._rates.pop(fid, None)
         slot_of = table.slot_of
         for link_id in self._pending_links:
             slot = slot_of.get(link_id)
@@ -379,11 +410,7 @@ class DeltaWaterFiller:
                 dirty_slots.add(slot)
 
         # 2. Verify the runtime-mutable inputs; differences become seeds.
-        cur_w = np.fromiter(
-            (1.0 if f is None else f.effective_weight for f in row_flows),
-            np.float64,
-            n_rows,
-        )
+        cur_w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
         if wdict:
             for fid, value in wdict.items():
                 row = row_of.get(fid)
@@ -429,7 +456,7 @@ class DeltaWaterFiller:
         if not dirty_rows and not dirty_slots:
             self.solves_noop += 1
             self._finish_bookkeeping(table)
-            return dict(self._rates)
+            return RowRates(table, self._rate_row.copy())
 
         # 3. Close over the connected component; bail out when it gets large.
         component = self._component_of(table, dirty_rows, dirty_slots)
@@ -445,7 +472,7 @@ class DeltaWaterFiller:
         if len(comp_rows) > self.dirty_rows_max:
             self.dirty_rows_max = len(comp_rows)
         self._finish_bookkeeping(table)
-        return dict(self._rates)
+        return RowRates(table, self._rate_row.copy())
 
     # -- helpers -------------------------------------------------------------------
     @staticmethod
@@ -498,9 +525,8 @@ class DeltaWaterFiller:
                 return None
             next_slots: List[int] = []
             for row in row_frontier:
-                start, stop = table.row_start[row], table.row_stop[row]
-                for i in range(start, stop):
-                    slot = int(pl[i])
+                start, stop = table.row_start.item(row), table.row_stop.item(row)
+                for slot in pl[start:stop].tolist():
                     if slot != table.SCRATCH and slot not in slots:
                         slots.add(slot)
                         next_slots.append(slot)
@@ -511,8 +537,8 @@ class DeltaWaterFiller:
                 link = table.link_slots[slot]
                 if link is None:
                     continue
-                for flow in cache.flows_of_link(link.link_id):
-                    row = row_of.get(flow.flow_id)
+                for flow_id in cache.flow_ids_of_link(link.link_id):
+                    row = row_of.get(flow_id)
                     if row is not None and row not in rows:
                         rows.add(row)
                         row_frontier.append(row)
@@ -556,10 +582,6 @@ class DeltaWaterFiller:
         )
         self.kernel_rounds += rounds
         self._rate_row[row_idx] = rate_loc
-        rates = self._rates
-        row_flows = table.row_flows
-        for i, r in enumerate(rows):
-            rates[row_flows[r].flow_id] = float(rate_loc[i])
 
     def _solve_full(
         self,
@@ -568,19 +590,15 @@ class DeltaWaterFiller:
         weights: Optional[Mapping[int, float]],
         capacity_scale: float,
         capacity_overrides: Optional[Mapping[str, float]],
-    ) -> Dict[int, float]:
+    ) -> RowRates:
         """One full solve over the persistent table; refreshes every snapshot."""
         caps = demand_caps or {}
         wdict = weights or {}
         n_rows = table.num_rows
         row_flows = table.row_flows
-        row_start, row_stop = table.row_start, table.row_stop
+        pathless = (table.row_stop[:n_rows] == table.row_start[:n_rows]).tolist()
 
-        w = np.fromiter(
-            (1.0 if f is None else f.effective_weight for f in row_flows),
-            np.float64,
-            n_rows,
-        )
+        w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
         if wdict:
             row_of = table.row_of
             for fid, value in wdict.items():
@@ -598,7 +616,7 @@ class DeltaWaterFiller:
         cap = np.fromiter(
             (
                 0.0
-                if f is None or row_stop[r] == row_start[r]
+                if f is None or pathless[r]
                 else self._effective_cap(f, caps)
                 for r, f in enumerate(row_flows)
             ),
@@ -616,11 +634,6 @@ class DeltaWaterFiller:
         self.kernel_rounds += rounds
         self.solves_full += 1
 
-        rates: Dict[int, float] = {}
-        for r, flow in enumerate(row_flows):
-            if flow is not None:
-                rates[flow.flow_id] = float(rate[r])
-        self._rates = rates
         self._rate_row = rate
         self._w_row = w
         self._cap_row = cap
@@ -630,7 +643,7 @@ class DeltaWaterFiller:
         self._scale_snapshot = capacity_scale
         self._cold = False
         self._finish_bookkeeping(table)
-        return dict(rates)
+        return RowRates(table, rate.copy())
 
 
 def max_min_shares_incremental(
@@ -640,7 +653,7 @@ def max_min_shares_incremental(
     capacity_scale: float = 1.0,
     capacity_overrides: Optional[Mapping[str, float]] = None,
     cache: Optional[IncidenceCache] = None,
-) -> Dict[int, float]:
+) -> Mapping[int, float]:
     """The ``solver="incremental"`` entry point — see ``fluid.max_min_shares``.
 
     Requires a cache covering ``flows``; a :class:`DeltaWaterFiller` is

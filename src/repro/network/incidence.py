@@ -35,8 +35,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.network.flow import Flow
-from repro.network.topology import Link
+import numpy as np
+
+from repro.network.flow import BoundFlow, Flow
+from repro.network.topology import Link, LinkColumns, bind_handle, grown
 
 #: Compaction of the persistent table never triggers below this many dead
 #: coordinate pairs — rewriting a small table costs more than carrying them.
@@ -109,32 +111,59 @@ class IncidenceTable:
     arrays O(live) amortised; ``layout_version`` is bumped so solvers holding
     row/slot-aligned snapshots know to re-align.
 
-    The table deliberately caches no capacities, weights or caps — those are
-    runtime-mutable solver *inputs*, read fresh per solve (see
-    :meth:`link_capacities`).
+    Columns
+    -------
+    The table also owns the runtime state of its flows, in row-aligned
+    columns (:data:`ROW_COLUMNS`): every flow it holds is bound to its row
+    (see :class:`~repro.network.flow.BoundFlow`), so reading or writing
+    ``flow.remaining_bytes`` reads or writes ``remaining[row]`` and the
+    fabric advances every flow with array operations.  Removing a flow hands
+    its values back to the flow.  Dead rows and the scratch row keep weight
+    and multiplicity 1 and are never read as live state.  Per-slot
+    ``slot_link`` maps each slot to its link's entry in the topology's
+    :class:`~repro.network.topology.LinkColumns` (entry 0, the sentinel, for
+    the scratch and retired slots), so link capacities are gathered, not
+    cached.
     """
 
     SCRATCH = 0
 
-    def __init__(self) -> None:
-        import numpy as np
+    #: row column -> initial value of the scratch row (and of dead rows'
+    #: weight and multiplicity, which solvers read as 1)
+    ROW_COLUMNS = {
+        "remaining": 0.0,
+        "current_rate": 0.0,
+        "demand_rate": 0.0,
+        "priority_weight": 1.0,
+        "multiplicity": 1.0,
+    }
 
-        self._np = np
+    def __init__(self, rows: int = 64, pairs: int = 64) -> None:
+        """``rows``/``pairs``: initial room (the arrays grow as needed)."""
+        rows = max(rows, 64)
+        for name, value in self.ROW_COLUMNS.items():
+            setattr(self, name, np.full(rows, value, dtype=np.float64))
+        #: row -> whether a live flow holds the row
+        self.live = np.zeros(rows, dtype=np.bool_)
+        #: slot -> index of its link in :attr:`links` (0 = the sentinel)
+        self.slot_link = np.zeros(64, dtype=np.intp)
+        #: the link columns every slot's link is bound to
+        self.links: Optional[LinkColumns] = None
         #: row -> Flow (None for the scratch row and tombstoned rows).
         self.row_flows: List[Optional[Flow]] = [None]
         #: flow_id -> row (live flows only).
         self.row_of: Dict[int, int] = {}
-        #: row -> [start, stop) span into the pair arrays.
-        self.row_start: List[int] = [0]
-        self.row_stop: List[int] = [0]
+        #: row -> [start, stop) span into the pair arrays (row columns too).
+        self.row_start = np.zeros(rows, dtype=np.intp)
+        self.row_stop = np.zeros(rows, dtype=np.intp)
         #: slot -> Link (None for scratch and retired slots).
         self.link_slots: List[Optional[Link]] = [None]
         #: link_id -> slot (live links only).
         self.slot_of: Dict[str, int] = {}
         #: slot -> number of live pairs referencing it (retire at zero).
         self.slot_refs: List[int] = [0]
-        self.pair_flow = np.zeros(64, dtype=np.intp)
-        self.pair_link = np.zeros(64, dtype=np.intp)
+        self.pair_flow = np.zeros(max(pairs, 64), dtype=np.intp)
+        self.pair_link = np.zeros(max(pairs, 64), dtype=np.intp)
         self.pair_count = 0
         self.dead_pairs = 0
         self.dead_rows = 0
@@ -169,23 +198,73 @@ class IncidenceTable:
         return self.pair_count - self.dead_pairs
 
     # -- mutation ----------------------------------------------------------------
+    def _ensure_row_capacity(self, need: int) -> None:
+        for name, value in self.ROW_COLUMNS.items():
+            setattr(self, name, grown(getattr(self, name), need, value))
+        self.live = grown(self.live, need, False)
+        self.row_start = grown(self.row_start, need, 0)
+        self.row_stop = grown(self.row_stop, need, 0)
+
+    def bind_link(self, link: Link) -> int:
+        """``link``'s entry in :attr:`links`, binding the link on first use."""
+        cols = link._cols
+        if cols is None:  # a free-standing link: it joins the table's columns
+            cols = self.links if self.links is not None else LinkColumns()
+        if self.links is None:
+            self.links = cols
+        elif cols is not self.links:
+            raise ValueError(
+                f"link {link.link_id} belongs to another topology than this table's links"
+            )
+        return cols.bind(link)
+
+    def _bind(self, flow: Flow, row: int) -> None:
+        """Move ``flow``'s state into ``row`` and make the flow a handle on it."""
+        self.remaining[row] = flow.remaining_bytes
+        self.current_rate[row] = flow.current_rate_bps
+        self.demand_rate[row] = flow.demand_rate_bps
+        self.priority_weight[row] = flow.priority_weight
+        self.multiplicity[row] = flow.multiplicity
+        self.live[row] = True
+        bind_handle(flow, BoundFlow, self, row)
+
+    def _unbind(self, flow: Flow, row: int) -> None:
+        """Hand ``row``'s state back to ``flow`` (unless another table took it)."""
+        if flow._cols is self:
+            remaining = self.remaining.item(row)
+            current = self.current_rate.item(row)
+            demand = self.demand_rate.item(row)
+            weight = self.priority_weight.item(row)
+            flow.__class__ = Flow
+            flow._cols = None
+            flow.remaining_bytes = remaining
+            flow.current_rate_bps = current
+            flow.demand_rate_bps = demand
+            flow.priority_weight = weight
+        self.live[row] = False
+        self.priority_weight[row] = 1.0
+        self.multiplicity[row] = 1.0
+
+    def release(self) -> None:
+        """Hand every live row's state back to its flow (the table is dropped)."""
+        for row, flow in enumerate(self.row_flows):
+            if flow is not None:
+                self._unbind(flow, row)
+
     def _ensure_pair_capacity(self, extra: int) -> None:
-        np = self._np
         need = self.pair_count + extra
         cap = self.pair_flow.shape[0]
         if need <= cap:
             return
-        while cap < need:
-            cap *= 2
         for name in ("pair_flow", "pair_link"):
-            old = getattr(self, name)
-            grown = np.zeros(cap, dtype=np.intp)
-            grown[: self.pair_count] = old[: self.pair_count]
-            setattr(self, name, grown)
+            setattr(self, name, grown(getattr(self, name), need, 0))
 
     def add(self, flow: Flow, path: Sequence[Link]) -> int:
-        """Append a row for ``flow`` over ``path``; returns the row index."""
+        """Append a row for ``flow`` over ``path`` and bind the flow to it;
+        returns the row index."""
         row = len(self.row_flows)
+        if row >= self.live.shape[0]:
+            self._ensure_row_capacity(row + 1)
         self.row_flows.append(flow)
         self.row_of[flow.flow_id] = row
         start = self.pair_count
@@ -195,6 +274,9 @@ class IncidenceTable:
             slot = self.slot_of.get(link.link_id)
             if slot is None:
                 slot = len(self.link_slots)
+                if slot >= self.slot_link.shape[0]:
+                    self.slot_link = grown(self.slot_link, slot + 1, 0)
+                self.slot_link[slot] = self.bind_link(link)
                 self.link_slots.append(link)
                 self.slot_refs.append(0)
                 self.slot_of[link.link_id] = slot
@@ -202,9 +284,10 @@ class IncidenceTable:
             pl[self.pair_count] = slot
             self.slot_refs[slot] += 1
             self.pair_count += 1
-        self.row_start.append(start)
-        self.row_stop.append(self.pair_count)
+        self.row_start[row] = start
+        self.row_stop[row] = self.pair_count
         self.pairs_appended += len(path)
+        self._bind(flow, row)
         return row
 
     def remove(self, flow_id: int) -> None:
@@ -212,9 +295,10 @@ class IncidenceTable:
         row = self.row_of.pop(flow_id, None)
         if row is None:
             return
+        self._unbind(self.row_flows[row], row)
         self.row_flows[row] = None
         self.dead_rows += 1
-        start, stop = self.row_start[row], self.row_stop[row]
+        start, stop = self.row_start.item(row), self.row_stop.item(row)
         if stop > start:
             pl = self.pair_link
             for i in range(start, stop):
@@ -226,6 +310,7 @@ class IncidenceTable:
                         if link is not None:
                             del self.slot_of[link.link_id]
                             self.link_slots[slot] = None
+                            self.slot_link[slot] = 0
                             self.dead_slots += 1
             self.pair_flow[start:stop] = self.SCRATCH
             self.pair_link[start:stop] = self.SCRATCH
@@ -250,25 +335,34 @@ class IncidenceTable:
         remains non-decreasing), slots stay in first-encounter order, and the
         per-slot ``bincount`` reductions see the same value sequences.
         """
-        np = self._np
-        # Renumber rows: scratch row 0 stays at 0, live rows close ranks.
+        # Renumber rows: scratch row 0 stays at 0, live rows close ranks; the
+        # row columns and the bound flows' rows follow.
         row_map = np.zeros(len(self.row_flows), dtype=np.intp)
         new_row_flows: List[Optional[Flow]] = [None]
+        kept_rows = [self.SCRATCH]
         for row, flow in enumerate(self.row_flows):
             if row == self.SCRATCH or flow is None:
                 continue
             row_map[row] = len(new_row_flows)
+            if flow._cols is self:
+                flow._index = len(new_row_flows)
             new_row_flows.append(flow)
+            kept_rows.append(row)
+        for name in (*self.ROW_COLUMNS, "live"):
+            setattr(self, name, getattr(self, name)[kept_rows])
         # Renumber slots the same way.
         slot_map = np.zeros(len(self.link_slots), dtype=np.intp)
         new_link_slots: List[Optional[Link]] = [None]
         new_slot_refs: List[int] = [0]
+        kept_slots = [self.SCRATCH]
         for slot, link in enumerate(self.link_slots):
             if slot == self.SCRATCH or link is None:
                 continue
             slot_map[slot] = len(new_link_slots)
             new_link_slots.append(link)
             new_slot_refs.append(self.slot_refs[slot])
+            kept_slots.append(slot)
+        self.slot_link = self.slot_link[kept_slots]
         # Filter dead pairs (they all sit on the scratch row) and remap.
         pf = self.pair_flow[: self.pair_count]
         pl = self.pair_link[: self.pair_count]
@@ -290,8 +384,8 @@ class IncidenceTable:
 
         self.row_flows = new_row_flows
         self.row_of = {f.flow_id: r for r, f in enumerate(new_row_flows) if f is not None}
-        self.row_start = starts.tolist()
-        self.row_stop = stops.tolist()
+        self.row_start = starts
+        self.row_stop = stops
         self.link_slots = new_link_slots
         self.slot_of = {
             l.link_id: s for s, l in enumerate(new_link_slots) if l is not None
@@ -311,17 +405,15 @@ class IncidenceTable:
         """Effective per-slot capacities (override → scale → clamp), fresh.
 
         Scratch and retired slots read ``inf`` so they can never become the
-        bottleneck.  Capacities are gathered per call because links mutate
-        ``capacity_bps`` in place at runtime (SLA boosts, dynamics scripts).
+        bottleneck.  Capacities are gathered from the link columns per call
+        because links mutate ``capacity_bps`` in place at runtime (SLA boosts,
+        dynamics scripts).
         """
-        np = self._np
         n = len(self.link_slots)
-        inf = float("inf")
-        caps = np.fromiter(
-            (inf if l is None else l.capacity_bps for l in self.link_slots),
-            np.float64,
-            n,
-        )
+        if self.links is None:
+            caps = np.full(n, float("inf"))
+        else:
+            caps = self.links.capacity[self.slot_link[:n]]
         if capacity_overrides:
             for link_id, value in capacity_overrides.items():
                 slot = self.slot_of.get(link_id)
@@ -473,6 +565,8 @@ class IncidenceCache:
             listener("remove", flow, path)
 
     def clear(self) -> None:
+        if self._table is not None:
+            self._table.release()
         self._flows.clear()
         self._paths.clear()
         self._links.clear()
@@ -529,10 +623,11 @@ class IncidenceCache:
             self._map_epoch = self.epoch
         return self._map_cache
 
-    def flows_of_link(self, link_id: str) -> Sequence[Flow]:
-        """The flows crossing ``link_id`` without materialising the full map."""
+    def flow_ids_of_link(self, link_id: str) -> Iterable[int]:
+        """The ids of the flows crossing ``link_id`` (a live view: do not
+        change the cache while iterating it)."""
         bucket = self._link_flows.get(link_id)
-        return tuple(bucket.values()) if bucket else ()
+        return bucket.keys() if bucket else ()
 
     def arrays(self) -> IncidenceArrays:
         """CSR-style numpy index arrays for the current epoch (cached)."""
@@ -541,18 +636,29 @@ class IncidenceCache:
             self._arrays_epoch = self.epoch
         return self._arrays_cache
 
+    @property
+    def built_table(self) -> Optional[IncidenceTable]:
+        """The persistent table if :meth:`table` has built it, else None."""
+        return self._table
+
     def table(self) -> IncidenceTable:
-        """The persistent maintained table (built once, updated in place)."""
+        """The persistent maintained table (built once, updated in place).
+
+        Building it binds every cached flow to its row (see
+        :class:`IncidenceTable`), and the links they cross to their
+        topology's columns.
+        """
         if self._table is None:
-            table = IncidenceTable()
+            paths = self._paths
+            table = IncidenceTable(
+                rows=len(self._flows) + 1, pairs=sum(len(p) for p in paths.values())
+            )
             for flow_id, flow in self._flows.items():
                 table.add(flow, self._paths[flow_id])
             self._table = table
         return self._table
 
     def _build_arrays(self) -> IncidenceArrays:
-        import numpy as np
-
         flow_list = [f for f in self._flows.values() if self._paths.get(f.flow_id)]
         link_index: Dict[str, int] = {}
         link_list: List[Link] = []

@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 class NodeKind(enum.Enum):
     """Role of a node in the datacenter."""
@@ -64,11 +66,23 @@ class Link:
     its drain capacity; it produces queueing delay ``queue_bytes*8/capacity``
     and, when it exceeds ``buffer_bytes``, a loss indication that transports
     may react to.
+
+    A link holds its own state until it is bound: when an incidence table
+    first routes a flow over it, or a fabric's first columnar advance takes
+    over the backlog it had tracked without a table.  From then on its
+    topology's :class:`LinkColumns` own the runtime state (capacity, queue,
+    buffer, carried bytes, loss counters) and the link is a
+    :class:`BoundLink`, a handle onto its column entry; reading and writing
+    the attributes works the same either way.
     """
 
     _ids = itertools.count()
 
+    # ``_cols``/``_index`` come first: copy and pickle restore slots in this
+    # order, and a bound link's state attributes write through them.
     __slots__ = (
+        "_cols",
+        "_index",
         "link_id",
         "src",
         "dst",
@@ -123,6 +137,10 @@ class Link:
         self._loss_in_interval = False
         self.bytes_carried = 0.0
         self.attrs: Dict[str, object] = {}
+        #: the columns this link binds into (its topology's; None for a
+        #: free-standing link) and, once it is a BoundLink, its entry there
+        self._cols: Optional["LinkColumns"] = None
+        self._index = 0
 
     # -- queue dynamics -----------------------------------------------------------
     def queueing_delay(self) -> float:
@@ -168,6 +186,125 @@ class Link:
         return f"Link({self.src.node_id}->{self.dst.node_id}, {gbps:g} Gbps)"
 
 
+def grown(array: np.ndarray, need: int, fill) -> np.ndarray:
+    """``array`` with room for at least ``need`` entries, the new ones ``fill``.
+
+    Grows by a quarter at a time: amortised O(1) appends without the
+    doubling's up-to-2x spare memory on a large table.
+    """
+    cap = max(array.shape[0], 4)
+    while cap < need:
+        cap += cap // 4
+    out = np.full(cap, fill, dtype=array.dtype)
+    out[: array.shape[0]] = array
+    return out
+
+
+def bind_handle(handle, bound_class: type, cols, index: int) -> None:
+    """Make ``handle`` a ``bound_class`` handle onto entry ``index`` of ``cols``.
+
+    The caller has copied the handle's state into the columns; the handle's
+    own copies (the slots in ``bound_class.OWN_SLOTS``) are dropped, so the
+    columns hold the only one.
+    """
+    if handle.__class__ is not bound_class:
+        for slot in bound_class.OWN_SLOTS:
+            slot.__delete__(handle)
+    handle._cols = cols
+    handle._index = index
+    handle.__class__ = bound_class
+
+
+def column_attribute(name: str, doc: str) -> property:
+    """A handle attribute stored at entry ``self._index`` of column ``name`` of
+    ``self._cols`` (see :class:`LinkColumns` and
+    :class:`~repro.network.incidence.IncidenceTable`)."""
+
+    def fget(self):
+        return getattr(self._cols, name).item(self._index)
+
+    def fset(self, value) -> None:
+        getattr(self._cols, name)[self._index] = value
+
+    return property(fget, fset, doc=doc)
+
+
+class BoundLink(Link):
+    """A :class:`Link` whose runtime state lives in its topology's columns."""
+
+    __slots__ = ()
+
+    capacity_bps = column_attribute("capacity", "Capacity in bits/s.")
+    buffer_bytes = column_attribute("buffer", "Buffer size in bytes.")
+    queue_bytes = column_attribute("queue", "Current backlog in bytes.")
+    bytes_carried = column_attribute("carried", "Bytes carried so far.")
+    loss_events = column_attribute("loss_events", "Buffer overflows so far.")
+    _loss_in_interval = column_attribute("loss_flag", "Loss latched since last consumed.")
+
+    #: the plain slots the column attributes above shadow
+    OWN_SLOTS = tuple(
+        Link.__dict__[attr]
+        for attr in (
+            "capacity_bps", "buffer_bytes", "queue_bytes",
+            "bytes_carried", "loss_events", "_loss_in_interval",
+        )
+    )
+
+
+class LinkColumns:
+    """The runtime state of a topology's links as numpy columns.
+
+    Entry 0 is a sentinel with infinite capacity and buffer and no backlog;
+    incidence tables map their scratch and retired slots to it.  A link gets
+    the next entry when it is bound (:meth:`bind`, see :class:`Link`): its
+    state moves into the columns, which are from then on the only copy of
+    it, and the link becomes a :class:`BoundLink` handle onto its entry.
+    Entries past the bound links hold sentinel values.
+    """
+
+    #: column name -> (dtype, sentinel value); :class:`BoundLink` maps the
+    #: link attributes onto them
+    FIELDS = {
+        "capacity": (np.float64, float("inf")),
+        "buffer": (np.float64, float("inf")),
+        "queue": (np.float64, 0.0),
+        "carried": (np.float64, 0.0),
+        "loss_events": (np.int64, 0),
+        "loss_flag": (np.bool_, False),
+    }
+
+    def __init__(self) -> None:
+        for name, (dtype, sentinel) in self.FIELDS.items():
+            setattr(self, name, np.full(64, sentinel, dtype=dtype))
+        #: bound links (entries 1..bound)
+        self.bound = 0
+
+    @property
+    def size(self) -> int:
+        """Length of every column (sentinel, bound links and spare entries)."""
+        return self.capacity.shape[0]
+
+    def bind(self, link: Link) -> int:
+        """Move ``link``'s state into a new entry and return the entry.
+
+        A no-op returning the entry when the link is already bound here.
+        """
+        if link.__class__ is BoundLink and link._cols is self:
+            return link._index
+        index = self.bound = self.bound + 1
+        if index >= self.size:
+            for name, (_dtype, sentinel) in self.FIELDS.items():
+                setattr(self, name, grown(getattr(self, name), index + 1, sentinel))
+        self.capacity[index] = link.capacity_bps
+        self.buffer[index] = link.buffer_bytes
+        self.queue[index] = link.queue_bytes
+        self.carried[index] = link.bytes_carried
+        self.loss_events[index] = link.loss_events
+        self.loss_flag[index] = link._loss_in_interval
+        bind_handle(link, BoundLink, self, index)
+        return index
+
+
 class Topology:
     """A directed multigraph of :class:`Node` and :class:`Link`.
 
@@ -182,6 +319,8 @@ class Topology:
         self._links: Dict[str, Link] = {}
         self._out: Dict[str, List[Link]] = {}
         self._in: Dict[str, List[Link]] = {}
+        #: runtime state of the links incidence tables have used
+        self.link_columns = LinkColumns()
 
     # -- construction ---------------------------------------------------------------
     def add_node(self, node: Node) -> Node:
@@ -221,6 +360,7 @@ class Topology:
         if is_uplink is None:
             is_uplink = dst.level > src.level
         link = Link(src, dst, capacity_bps, delay_s, buffer_bytes, is_uplink)
+        link._cols = self.link_columns
         self._links[link.link_id] = link
         self._out[src.node_id].append(link)
         self._in[dst.node_id].append(link)

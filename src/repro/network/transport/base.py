@@ -16,7 +16,10 @@ class TransportModel:
     flow in ``flows``:
 
     * ``flow.demand_rate_bps`` — what the source offers to the network, and
-    * ``flow.current_rate_bps`` — what is actually delivered end to end.
+    * ``flow.current_rate_bps`` — what is actually delivered end to end,
+
+    most cheaply with one :meth:`FabricSimulator.set_rates` call, which
+    writes the fabric's rate columns directly once it has them.
     """
 
     name = "base"

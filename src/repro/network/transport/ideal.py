@@ -30,9 +30,8 @@ class IdealMaxMinTransport(TransportModel):
         rates = max_min_shares(
             flows,
             capacity_scale=self.utilisation,
-            cache=getattr(self.fabric, "incidence", None),
+            cache=self.fabric.incidence,
         )
-        for flow in flows:
-            rate = rates[flow.flow_id]
-            flow.demand_rate_bps = rate
-            flow.current_rate_bps = rate
+        # Sources offer exactly their allocation.  At scale ``rates`` is the
+        # incremental solver's row-aligned vector, written in one go.
+        self.fabric.set_rates(flows, rates, rates)

@@ -100,6 +100,4 @@ class ScdaTransport(TransportModel):
         else:
             delivered = demands
 
-        for flow in flows:
-            flow.demand_rate_bps = demands[flow.flow_id]
-            flow.current_rate_bps = delivered[flow.flow_id]
+        self.fabric.set_rates(flows, demands, delivered)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set
+from typing import Dict, Sequence
 
 from repro.network.flow import Flow
 from repro.network.fluid import max_min_shares
@@ -99,21 +99,14 @@ class TcpTransport(TransportModel):
     def update_rates(self, flows: Sequence[Flow], now: float) -> None:
         cfg = self.config
 
-        # 1. Collect per-link loss indications accumulated by the fabric since
-        #    the previous update (buffer overflows during queue integration).
-        lossy_links: Set[str] = set()
-        seen: Set[str] = set()
-        for flow in flows:
-            for link in flow.path:
-                if link.link_id in seen:
-                    continue
-                seen.add(link.link_id)
-                if link.consume_loss_flag():
-                    lossy_links.add(link.link_id)
+        # 1. Per flow, the queueing delay along its path and whether a link on
+        #    it overflowed since the previous update (the fabric latches buffer
+        #    overflows during queue integration; this consumes the latches).
+        queueing, lossy = self.fabric.path_congestion(flows)
 
         # 2. Evolve each flow's window.
         demands: Dict[int, float] = {}
-        for flow in flows:
+        for flow, queue_delay, lost in zip(flows, queueing, lossy):
             state = flow.transport_state
             if "cwnd" not in state:  # flow started outside on_flow_start (defensive)
                 self.on_flow_start(flow, now)
@@ -122,11 +115,12 @@ class TcpTransport(TransportModel):
             dt = max(0.0, now - last)
             self._last_update[flow.flow_id] = now
 
-            rtt = max(flow.rtt_estimate(), 1e-4)
+            # Flow.rtt_estimate: base RTT plus the path's queueing delay.
+            rtt = max(flow.base_rtt_s + queue_delay, 1e-4)
             cwnd = state["cwnd"]
             ssthresh = state["ssthresh"]
 
-            if any(link.link_id in lossy_links for link in flow.path):
+            if lost:
                 # Multiplicative decrease on loss.
                 ssthresh = max(cwnd * cfg.loss_backoff, cfg.min_window_segments * cfg.mss_bytes)
                 cwnd = max(ssthresh, cfg.min_window_segments * cfg.mss_bytes)
@@ -157,12 +151,8 @@ class TcpTransport(TransportModel):
             demands[flow.flow_id] = demand_bps
 
         # 3. The network delivers the max-min share of the offered demands.
-        delivered = max_min_shares(
-            flows, demand_caps=demands, cache=getattr(self.fabric, "incidence", None)
-        )
-        for flow in flows:
-            flow.demand_rate_bps = demands[flow.flow_id]
-            flow.current_rate_bps = delivered[flow.flow_id]
+        delivered = max_min_shares(flows, demand_caps=demands, cache=self.fabric.incidence)
+        self.fabric.set_rates(flows, demands, delivered)
 
     # -- diagnostics -----------------------------------------------------------------
     @staticmethod

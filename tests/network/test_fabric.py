@@ -1,9 +1,12 @@
 """Tests for the event-driven fabric simulator."""
 
+import numpy as np
 import pytest
 
 from repro.network.fabric import FabricConfig, FabricSimulator
-from repro.network.flow import FlowKind, FlowState
+from repro.network.flow import BoundFlow, Flow, FlowKind, FlowState
+from repro.network.leafspine import build_leaf_spine
+from repro.network.topology import BoundLink, Link, Topology
 from repro.network.transport.ideal import IdealMaxMinTransport
 from repro.network.transport.tcp import TcpTransport
 from repro.sim.engine import Simulator
@@ -222,42 +225,327 @@ class TestChurnBatching:
             fabric_b.total_bytes_delivered, rel=1e-12
         )
 
-    def test_vectorized_advance_matches_python_path(self, monkeypatch):
-        """Above the vectorization threshold the numpy advance must mirror
-        the per-flow Python arithmetic flow by flow."""
-        import repro.network.fabric as fabric_mod
-        from repro.network.leafspine import build_leaf_spine
 
-        def run(vector_min):
-            monkeypatch.setattr(fabric_mod, "_VECTOR_MIN_FLOWS", vector_min)
-            topo = build_leaf_spine(
-                num_spines=2, num_leaves=2, hosts_per_leaf=2, num_clients=2
-            )
-            sim = Simulator()
-            fabric = FabricSimulator(sim, topo, IdealMaxMinTransport())
-            clients, hosts = topo.clients(), topo.hosts()
-            flows = []
-            with fabric.churn():
-                for i in range(80):
-                    flows.append(
-                        fabric.start_flow(
-                            clients[i % len(clients)],
-                            hosts[i % len(hosts)],
-                            1e6 + 37_000.0 * i,
-                        )
-                    )
-            sim.run(until=4.0)
-            return fabric, flows
-
-        fabric_vec, flows_vec = run(vector_min=1)
-        fabric_py, flows_py = run(vector_min=10**9)
-        assert [f.remaining_bytes for f in flows_vec] == [
-            f.remaining_bytes for f in flows_py
-        ]
-        assert [f.state for f in flows_vec] == [f.state for f in flows_py]
-        assert [f.finished_at for f in flows_vec] == [f.finished_at for f in flows_py]
-        # Total delivered differs only by float summation order (numpy
-        # pairwise vs sequential accumulation).
-        assert fabric_vec.total_bytes_delivered == pytest.approx(
-            fabric_py.total_bytes_delivered, rel=1e-12
+class TestAbortFlow:
+    def test_abort_of_a_flow_completing_at_that_instant_is_a_noop(self):
+        topo = Topology("line")
+        a, b = topo.add_host("a"), topo.add_host("b")
+        topo.add_duplex_link(a, b, 8e6, 0.001)
+        sim = Simulator()
+        fabric = FabricSimulator(
+            sim, topo, IdealMaxMinTransport(), config=FabricConfig(control_interval_s=10.0)
         )
+        aborted = []
+        fabric.on_flow_aborted(lambda f, now: aborted.append(f))
+        holder = {}
+        # Queued before the flow starts, so it runs ahead of the fabric's
+        # completion recompute at t=1.0; its own advance completes the flow.
+        sim.call_at(1.0, lambda: fabric.abort_flow(holder["flow"]))
+        holder["flow"] = flow = fabric.start_flow(a, b, 1e6)  # 8 Mbit at 8 Mb/s
+        sim.run(until=2.0)
+        assert flow.state is FlowState.FINISHED
+        assert flow.finished_at == 1.0
+        assert aborted == []
+        assert fabric.active_flow_count == 0
+
+    def test_second_abort_is_a_noop(self, ideal_fabric):
+        sim, topo, fabric = ideal_fabric
+        aborted = []
+        fabric.on_flow_aborted(lambda f, now: aborted.append(f))
+        flow = fabric.start_flow(topo.node("ucl-0"), topo.node("bs-0"), 1e9)
+        sim.run(until=0.05)
+        fabric.abort_flow(flow)
+        recomputes = fabric.recomputes
+        fabric.abort_flow(flow)
+        assert aborted == [flow]
+        assert fabric.recomputes == recomputes
+        assert flow.state is FlowState.ABORTED
+
+
+def _detached_flow(flow):
+    """An unbound copy of ``flow``'s advance state."""
+    copy = Flow(flow.src, flow.dst, flow.size_bytes, [], multiplicity=flow.multiplicity)
+    copy.start(0.0)
+    copy.remaining_bytes = flow.remaining_bytes
+    copy.current_rate_bps = flow.current_rate_bps
+    return copy
+
+
+def _detached_link(link):
+    """An unbound copy of ``link``'s queue state."""
+    copy = Link(link.src, link.dst, link.capacity_bps, link.delay_s, link.buffer_bytes)
+    copy.queue_bytes = link.queue_bytes
+    copy.bytes_carried = link.bytes_carried
+    copy.loss_events = link.loss_events
+    copy._loss_in_interval = link._loss_in_interval
+    return copy
+
+
+class ReferenceAdvance:
+    """Checks every fabric advance against a per-flow reference.
+
+    Before each advance the active flows and every link are copied into
+    unbound handles and advanced with :meth:`Flow.advance` and
+    :meth:`Link.integrate_queue`; afterwards the fabric must hold exactly
+    the same values.  Below 64 active flows each link adds up its offered
+    load in active order and ``total_bytes_delivered`` adds the per-flow
+    amounts one by one; from 64 up links add up in incidence-table row order
+    (cache order, which a reroute makes differ from active order) and the
+    total takes one numpy (pairwise) sum.
+    """
+
+    def __init__(self, fabric):
+        self.fabric = fabric
+        self.flow_counts = set()
+        #: backlogged links that carried nothing during an advance
+        self.drained = 0
+        self._advance = fabric._advance_to
+        fabric._advance_to = self._checked_advance
+
+    def _reference(self, dt):
+        fabric = self.fabric
+        flows = list(fabric.active_flows)
+        copies = [_detached_flow(f) for f in flows]
+        links = {l.link_id: _detached_link(l) for l in fabric.topology.links}
+        offered = {}
+        for flow in flows if len(flows) < 64 else fabric.incidence.flows:
+            if flow.demand_rate_bps <= 0:
+                continue
+            for link in flow.path:
+                offered[link.link_id] = offered.get(link.link_id, 0.0) + flow.demand_rate_bps
+        for link_id, link in links.items():
+            if link_id in offered:
+                link.integrate_queue(offered[link_id], dt)
+            elif link.queue_bytes > 0.0:
+                link.integrate_queue(0.0, dt)
+                self.drained += 1
+        delivered = [copy.advance(dt) for copy in copies]
+        total = fabric.total_bytes_delivered
+        if len(flows) < 64:
+            for value in delivered:
+                total += value
+        else:
+            total += float(np.array(delivered).sum())
+        return flows, copies, links, total
+
+    def _checked_advance(self, now):
+        fabric = self.fabric
+        dt = now - fabric._last_advance
+        if dt <= 0.0 or not fabric.active_flow_count:
+            self._advance(now)
+            return
+        flows, copies, links, total = self._reference(dt)
+        finished_before = len(fabric.finished_flows)
+        self._advance(now)
+        tolerance = fabric.config.completion_tolerance_bytes
+        done = [f for f, c in zip(flows, copies) if c.remaining_bytes <= tolerance]
+        assert fabric.finished_flows[finished_before:] == done
+        for flow, copy in zip(flows, copies):
+            if copy.remaining_bytes <= tolerance:
+                assert (flow.state, flow.finished_at) == (FlowState.FINISHED, now)
+            else:
+                assert flow.state is FlowState.ACTIVE
+                assert flow.remaining_bytes == copy.remaining_bytes
+        for link in fabric.topology.links:
+            ref = links[link.link_id]
+            assert (
+                link.queue_bytes, link.bytes_carried, link.loss_events, link._loss_in_interval
+            ) == (ref.queue_bytes, ref.bytes_carried, ref.loss_events, ref._loss_in_interval)
+        assert fabric.total_bytes_delivered == total
+        self.flow_counts.add(len(flows))
+
+
+def _cross_leaf_path(topo, src, dst, spine):
+    """host -> leaf -> spine -> leaf -> host."""
+    src_leaf = topo.node(f"leaf-{src.attrs['rack']}")
+    dst_leaf = topo.node(f"leaf-{dst.attrs['rack']}")
+    hops = [src, src_leaf, topo.node(f"spine-{spine}"), dst_leaf, dst]
+    return [topo.find_link(a, b) for a, b in zip(hops, hops[1:])]
+
+
+def _columnar_run(num_flows, transport, prebuilt, buffer_bytes=None, until=0.3):
+    """A leaf-spine run of ``num_flows`` mostly long-lived flows (some short,
+    some aggregates), with three flows rerouted a third of the way in and
+    every flow from the first host aborted once its uplink holds a backlog
+    after half-time, or at two thirds at the latest (the uplink then
+    drains)."""
+    topo = build_leaf_spine(
+        num_spines=2, num_leaves=2, hosts_per_leaf=3, buffer_bytes=buffer_bytes
+    )
+    sim = Simulator()
+    fabric = FabricSimulator(sim, topo, transport)
+    reference = ReferenceAdvance(fabric)
+    if prebuilt:
+        fabric.incidence.table()
+    left = [h for h in topo.hosts() if h.attrs["rack"] == "0"]
+    right = [h for h in topo.hosts() if h.attrs["rack"] == "1"]
+    with fabric.churn():
+        for i in range(num_flows):
+            src, dst = left[i % 3], right[(i + 1) % 3]
+            size = 2e4 * (i % 5 + 1) if i % 4 == 1 else 1e9
+            fabric.start_flow(
+                src, dst, size, path=_cross_leaf_path(topo, src, dst, i % 2),
+                multiplicity=40 if i % 7 == 3 else 1,
+            )
+    orders = []
+
+    def reroute():
+        for flow in fabric.active_flows[:3]:
+            spine = 1 - int(flow.path[1].dst.node_id.split("-")[1])
+            fabric.reroute_flow(flow, _cross_leaf_path(topo, flow.src, flow.dst, spine))
+        table = fabric.incidence.built_table
+        if table is not None:
+            orders.append([table.row_of[f.flow_id] for f in fabric.active_flows])
+
+    uplink = topo.find_link(left[0], topo.node("leaf-0"))
+
+    def abort_first_host():
+        if uplink.queue_bytes <= 0.0 and sim.now < 2 * until / 3:
+            sim.call_at(sim.now + 0.0005, abort_first_host)
+            return
+        for flow in list(fabric.active_flows):
+            if flow.src is left[0]:
+                fabric.abort_flow(flow)
+
+    sim.call_at(until / 3, reroute)
+    sim.call_at(until / 2, abort_first_host)
+    sim.run(until=until)
+    return fabric, reference, orders
+
+
+class TestColumnarAdvance:
+    """The columnar fabric pinned against an independent per-flow reference,
+    with and without the incidence table (and so the columns) in place."""
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    @pytest.mark.parametrize("num_flows", [1, 15, 63, 64, 300])
+    def test_ideal_transport_matches_per_flow_reference(self, num_flows, prebuilt):
+        fabric, reference, orders = _columnar_run(num_flows, IdealMaxMinTransport(), prebuilt)
+        assert num_flows in reference.flow_counts
+        columnar = prebuilt or num_flows >= 64
+        assert (fabric.incidence.built_table is not None) == columnar
+        if columnar and num_flows > 3:
+            # The rerouted flows moved to the end of the table: row order is
+            # no longer active order.
+            assert orders and orders[0] != sorted(orders[0])
+
+    @pytest.mark.parametrize("num_flows", [15, 64])
+    def test_lossy_tcp_links_match_per_flow_reference(self, num_flows):
+        fabric, reference, _ = _columnar_run(
+            num_flows, TcpTransport(), prebuilt=True, buffer_bytes=30_000.0, until=0.5
+        )
+        assert num_flows in reference.flow_counts
+        assert sum(link.loss_events for link in fabric.topology.links) > 0
+        assert reference.drained > 0
+
+    def test_backlog_from_before_the_table_drains_after_it(self):
+        # TCP builds a backlog on the first host's uplink; that host's flows
+        # are aborted, and 64 flows elsewhere build the table while the
+        # uplink, crossed by no flow, still holds its backlog.
+        topo = build_leaf_spine(num_spines=2, num_leaves=2, hosts_per_leaf=3)
+        sim = Simulator()
+        fabric = FabricSimulator(sim, topo, TcpTransport())
+        reference = ReferenceAdvance(fabric)
+        left = [h for h in topo.hosts() if h.attrs["rack"] == "0"]
+        right = [h for h in topo.hosts() if h.attrs["rack"] == "1"]
+        uplink = topo.find_link(left[0], topo.node("leaf-0"))
+        with fabric.churn():
+            for i in range(8):
+                dst = right[i % 3]
+                path = _cross_leaf_path(topo, left[0], dst, i % 2)
+                fabric.start_flow(left[0], dst, 1e9, path=path)
+        while uplink.queue_bytes <= 0.0:
+            assert sim.now < 1.0
+            sim.step()
+        for flow in list(fabric.active_flows):
+            fabric.abort_flow(flow)
+        backlog = uplink.queue_bytes
+        assert backlog > 0.0 and fabric.incidence.built_table is None
+        with fabric.churn():
+            for i in range(64):
+                src, dst = left[1 + i % 2], right[i % 3]
+                fabric.start_flow(src, dst, 1e9, path=_cross_leaf_path(topo, src, dst, i % 2))
+        sim.run(until=sim.now + 0.05)
+        assert fabric.incidence.built_table is not None
+        assert 64 in reference.flow_counts
+        assert uplink.queue_bytes < backlog and reference.drained > 0
+
+
+class TestColumnsLifecycle:
+    def _fabric(self, num_flows):
+        from repro.metrics.collector import MetricsCollector
+
+        topo = build_leaf_spine(num_spines=2, num_leaves=2, hosts_per_leaf=3)
+        sim = Simulator()
+        fabric = FabricSimulator(sim, topo, IdealMaxMinTransport())
+        collector = MetricsCollector(fabric)
+        hosts = topo.hosts()
+        for i in range(num_flows):
+            fabric.start_flow(hosts[i % 6], hosts[(i + 1) % 6], 1e9)
+        return sim, topo, fabric, collector
+
+    def test_run_below_64_flows_exports_no_table_extras(self):
+        sim, topo, fabric, collector = self._fabric(63)
+        sim.run(until=0.2)
+        assert fabric.incidence.built_table is None
+        assert not [k for k in collector.kernel_extras() if k.startswith("table_")]
+        assert not any(isinstance(f, BoundFlow) for f in fabric.active_flows)
+        fabric.start_flow(topo.hosts()[0], topo.hosts()[1], 1e9)
+        sim.run(until=0.4)
+        assert "table_rows" in collector.kernel_extras()
+        assert all(isinstance(f, BoundFlow) for f in fabric.active_flows)
+
+    def test_cache_clear_hands_state_back_to_flows(self):
+        sim, topo, fabric, _ = self._fabric(80)
+        sim.run(until=0.2)
+        table = fabric.incidence.built_table
+        flows = list(fabric.active_flows)
+        state = [
+            (f.remaining_bytes, f.current_rate_bps, f.demand_rate_bps, f.priority_weight)
+            for f in flows
+        ]
+        assert [table.remaining[f._index] for f in flows] == [s[0] for s in state]
+        fabric.incidence.clear()
+        assert not any(isinstance(f, BoundFlow) for f in flows)
+        assert [
+            (f.remaining_bytes, f.current_rate_bps, f.demand_rate_bps, f.priority_weight)
+            for f in flows
+        ] == state
+        # Writes now land on the flow itself, not on the dropped table.
+        flows[0].priority_weight = 3.0
+        assert flows[0].priority_weight == 3.0
+        assert table.priority_weight[table.row_of.get(flows[0].flow_id, 0)] != 3.0
+
+    def test_copies_of_bound_flows_are_unbound(self):
+        import copy
+        import pickle
+
+        sim, topo, fabric, _ = self._fabric(80)
+        sim.run(until=0.2)
+        flow = fabric.active_flows[0]
+        assert isinstance(flow, BoundFlow)
+        for clone in (copy.deepcopy(flow), pickle.loads(pickle.dumps(flow))):
+            assert type(clone) is Flow and clone._cols is None
+            assert (clone.flow_id, clone.remaining_bytes, clone.current_rate_bps) == (
+                flow.flow_id, flow.remaining_bytes, flow.current_rate_bps
+            )
+        link = flow.path[0]
+        clone = pickle.loads(pickle.dumps(link))
+        assert (clone.queue_bytes, clone.bytes_carried) == (link.queue_bytes, link.bytes_carried)
+
+    def test_reset_links_clears_columns_and_handles(self):
+        sim, topo, fabric, _ = self._fabric(80)
+        sim.run(until=0.2)
+        columns = topo.link_columns
+        loaded = [l for l in topo.links if l.bytes_carried > 0.0]
+        assert loaded and all(type(l) is BoundLink and l._cols is columns for l in loaded)
+        loaded[0].queue_bytes = 123.0
+        assert columns.queue[loaded[0]._index] == 123.0
+        topo.reset_links()
+        assert not columns.queue.any() and not columns.carried.any()
+        assert all(
+            (l.queue_bytes, l.bytes_carried, l.loss_events) == (0.0, 0.0, 0)
+            for l in topo.links
+        )
+        loaded[0].capacity_bps = 5e9
+        assert columns.capacity[loaded[0]._index] == 5e9
