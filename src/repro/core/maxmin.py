@@ -145,11 +145,40 @@ class ScdaTree:
             self.extra_calculators[link.link_id] = calc
             self._link_calc[link.link_id] = calc
 
+        # The walk every round takes, recorded once: a topology never gains
+        # or loses nodes or links after its builder returns (a link failure
+        # only clears ``link.up``), and the RMs and RAs are fixed above.
+        self._hmax = topo.max_level()
+        #: per level 1..hmax: (switch id, RA, the switch's children), in allocators order
+        self._level_groups: List[List[Tuple[str, ResourceAllocator, List[Node]]]] = [
+            [
+                (switch_id, ra, topo.children(ra.switch))
+                for switch_id, ra in self.allocators.items()
+                if ra.level == level
+            ]
+            for level in range(1, self._hmax + 1)
+        ]
+        #: host id -> (level, RA) of each switch on the way up from the host
+        self._host_chains: Dict[str, List[Tuple[int, ResourceAllocator]]] = {}
+        for host_id, rm in self.monitors.items():
+            chain = []
+            parent = topo.parent(rm.host)
+            while parent is not None and parent.kind is NodeKind.SWITCH:
+                chain.append((parent.level, self.allocators[parent.node_id]))
+                parent = topo.parent(parent)
+            self._host_chains[host_id] = chain
+        #: (link, calculator) of the standalone calculators, in topology link order
+        self._standalone: List[Tuple[Link, LinkRateCalculator]] = [
+            (link, self.extra_calculators[link.link_id])
+            for link in topo.links
+            if link.link_id in self.extra_calculators
+        ]
+
     # -- queries --------------------------------------------------------------------------
     @property
     def hmax(self) -> int:
         """The highest switch level of the topology (``hmax`` in the paper)."""
-        return self.topology.max_level()
+        return self._hmax
 
     def monitor_of(self, host_id: str) -> ResourceMonitor:
         """The RM of a block server."""
@@ -250,10 +279,7 @@ class ScdaTree:
             )
 
         # Standalone calculators (client access links etc.).
-        for link in self.topology.links:
-            calc = self.extra_calculators.get(link.link_id)
-            if calc is None:
-                continue
+        for link, calc in self._standalone:
             flows = flows_on(link)
             calc.update(
                 queue_bytes=link.queue_bytes,
@@ -267,18 +293,14 @@ class ScdaTree:
 
         # 2. Upward pass, level by level.
         summaries: Dict[str, RaSummary] = {}
-        max_level = self.hmax
-        for level in range(1, max_level + 1):
-            for switch_id, ra in self.allocators.items():
-                if ra.level != level:
-                    continue
+        for group in self._level_groups:
+            for switch_id, ra, children in group:
                 own_up, own_down = ra.compute_own_rates(
                     flows_up=flows_on(ra.uplink),
                     flows_down=flows_on(ra.downlink),
                     reserved_up_bps=reserved_on(ra.uplink),
                     reserved_down_bps=reserved_on(ra.downlink),
                 )
-                children = self.topology.children(ra.switch)
                 child_metrics: List[ChildMetrics] = []
                 for child in children:
                     if child.kind is NodeKind.HOST and child.node_id in reports:
@@ -323,25 +345,16 @@ class ScdaTree:
             up = rm.capped_up_bps
             down = rm.capped_down_bps
             level_rates.rates[0] = (up, down)
-            node = rm.host
             level = 0
-            parent = self.topology.parent(node)
-            while parent is not None and parent.kind is NodeKind.SWITCH:
-                level = parent.level
-                ra = self.allocators.get(parent.node_id)
-                if ra is not None:
-                    # Rates of the RA's own links constrain reaching *beyond* this
-                    # level; reaching level ``level`` itself only crosses the links
-                    # below it, already accumulated in ``up``/``down``.
-                    level_rates.rates[level] = (up, down)
-                    if ra.up_calc is not None:
-                        up = min(up, ra.up_calc.current_rate_bps)
-                    if ra.down_calc is not None:
-                        down = min(down, ra.down_calc.current_rate_bps)
-                else:  # pragma: no cover - defensive
-                    level_rates.rates[level] = (up, down)
-                node = parent
-                parent = self.topology.parent(node)
+            for level, ra in self._host_chains[host_id]:
+                # Rates of the RA's own links constrain reaching *beyond* this
+                # level; reaching level ``level`` itself only crosses the links
+                # below it, already accumulated in ``up``/``down``.
+                level_rates.rates[level] = (up, down)
+                if ra.up_calc is not None:
+                    up = min(up, ra.up_calc.current_rate_bps)
+                if ra.down_calc is not None:
+                    down = min(down, ra.down_calc.current_rate_bps)
             # Any levels above the last switch reachable keep the final values.
             for lvl in range(level + 1, self.hmax + 1):
                 level_rates.rates[lvl] = (up, down)

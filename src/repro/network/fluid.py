@@ -15,8 +15,10 @@ filling.  This serves three purposes:
 
 Two solver backends implement the same algorithm:
 
-* ``"python"`` — the reference pure-Python progressive filling below, O(L·F)
-  interpreter work per round; lowest constant overhead for small problems.
+* ``"python"`` — pure-Python progressive filling that recomputes a link's
+  fair share only after a flow crossing it froze; lowest constant overhead
+  for small problems.  :func:`_max_min_shares_reference`, the plain
+  progressive filling it replaced, stays as its bit-for-bit test oracle.
 * ``"numpy"`` — :mod:`repro.network.fluid_fast`, the same rounds as numpy
   reductions over link×flow incidence arrays; 1-2 orders of magnitude faster
   from a few hundred flows up.
@@ -33,26 +35,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.flow import Flow
+from repro.network.fluid_fast import max_min_shares_incremental, max_min_shares_numpy
 from repro.network.incidence import IncidenceCache
 from repro.network.topology import Link
 
 #: Below this many flows the pure-Python solver's lower constant overhead
 #: wins over numpy array setup (measured in benchmarks/; see docs/PERFORMANCE.md).
 AUTO_NUMPY_MIN_FLOWS = 192
-
-_NUMPY_AVAILABLE: Optional[bool] = None
-
-
-def _numpy_available() -> bool:
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:  # pragma: no cover - numpy is present in the supported envs
-            import numpy  # noqa: F401
-
-            _NUMPY_AVAILABLE = True
-        except ImportError:  # pragma: no cover - exercised only without numpy
-            _NUMPY_AVAILABLE = False
-    return _NUMPY_AVAILABLE
 
 
 def max_min_shares(
@@ -106,15 +95,16 @@ def max_min_shares(
     Standard progressive-filling: repeatedly find the link whose fair share
     per unit weight is smallest, freeze the flows crossing it at that share,
     remove them, and continue.  Flows capped below their fair share are frozen
-    at their cap first.  At most min(L, F) rounds; each round is O(L·F) in
-    the Python backend and O(nnz) vectorized in the numpy backend.
+    at their cap first.  At most min(L, F) rounds; each round is O(L + F)
+    plus the links a freeze touched in the Python backend, and O(nnz)
+    vectorized in the numpy backend.
     """
     if solver not in ("auto", "python", "numpy", "incremental"):
         raise ValueError(
             f"unknown solver {solver!r}; use 'auto', 'python', 'numpy' or 'incremental'"
         )
     if solver == "auto":
-        if len(flows) >= AUTO_NUMPY_MIN_FLOWS and _numpy_available():
+        if len(flows) >= AUTO_NUMPY_MIN_FLOWS:
             # The fabric attaches a DeltaWaterFiller to its cache; when one is
             # present the auto path re-solves only the churn-dirty component.
             solver = (
@@ -125,12 +115,6 @@ def max_min_shares(
         else:
             solver = "python"
     if solver == "incremental":
-        if not _numpy_available():  # pragma: no cover - env without numpy
-            raise RuntimeError(
-                "solver='incremental' requested but numpy is not installed"
-            )
-        from repro.network.fluid_fast import max_min_shares_incremental
-
         return max_min_shares_incremental(
             flows,
             demand_caps=demand_caps,
@@ -140,10 +124,6 @@ def max_min_shares(
             cache=cache,
         )
     if solver == "numpy":
-        if not _numpy_available():  # pragma: no cover - env without numpy
-            raise RuntimeError("solver='numpy' requested but numpy is not installed")
-        from repro.network.fluid_fast import max_min_shares_numpy
-
         return max_min_shares_numpy(
             flows,
             demand_caps=demand_caps,
@@ -170,7 +150,169 @@ def _max_min_shares_python(
     capacity_overrides: Optional[Mapping[str, float]] = None,
     cache: Optional[IncidenceCache] = None,
 ) -> Dict[int, float]:
-    """The reference pure-Python progressive filling."""
+    """Progressive filling with memoized link shares.
+
+    Runs the rounds of :func:`_max_min_shares_reference` and returns the same
+    dict bit for bit, without its repeated work: each flow's cap and weight
+    are read once per solve, and each link keeps its fair share per unit
+    weight and its unfrozen flows until a flow crossing it freezes.  A
+    recompute sums the same values in the same (link bucket) order as the
+    reference, never a running total: Python 3.12's ``sum`` of floats is
+    compensated, so only the same ``sum`` over the same sequence gives the
+    same bits.  The freezing pass walks the links in order and recomputes a
+    link that an earlier freeze of the same pass made stale before testing
+    it, as the reference does by recomputing every link.
+    """
+    rates: Dict[int, float] = {f.flow_id: 0.0 for f in flows}
+    active = [f for f in flows if f.path]
+    if not active:
+        return rates
+
+    # Links in incidence order: capacity, and the ids of the flows crossing
+    # each (its bucket) — the cache's maintained dicts when it covers
+    # exactly these flows, a one-shot walk of the paths otherwise.
+    if cache is not None and (flows is cache.trusted_flows or cache.matches(flows)):
+        links_by_id, flows_by_link = cache.incidence_view()
+        buckets = [list(bucket) for bucket in flows_by_link.values()]
+    else:
+        lists_by_link, links_by_id = _build_incidence(active)
+        buckets = [[f.flow_id for f in bucket] for bucket in lists_by_link.values()]
+    capacity: List[float] = []
+    for link_id, link in links_by_id.items():
+        base = (
+            capacity_overrides[link_id]
+            if capacity_overrides and link_id in capacity_overrides
+            else link.capacity_bps
+        )
+        scaled = base * capacity_scale
+        capacity.append(scaled if scaled > 0.0 else 0.0)
+
+    # A zero-cap flow freezes at 0 up front, and its weight is never read —
+    # the reference reads weights only of unfrozen flows, so a non-positive
+    # weight raises only on a flow with a positive cap.
+    cap: Dict[int, float] = {}
+    weight: Dict[int, float] = {}
+    frozen: Dict[int, float] = {}
+    unfrozen = set()
+    inf = float("inf")
+    for flow in active:
+        flow_id = flow.flow_id
+        c = demand_caps.get(flow_id, inf) if demand_caps else inf
+        app_limit = flow.aggregate_app_limit_bps
+        if app_limit < c:
+            c = app_limit
+        c = float(c)
+        if not c > 0.0:
+            frozen[flow_id] = 0.0
+            continue
+        cap[flow_id] = c
+        # Explicit weights are per-session, like priority_weight: an
+        # aggregate of N sessions weighs N times its per-session weight.
+        w = float(weights.get(flow_id, flow.priority_weight) if weights else flow.priority_weight)
+        if w <= 0:
+            raise ValueError(f"flow {flow_id} has non-positive weight {w}")
+        if flow.multiplicity != 1:
+            w *= flow.multiplicity
+        weight[flow_id] = w
+        unfrozen.add(flow_id)
+
+    # The links of each flow, for marking them stale when it freezes.
+    links_of: Dict[int, List[int]] = {flow_id: [] for flow_id in unfrozen}
+    for slot, bucket in enumerate(buckets):
+        for flow_id in bucket:
+            if flow_id in unfrozen:
+                links_of[flow_id].append(slot)
+
+    num_links = len(buckets)
+    share: List[Optional[float]] = [None] * num_links
+    live: List[List[int]] = [[]] * num_links
+    stale = set(range(num_links))
+
+    def refresh(slot: int) -> None:
+        """Fair share per unit weight on a link, and its unfrozen flows.
+
+        The share is None when no unfrozen flow crosses the link.  The
+        remaining capacity subtracts what the already-frozen flows consume.
+        """
+        bucket = buckets[slot]
+        on_link = [flow_id for flow_id in bucket if flow_id in unfrozen]
+        live[slot] = on_link
+        if not on_link:
+            share[slot] = None
+            return
+        remaining = capacity[slot]
+        if len(on_link) != len(bucket):
+            remaining -= sum([frozen[flow_id] for flow_id in bucket if flow_id in frozen])
+        share[slot] = (remaining if remaining > 0.0 else 0.0) / sum(
+            [weight[flow_id] for flow_id in on_link]
+        )
+
+    def freeze(flow_id: int, rate: float) -> None:
+        frozen[flow_id] = rate
+        unfrozen.remove(flow_id)
+        stale.update(links_of[flow_id])
+
+    max_rounds = len(active) + num_links + 1
+    for _round in range(max_rounds):
+        if not unfrozen:
+            break
+        for slot in stale:
+            refresh(slot)
+        stale.clear()
+        bottleneck_share = inf
+        for s in share:
+            if s is not None and s < bottleneck_share:
+                bottleneck_share = s
+        if bottleneck_share == inf:
+            # No capacity constraint applies; every remaining flow takes its cap.
+            for flow_id in unfrozen:
+                frozen[flow_id] = cap[flow_id]
+            break
+
+        # Any flow whose cap is below its would-be share freezes at the cap.
+        capped = [
+            flow_id
+            for flow_id in unfrozen
+            if cap[flow_id] < bottleneck_share * weight[flow_id] - 1e-12
+        ]
+        if capped:
+            for flow_id in capped:
+                freeze(flow_id, cap[flow_id])
+            continue
+
+        # Otherwise freeze the flows on (all) bottleneck links at their share.
+        froze_any = False
+        for slot in range(num_links):
+            if slot in stale:
+                refresh(slot)
+                stale.discard(slot)
+            s = share[slot]
+            if s is not None and s <= bottleneck_share + 1e-9:
+                for flow_id in live[slot]:
+                    freeze(flow_id, s * weight[flow_id])
+                froze_any = True
+        if not froze_any:  # pragma: no cover - defensive
+            for flow_id in unfrozen:
+                frozen[flow_id] = min(cap[flow_id], bottleneck_share * weight[flow_id])
+            break
+
+    rates.update(frozen)
+    return rates
+
+
+def _max_min_shares_reference(
+    flows: Sequence[Flow],
+    demand_caps: Optional[Mapping[int, float]] = None,
+    weights: Optional[Mapping[int, float]] = None,
+    capacity_scale: float = 1.0,
+    capacity_overrides: Optional[Mapping[str, float]] = None,
+    cache: Optional[IncidenceCache] = None,
+) -> Dict[int, float]:
+    """The reference pure-Python progressive filling.
+
+    The test oracle of :func:`_max_min_shares_python`, which must return the
+    same dict bit for bit; no ``solver=`` value reaches it.
+    """
     demand_caps = dict(demand_caps or {})
     weights = dict(weights or {})
 

@@ -33,7 +33,7 @@ exactly which rows and links are dirty without diffing flow sets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -622,6 +622,19 @@ class IncidenceCache:
             }
             self._map_epoch = self.epoch
         return self._map_cache
+
+    def incidence_view(
+        self,
+    ) -> Tuple[Mapping[str, Link], Mapping[str, Mapping[int, Flow]]]:
+        """The maintained ``link_id -> Link`` and ``link_id -> {flow_id: flow}``
+        dicts themselves, for solvers: no per-call copy.
+
+        Both list the links in the same first-encounter order, and each
+        link's flows in the order they joined it — the order of
+        :meth:`link_flows_map`.  Read only: do not mutate them, nor change
+        the cache while using them.
+        """
+        return self._links, self._link_flows
 
     def flow_ids_of_link(self, link_id: str) -> Iterable[int]:
         """The ids of the flows crossing ``link_id`` (a live view: do not

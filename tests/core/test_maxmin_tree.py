@@ -5,8 +5,16 @@ import pytest
 from repro.core.maxmin import ScdaTree
 from repro.core.monitors import OtherResourceModel
 from repro.core.rate_metric import ScdaParams
+from repro.network.fabric import FabricSimulator
+from repro.network.fattree import build_fat_tree
 from repro.network.flow import Flow
+from repro.network.leafspine import build_leaf_spine
 from repro.network.routing import Router
+from repro.network.topology import NodeKind
+from repro.network.transport.ideal import IdealMaxMinTransport
+from repro.network.tree import TreeTopologyConfig, build_tree_topology
+from repro.network.vl2 import build_vl2_topology
+from repro.sim.engine import Simulator
 
 MBPS = 1e6
 
@@ -176,3 +184,64 @@ class TestConvergenceToMaxMin:
             free.current_rate_bps = min(tree.link_rate_bps(l) for l in free.path)
         # The unconstrained flow should converge towards ~0.9x, not 0.5x.
         assert free.current_rate_bps > 0.8 * x
+
+
+def fresh_walk(tree, topology):
+    """The RM/RA walk of a round, derived again from the topology's tree queries."""
+    hmax = topology.max_level()
+    level_groups = []
+    for level in range(1, hmax + 1):
+        group = []
+        for switch_id, ra in tree.allocators.items():
+            if ra.level == level:
+                group.append((switch_id, ra, topology.children(ra.switch)))
+        level_groups.append(group)
+    host_chains = {}
+    for host_id, rm in tree.monitors.items():
+        chain = []
+        parent = topology.parent(rm.host)
+        while parent is not None and parent.kind is NodeKind.SWITCH:
+            chain.append((parent.level, tree.allocators[parent.node_id]))
+            parent = topology.parent(parent)
+        host_chains[host_id] = chain
+    standalone = [
+        (link, tree.extra_calculators[link.link_id])
+        for link in topology.links
+        if link.link_id in tree.extra_calculators
+    ]
+    return hmax, level_groups, host_chains, standalone
+
+
+def recorded_walk(tree):
+    return tree.hmax, tree._level_groups, tree._host_chains, tree._standalone
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_tree_topology(TreeTopologyConfig()),
+        lambda: build_fat_tree(k=4),
+        build_leaf_spine,
+        build_vl2_topology,
+    ],
+    ids=["tree", "fattree-k4", "leafspine", "vl2"],
+)
+def test_recorded_walk_matches_the_topology(build):
+    """The walk ScdaTree records at build time is the one the topology's
+    children/parent/max_level queries give, before and after a link failure."""
+    topology = build()
+    tree = ScdaTree(topology)
+    expected = fresh_walk(tree, topology)
+    assert recorded_walk(tree) == expected
+    assert expected[1] and expected[2] and expected[3]  # every part is non-trivial
+
+    fabric = FabricSimulator(Simulator(), topology, IdealMaxMinTransport())
+    hosts, clients = topology.hosts(), topology.clients()
+    for i, host in enumerate(hosts[:6]):
+        fabric.start_flow(clients[i % len(clients)], host, 1e9)
+    switch_uplink = next(
+        link for link in topology.links if link.src.kind is NodeKind.SWITCH and link.is_uplink
+    )
+    fabric.fail_link(switch_uplink)
+    assert not switch_uplink.up
+    assert recorded_walk(tree) == fresh_walk(tree, topology) == expected

@@ -1,21 +1,34 @@
-"""Equivalence of the numpy water-filler against the reference Python solver.
+"""Equivalence of the water-fillers.
 
 Property tests over randomized topologies, flow sets, weights, demand caps,
-app limits, capacity scales and overrides: the two backends must agree within
-1e-9 relative on every flow, and both allocations must satisfy the max-min
-fairness property.
+app limits, capacity scales and overrides: the numpy backend must agree with
+the Python solver within 1e-9 relative on every flow, and both allocations
+must satisfy the max-min fairness property.  The production Python filler
+must return exactly what the reference progressive filling returns: the
+same keys in the same order and the same bits in every value.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.fabric import FabricSimulator
 from repro.network.flow import Flow
-from repro.network.fluid import is_feasible, is_max_min_fair, max_min_shares
+from repro.network.fluid import (
+    _max_min_shares_python,
+    _max_min_shares_reference,
+    is_feasible,
+    is_max_min_fair,
+    max_min_shares,
+)
 from repro.network.incidence import IncidenceCache
 from repro.network.routing import Router
 from repro.network.topology import Topology
+from repro.network.transport.ideal import IdealMaxMinTransport
+from repro.sim.engine import Simulator
 
 MBPS = 1e6
 
@@ -209,3 +222,196 @@ class TestDispatch:
         topo, nodes = build_line(1, [100 * MBPS])
         f = Flow(nodes[0], nodes[1], 1e9, [])
         assert max_min_shares([f], solver="numpy") == {f.flow_id: 0.0}
+
+
+# -- exact equality with the reference filler ------------------------------------
+
+#: Capacities, weights and caps come mostly from small sets, so distinct links
+#: often reach exactly the same fair share.
+_CAPACITIES = (10 * MBPS, 20 * MBPS, 30 * MBPS, 60 * MBPS)
+_WEIGHTS = (1.0, 1.0, 1.0, 0.5, 2.0, 3.0)
+
+
+@st.composite
+def filler_problems(draw):
+    """Links, flows over them and solver inputs, as plain data.
+
+    Ties between links are built two ways.  A link may get a *twin* crossed
+    by exactly the same flows, with the same capacity or the next float up.
+    And a link may take the capacity ``share × Σ weights`` of the flows
+    crossing it, for one ``share`` per problem, so links crossed by
+    different flows start at the same fair share, exactly or within
+    rounding.
+    """
+    num_links = draw(st.integers(1, 6))
+    twins = [draw(st.sampled_from(("none", "none", "exact", "near"))) for _ in range(num_links)]
+    twin_of = {}
+    for i, twin in enumerate(twins):
+        if twin != "none":
+            twin_of[i] = num_links + len(twin_of)
+    flows = []
+    for _ in range(draw(st.integers(1, 24))):
+        path = draw(st.lists(st.integers(0, num_links - 1), min_size=1, unique=True))
+        path += [twin_of[i] for i in path if i in twin_of]
+        flows.append(
+            {
+                "path": draw(st.permutations(path)),
+                "priority_weight": draw(st.sampled_from(_WEIGHTS)),
+                "multiplicity": draw(st.sampled_from((1, 1, 1, 3))),
+                "app_limit_bps": draw(
+                    st.sampled_from((float("inf"),) * 6 + (5 * MBPS, 10 * MBPS))
+                ),
+                "demand_cap": draw(
+                    st.sampled_from((None,) * 6 + (0.0, 5 * MBPS, 10 * MBPS))
+                    | st.floats(0.5 * MBPS, 150 * MBPS)
+                ),
+                "weight": draw(st.sampled_from((None, None) + _WEIGHTS)),
+            }
+        )
+    share = draw(st.floats(0.5 * MBPS, 50 * MBPS))
+    capacities = []
+    for i in range(num_links):
+        kind = draw(st.sampled_from(("round", "float", "tied", "tied", "tied")))
+        weight_sum = sum(
+            (f["priority_weight"] if f["weight"] is None else f["weight"]) * f["multiplicity"]
+            for f in flows
+            if i in f["path"]
+        )
+        if kind == "tied" and weight_sum:
+            capacities.append(share * weight_sum)
+        elif kind == "float":
+            capacities.append(draw(st.floats(1 * MBPS, 200 * MBPS)))
+        else:
+            capacities.append(draw(st.sampled_from(_CAPACITIES)))
+    for i, twin in enumerate(twins):
+        if twin != "none":
+            capacities.append(
+                capacities[i] if twin == "exact" else math.nextafter(capacities[i], math.inf)
+            )
+    scale = draw(st.sampled_from((1.0, 1.0, 0.9, 0.5, 1.5)))
+    overrides = draw(
+        st.dictionaries(
+            st.integers(0, len(capacities) - 1),
+            st.sampled_from(_CAPACITIES) | st.floats(1 * MBPS, 200 * MBPS),
+            max_size=2,
+        )
+    )
+    return capacities, flows, scale, overrides
+
+
+def _star(capacities):
+    """One directed link per capacity, each from its own node to a hub."""
+    topo = Topology("star")
+    hub = topo.add_switch("hub", level=1)
+    links = [
+        topo.add_link(topo.add_host(f"h{i}"), hub, capacity, 0.001)
+        for i, capacity in enumerate(capacities)
+    ]
+    return topo, hub, links
+
+
+def _solver_inputs(flows, specs, links, scale, overrides):
+    demand_caps = {
+        f.flow_id: spec["demand_cap"]
+        for f, spec in zip(flows, specs)
+        if spec["demand_cap"] is not None
+    }
+    weights = {
+        f.flow_id: spec["weight"] for f, spec in zip(flows, specs) if spec["weight"] is not None
+    }
+    return dict(
+        demand_caps=demand_caps,
+        weights=weights,
+        capacity_scale=scale,
+        capacity_overrides={links[i].link_id: value for i, value in overrides.items()},
+    )
+
+
+def assert_same_bits(flows, cache, kwargs):
+    expected = _max_min_shares_reference(flows, cache=cache, **kwargs)
+    got = _max_min_shares_python(flows, cache=cache, **kwargs)
+    assert list(got) == list(expected)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+
+
+class TestExactAgainstReference:
+    @given(problem=filler_problems(), cached=st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_same_dict_as_reference(self, problem, cached):
+        capacities, specs, scale, overrides = problem
+        topo, hub, links = _star(capacities)
+        flows = [
+            Flow(
+                hub,
+                hub,
+                1e9,
+                [links[i] for i in spec["path"]],
+                priority_weight=spec["priority_weight"],
+                multiplicity=spec["multiplicity"],
+                app_limit_bps=spec["app_limit_bps"],
+            )
+            for spec in specs
+        ]
+        cache = IncidenceCache(flows) if cached else None
+        assert_same_bits(flows, cache, _solver_inputs(flows, specs, links, scale, overrides))
+
+    @given(problem=filler_problems(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_dict_on_fabric_active_list(self, problem, data):
+        """On the fabric's trusted active list, after departures and reroutes
+        have moved flows to the back of their links' buckets."""
+        capacities, specs, scale, overrides = problem
+        topo, hub, links = _star(capacities)
+        fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
+        started = [
+            fabric.start_flow(
+                links[spec["path"][0]].src,
+                hub,
+                1e9,
+                priority_weight=spec["priority_weight"],
+                multiplicity=spec["multiplicity"],
+                app_limit_bps=spec["app_limit_bps"],
+                path=[links[i] for i in spec["path"]],
+            )
+            for spec in specs
+        ]
+        kept = []
+        for flow, spec in zip(started, specs):
+            action = data.draw(st.sampled_from(("keep", "keep", "abort", "reroute")))
+            if action == "abort":
+                fabric.abort_flow(flow)
+                continue
+            if action == "reroute":
+                other = data.draw(st.sampled_from(specs))
+                fabric.reroute_flow(flow, [links[i] for i in other["path"]])
+            kept.append((flow, spec))
+        flows = fabric.active_flows
+        assert flows is fabric.incidence.trusted_flows
+        kwargs = _solver_inputs(
+            [f for f, _ in kept], [s for _, s in kept], links, scale, overrides
+        )
+        assert_same_bits(flows, fabric.incidence, kwargs)
+
+    def test_tied_links_sharing_a_flow(self):
+        """Two links tie at one fair share and share a flow.  Freezing that
+        flow on the first link moves the second link's share by rounding,
+        and the second link must freeze at its recomputed share."""
+        rng = np.random.default_rng(3)
+        for share in rng.uniform(0.5 * MBPS, 50 * MBPS, size=200):
+            topo, hub, links = _star([2 * share, 3 * share])
+            flows = [
+                Flow(hub, hub, 1e9, links, priority_weight=2.0),
+                Flow(hub, hub, 1e9, [links[1]]),
+            ]
+            for cache in (None, IncidenceCache(flows)):
+                assert_same_bits(flows, cache, {})
+
+    def test_non_positive_weight_raises_only_with_a_positive_cap(self):
+        topo, hub, links = _star([10 * MBPS])
+        flows = [Flow(hub, hub, 1e9, [links[0]]) for _ in range(2)]
+        bad = {flows[0].flow_id: 0.0}
+        for filler in (_max_min_shares_reference, _max_min_shares_python):
+            with pytest.raises(ValueError):
+                filler(flows, weights=bad)
+            rates = filler(flows, weights=bad, demand_caps={flows[0].flow_id: 0.0})
+            assert rates == {flows[0].flow_id: 0.0, flows[1].flow_id: 10 * MBPS}

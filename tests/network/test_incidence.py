@@ -45,6 +45,25 @@ class TestMembership:
         shared = short.path[0]
         assert mapping[shared.link_id] == [long, short]
 
+    def test_incidence_view_lists_the_map_in_its_order(self):
+        """The solver accessor's two dicts agree with each other and with
+        link_flows_map, also after a link empties and a flow re-joins."""
+        topo, nodes = build_line(3)
+        long = flow_on(topo, nodes[0], nodes[3])
+        short = flow_on(topo, nodes[1], nodes[2])
+        head = flow_on(topo, nodes[0], nodes[1])
+        cache = IncidenceCache([head, long, short])
+        cache.remove_flow(head)
+        cache.remove_flow(long)
+        cache.add_flow(head)
+        cache.add_flow(long)
+        links, flows_by_link = cache.incidence_view()
+        mapping = cache.link_flows_map()
+        assert list(links) == list(flows_by_link) == list(mapping)
+        assert [links[i].link_id for i in links] == list(mapping)
+        assert [list(b.values()) for b in flows_by_link.values()] == list(mapping.values())
+        assert mapping[short.path[0].link_id] == [short, long]
+
     def test_remove_drops_empty_links(self):
         topo, nodes = build_line(3)
         f = flow_on(topo, nodes[0], nodes[3])
