@@ -3,14 +3,11 @@
 On one machine the cluster backend mostly measures its own HTTP and shard
 overhead — real speedup needs real machines — so this benchmark records
 jobs/s per worker count plus the dispatch overhead against the in-process
-``process`` backend, A/B-tests the columnar result wire against a fleet of
-JSON-only (pre-codec) workers, and asserts the properties that must hold
-even locally: every worker count and wire format returns bit-identical
-canonical results, chunked dispatch reduces HTTP round-trips, and the codec
-actually shrinks the bytes crossing the wire.
+``process`` backend, and asserts the properties that must hold even locally:
+every worker count returns bit-identical canonical results, and chunked
+dispatch reduces HTTP round-trips.
 """
 
-import json
 import os
 import time
 
@@ -36,7 +33,6 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
         timings = {}
         outputs = {}
         chunk_counts = {}
-        wire = {}
 
         start = time.perf_counter()
         report = run_jobs(jobs, executor="process", max_workers=4)
@@ -68,64 +64,9 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
                     for key, result in report.results.items()
                 }
                 chunk_counts[label] = sum(w.stats()["chunks"] for w in workers)
-                if n_workers == 2:
-                    # The wire A/B's "after" side: the default columnar
-                    # exchange, byte-counted on both ends.
-                    client_wire = report.summary()["wire"]
-                    wire["columnar"] = {
-                        "wall_clock_s": timings[label],
-                        "wire_bytes_per_result": (
-                            client_wire["encoded_bytes"]
-                            / max(1.0, client_wire["decoded_results"])
-                        ),
-                        "worker_wire_bytes": sum(
-                            w.stats()["wire_bytes"] for w in workers
-                        ),
-                        "decoded_results": client_wire["decoded_results"],
-                    }
             finally:
                 for worker in workers:
                     worker.stop()
-
-        # The "before" side: a fleet of JSON-only (pre-codec) workers.  The
-        # columnar client negotiates down transparently; the payload bytes
-        # are the plain canonical encoding.
-        shard_dir = tmp_path / "shards-json"
-        shard_dir.mkdir()
-        workers = [
-            WorkerServer(port=0, shard_dir=shard_dir, wire="json").start()
-            for _ in range(2)
-        ]
-        hosts = ",".join(f"{w.host}:{w.port}" for w in workers)
-        try:
-            start = time.perf_counter()
-            report = run_jobs(
-                jobs,
-                executor=ClusterExecutor(hosts=hosts),
-                batch_size=2,
-                fallback=False,
-            )
-            wall = time.perf_counter() - start
-            outputs["cluster-2-json"] = {
-                key: result.canonical_dict()
-                for key, result in report.results.items()
-            }
-            plain_bytes = sum(
-                len(json.dumps(result, sort_keys=True, separators=(",", ":")))
-                for result in outputs["cluster-2-json"].values()
-            )
-            wire["json"] = {
-                "wall_clock_s": wall,
-                "wire_bytes_per_result": plain_bytes / len(jobs),
-                "negotiated_down": report.summary()["wire"]["decoded_results"] == 0,
-            }
-        finally:
-            for worker in workers:
-                worker.stop()
-        wire["bytes_ratio"] = (
-            wire["columnar"]["wire_bytes_per_result"]
-            / wire["json"]["wire_bytes_per_result"]
-        )
 
         # Batch-size sweep on two workers: the endpoints of the chunking
         # trade-off (one HTTP round-trip per job vs per six jobs).
@@ -156,9 +97,9 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
             finally:
                 for worker in workers:
                     worker.stop()
-        return timings, outputs, chunk_counts, batch_sweep, wire
+        return timings, outputs, chunk_counts, batch_sweep
 
-    timings, outputs, chunk_counts, batch_sweep, wire = benchmark.pedantic(
+    timings, outputs, chunk_counts, batch_sweep = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
     jobs_per_s = {label: len(jobs) / wall for label, wall in timings.items()}
@@ -172,21 +113,19 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
             "jobs_per_s": jobs_per_s,
             "http_chunks": chunk_counts,
             "batch_size_sweep": batch_sweep,
-            "wire": wire,
             "dispatch_overhead_vs_process": (
                 timings["cluster-4"] / timings["process-4"]
             ),
         },
     )
 
-    # The determinism contract holds across the HTTP boundary at any scale,
-    # any chunking, and on both wire formats.
+    # The determinism contract holds across the HTTP boundary at any scale
+    # and any chunking.
     assert (
         outputs["process-4"]
         == outputs["cluster-1"]
         == outputs["cluster-2"]
         == outputs["cluster-4"]
-        == outputs["cluster-2-json"]
         == outputs["cluster-2-b1"]
         == outputs["cluster-2-b6"]
     )
@@ -196,9 +135,3 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
     # per job, six-job chunks pay strictly fewer.
     assert batch_sweep["1"]["http_chunks"] == len(jobs), batch_sweep
     assert batch_sweep["6"]["http_chunks"] < len(jobs), batch_sweep
-    # The columnar exchange really happened, really counted its bytes on
-    # both ends, and really shrank the payloads; the JSON-only fleet really
-    # negotiated down.
-    assert wire["columnar"]["decoded_results"] == len(jobs), wire
-    assert wire["json"]["negotiated_down"], wire
-    assert wire["bytes_ratio"] < 0.7, wire

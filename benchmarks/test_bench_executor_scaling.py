@@ -1,21 +1,19 @@
 """Execution-layer benchmark: dispatch overhead across backends and pools.
 
 Sweeps the job count (6 / 16 / 32) over serial, cold process pools
-(spawn+import per call) and warm process pools (``pool="keep"``), sweeps the
-chunk size on the warm pool, and A/B-tests the columnar result wire against
-plain JSON.  Asserts the determinism contract that makes any of the parallel
-numbers publishable (every backend/pool/wire returns bit-identical canonical
-results) and — on machines with more than one usable core — that the warm
-process pool actually beats serial at 16+ jobs.
+(spawn+import per call) and warm process pools (``pool="keep"``), and sweeps
+the chunk size on the warm pool.  Asserts the determinism contract that makes
+any of the parallel numbers publishable (every backend/pool returns
+bit-identical canonical results) and — on machines with more than one usable
+core — that the warm process pool actually beats serial at 16+ jobs.
 
 On a single-core box the parallel backends cannot beat serial on CPU-bound
 jobs (there is nothing to run them on); the recorded numbers then measure
-pure dispatch overhead, which is exactly what the warm pool and the columnar
-wire exist to shrink.  ``available_cpus`` is recorded so readers can tell
-which regime a results file came from.
+pure dispatch overhead, which is exactly what the warm pool exists to
+shrink.  ``available_cpus`` is recorded so readers can tell which regime a
+results file came from.
 """
 
-import json
 import os
 import time
 
@@ -98,47 +96,12 @@ def test_bench_executor_backends_scale_and_agree(benchmark, results_dir):
                 batch_sweep[str(batch_size)] = time.perf_counter() - start
                 outputs[f"warm-16-b{batch_size}"] = _canonical(report)
 
-            # Wire A/B on the warm pool: columnar (default) vs plain JSON.
-            start = time.perf_counter()
-            columnar_report = run_jobs(jobs16, executor=warm)
-            columnar_s = time.perf_counter() - start
-            outputs["wire-columnar"] = _canonical(columnar_report)
-            columnar_wire = columnar_report.summary()["wire"]
-
-            start = time.perf_counter()
-            json_report = run_jobs(jobs16, executor=warm, wire="json")
-            json_s = time.perf_counter() - start
-            outputs["wire-json"] = _canonical(json_report)
-
-            json_bytes = sum(
-                len(json.dumps(result, sort_keys=True, separators=(",", ":")))
-                for result in outputs["wire-json"].values()
-            )
-            wire = {
-                "columnar_s": columnar_s,
-                "json_s": json_s,
-                "wire_bytes_per_result": {
-                    "json": json_bytes / len(jobs16),
-                    "columnar": (
-                        columnar_wire["encoded_bytes"]
-                        / max(1.0, columnar_wire["decoded_results"])
-                    ),
-                },
-                "decode_s_per_result": (
-                    columnar_wire["decode_s"]
-                    / max(1.0, columnar_wire["decoded_results"])
-                ),
-            }
-            wire["wire_bytes_per_result"]["ratio"] = (
-                wire["wire_bytes_per_result"]["columnar"]
-                / wire["wire_bytes_per_result"]["json"]
-            )
             warm_stats_after = warm.stats()
         finally:
             warm.close()
-        return sweep, batch_sweep, wire, outputs, warm_stats_before, warm_stats_after
+        return sweep, batch_sweep, outputs, warm_stats_before, warm_stats_after
 
-    sweep, batch_sweep, wire, outputs, warm_before, warm_after = benchmark.pedantic(
+    sweep, batch_sweep, outputs, warm_before, warm_after = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
     save_result(
@@ -150,27 +113,22 @@ def test_bench_executor_backends_scale_and_agree(benchmark, results_dir):
             "process_speedup_vs_serial": sweep["32"]["process_speedup_vs_serial"],
             "process_cold_speedup_vs_serial": sweep["32"]["cold_speedup_vs_serial"],
             "warm_batch_sweep_16_jobs_wall_clock_s": batch_sweep,
-            "wire": wire,
             "warm_pool_stats": warm_after,
         },
     )
 
     # The determinism contract: any backend, any pool lifecycle, any
-    # chunking, any wire — same bits.
+    # chunking — same bits.
     for n in (6, 16, 32):
         assert outputs[f"serial-{n}"] == outputs[f"cold-{n}"] == outputs[f"warm-{n}"]
     for batch_size in (1, 2, 4):
         assert outputs[f"warm-16-b{batch_size}"] == outputs["serial-16"]
-    assert outputs["wire-columnar"] == outputs["wire-json"] == outputs["serial-16"]
 
     # The warm pool really was warm: the entire sweep ran on the workers
     # spawned by the pre-warm call — zero additional spawns, zero respawns.
     assert warm_after["spawned"] == warm_before["spawned"]
     assert warm_after["respawned"] == 0
     assert warm_after["reused"] > warm_before["reused"]
-
-    # The codec really shrank the wire (lossless, by the asserts above).
-    assert wire["wire_bytes_per_result"]["ratio"] < 0.7, wire
 
     # With real cores available, the warm process pool must beat serial once
     # there is enough work to amortise what dispatch overhead remains.

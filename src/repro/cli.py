@@ -149,12 +149,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                              "'keep' retains idle workers warm across runs "
                              "in this process, 'fresh' spawns and tears down "
                              "per run (default: the backend's setting)")
-    parser.add_argument("--wire", choices=("columnar", "json"), default=None,
-                        help="result transfer encoding on dispatch "
-                             "boundaries: 'columnar' packs result payloads "
-                             "into typed columns (smaller pipes/HTTP bodies, "
-                             "identical results), 'json' ships plain dicts "
-                             "(default: the backend's setting)")
     parser.add_argument("--hosts", default=None, metavar="H1:P1,H2:P2",
                         help="cluster backend worker endpoints "
                              "(alternative: REPRO_CLUSTER_HOSTS)")
@@ -219,24 +213,19 @@ def _apply_cluster_env(args: argparse.Namespace) -> None:
 def _cli_executor(args: argparse.Namespace):
     """The ``executor`` argument for run_jobs-style calls.
 
-    Applies the cluster endpoint flags and, when ``--batch-size``, ``--pool``
-    or ``--wire`` is given, resolves the key into a configured instance (the
+    Applies the cluster endpoint flags and, when ``--batch-size`` or
+    ``--pool`` is given, resolves the key into a configured instance (the
     library call paths — replication, figures — take an instance without
     needing new parameters).
     """
     _apply_cluster_env(args)
     batch_size = getattr(args, "batch_size", None)
     pool = getattr(args, "pool", None)
-    wire = getattr(args, "wire", None)
-    if batch_size or pool or wire:
+    if batch_size or pool:
         from repro.exec.executors import resolve_executor
 
         return resolve_executor(
-            args.executor,
-            max_workers=args.jobs,
-            batch_size=batch_size,
-            pool=pool,
-            wire=wire,
+            args.executor, max_workers=args.jobs, batch_size=batch_size, pool=pool
         )
     return args.executor
 
@@ -691,7 +680,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         shard_dir=args.shard_dir,
         fsync=args.fsync,
         verbose=args.verbose,
-        wire=args.wire,
     )
     print(
         f"repro worker listening on {server.host}:{server.port} "
@@ -911,13 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bind port (0: ephemeral)")
     worker.add_argument("--shard-dir", default=".", metavar="DIR",
                         help="directory for this worker's result shard")
-    worker.add_argument("--wire", choices=("columnar", "json"),
-                        default="columnar",
-                        help="richest result transfer encoding this worker "
-                             "speaks: 'columnar' packs results into typed "
-                             "columns when the client asks for it, 'json' "
-                             "always answers plain dicts (emulates a "
-                             "pre-codec worker)")
     worker.add_argument("--fsync", action="store_true",
                         help="fsync every shard append")
     worker.add_argument("--verbose", action="store_true",

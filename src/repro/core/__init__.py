@@ -15,8 +15,6 @@
   (Section IV-A).
 * :mod:`~repro.core.server_selection` — content-aware server selection
   (Section VII).
-* :mod:`~repro.core.openflow` — the OpenFlow packet-count SJF approximation
-  (Section IV-B).
 * :mod:`~repro.core.controller` — :class:`ScdaController`, which ties the
   tree, the calculators and the policies together and implements the
   :class:`~repro.network.transport.scda.RateProvider` interface consumed by
@@ -45,7 +43,6 @@ from repro.core.server_selection import (
     PassivePolicy,
     PowerAwarePolicy,
 )
-from repro.core.openflow import OpenFlowSwitch, OpenFlowSjfScheduler
 from repro.core.overhead import MessageSizes, OverheadReport, estimate_control_overhead
 from repro.core.controller import ScdaController, ScdaControllerConfig
 
@@ -75,8 +72,6 @@ __all__ = [
     "SemiInteractivePolicy",
     "PassivePolicy",
     "PowerAwarePolicy",
-    "OpenFlowSwitch",
-    "OpenFlowSjfScheduler",
     "MessageSizes",
     "OverheadReport",
     "estimate_control_overhead",

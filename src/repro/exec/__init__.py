@@ -25,11 +25,12 @@ order relative to other jobs — produces a bit-identical
 :class:`~repro.metrics.comparison.SchemeResult` (modulo the wall-clock
 field).  See ``docs/EXECUTION.md``.
 
-Dispatch-path performance knobs (see ``docs/PERFORMANCE.md``): pooled
-backends take ``pool="keep"`` to retain warm workers across ``run_jobs``
-calls, and process/cluster dispatch column-packs result payloads with the
-lossless codec in :mod:`repro.metrics.codec` (``wire="columnar"``, the
-default there).  Neither knob changes a single result byte.
+Results cross every dispatch boundary — the process pipe and the cluster
+HTTP body alike — as the plain
+:meth:`~repro.metrics.comparison.SchemeResult.to_dict` form the serial
+backend produces.  The one dispatch-path performance knob (see
+``docs/PERFORMANCE.md``) is ``pool="keep"``: pooled backends retain warm
+workers across ``run_jobs`` calls, without changing a single result byte.
 """
 
 from repro.exec.chaos import ChaosConfig, ChaosError, ChaosExecutor

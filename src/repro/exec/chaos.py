@@ -221,8 +221,8 @@ class ChaosExecutor(Executor):
     def supports_timeout(self) -> bool:  # type: ignore[override]
         return self.inner.supports_timeout
 
-    # The pool lifecycle and wire format belong to the *inner* backend (the
-    # execute() copy shares its in-place pool state), so the knobs delegate:
+    # The pool lifecycle belongs to the *inner* backend (the execute() copy
+    # shares its in-place pool state), so the knob delegates:
     # resolve_executor("chaos:process", pool="keep") warms the real pool.
     @property
     def pool(self) -> str:  # type: ignore[override]
@@ -231,14 +231,6 @@ class ChaosExecutor(Executor):
     @pool.setter
     def pool(self, value: str) -> None:
         self.inner.pool = value
-
-    @property
-    def wire_format(self) -> str:  # type: ignore[override]
-        return self.inner.wire_format
-
-    @wire_format.setter
-    def wire_format(self, value: str) -> None:
-        self.inner.wire_format = value
 
     def close(self) -> None:
         self.inner.close()

@@ -38,7 +38,6 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.executors import Executor, JobOutcome, ProcessExecutor, _BatchState
-from repro.metrics.codec import WIRE_COLUMNAR
 from repro.exec.job import ExperimentJob
 from repro.exec.retry import (
     NO_RETRY,
@@ -97,13 +96,6 @@ class ClusterExecutor(Executor):
 
     name = "cluster"
     supports_timeout = True  # enforced as the HTTP read timeout per chunk
-    #: Ask workers for column-packed result payloads (see
-    #: :mod:`repro.metrics.codec`).  Negotiated, not assumed: the request
-    #: carries ``"wire": "columnar"``, a worker that understands it answers
-    #: marked encoded payloads, and an older JSON-only worker ignores the
-    #: unknown field and answers plain dicts — the decode funnel handles
-    #: both per outcome, so mixed-version clusters just work.
-    wire_format = WIRE_COLUMNAR
 
     def __init__(
         self,
@@ -177,10 +169,7 @@ class ClusterExecutor(Executor):
                 while state.ready and len(in_flight) < window:
                     chunk, attempts = state.next_chunk(batch_size)
                     slot = min(live, key=_WorkerSlot.sort_key)
-                    payloads = self._chunk_payloads(state, chunk, attempts)
-                    body: Dict[str, Any] = {"jobs": payloads}
-                    if self.wire_format == WIRE_COLUMNAR:
-                        body["wire"] = WIRE_COLUMNAR
+                    body = {"jobs": self._chunk_payloads(state, chunk, attempts)}
                     timeout_s = (
                         policy.timeout_s * len(chunk)
                         if policy.timeout_s is not None

@@ -57,16 +57,6 @@ from repro.exec.retry import (
     RetryPolicy,
 )
 from repro.exec.store import ResultStore
-from repro.metrics.codec import (
-    WIRE_COLUMNAR,
-    WIRE_COUNTERS,
-    WIRE_FORMATS,
-    WIRE_JSON,
-    CodecError,
-    decode_result,
-    encode_wire_outcome,
-    is_columnar,
-)
 from repro.metrics.comparison import SchemeResult
 from repro.registry import EXECUTORS, RegistryError
 
@@ -84,12 +74,15 @@ POOL_MODES = ("fresh", "keep")
 #: downgrade description for ``degraded``, and ``None`` otherwise.
 ProgressCallback = Callable[[str, ExperimentJob, Optional[str]], None]
 
-#: ``on_outcome(job, outcome)`` invoked (on the caller's thread) as soon as
-#: each job's *final* outcome is known — the hook :func:`run_jobs` uses to
-#: persist results incrementally, so an interrupted run keeps what it
-#: computed.  Intermediate failed attempts that will be retried are not
-#: delivered here (they surface as ``retry`` progress events instead).
-OutcomeCallback = Callable[[ExperimentJob, "JobOutcome"], None]
+#: ``on_outcome(job, outcome, result)`` invoked (on the caller's thread) as
+#: soon as each job's *final* outcome is known — the hook :func:`run_jobs`
+#: uses to persist results incrementally, so an interrupted run keeps what it
+#: computed.  ``result`` is the :class:`SchemeResult` the dispatcher hydrated
+#: from a successful outcome dict to validate it (``None`` for a failure), so
+#: no caller has to hydrate the same payload again.  Intermediate failed
+#: attempts that will be retried are not delivered here (they surface as
+#: ``retry`` progress events instead).
+OutcomeCallback = Callable[[ExperimentJob, "JobOutcome", Optional[SchemeResult]], None]
 
 
 def execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -122,27 +115,7 @@ def execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
-def _success_outcome(result: Dict[str, Any], wire: str) -> Dict[str, Any]:
-    """The ``{"ok": True}`` outcome for ``result`` in the requested wire format.
-
-    With ``wire="columnar"`` the result ships column-packed (see
-    :mod:`repro.metrics.codec`) with an ``"encoding"`` marker plus the
-    encoder-side perf counters; anything the strict codec rejects — a
-    chaos-corrupted payload, an unexpected shape — falls back to the plain
-    dict, so the columnar path can only ever shrink bytes, never change
-    semantics.
-    """
-    if wire == WIRE_COLUMNAR:
-        try:
-            return encode_wire_outcome(result)
-        except CodecError:
-            pass
-    return {"ok": True, "result": result}
-
-
-def execute_job_chunk(
-    payloads: Sequence[Dict[str, Any]], wire: str = WIRE_JSON
-) -> List[Dict[str, Any]]:
+def execute_job_chunk(payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Run a chunk of serialised jobs; one outcome dict per payload, in order.
 
     This is the unit the chunked dispatch paths (pooled backends with
@@ -155,9 +128,6 @@ def execute_job_chunk(
     ``BaseException`` (``KeyboardInterrupt``, ``SystemExit``, an injected
     ``os._exit``) escapes, taking the rest of the chunk with it — exactly the
     semantics of losing the worker mid-chunk.
-
-    ``wire`` selects the transfer encoding of successful results (see
-    :func:`_success_outcome`); failures always travel as plain dicts.
     """
     outcomes: List[Dict[str, Any]] = []
     for payload in payloads:
@@ -173,7 +143,7 @@ def execute_job_chunk(
                 }
             )
         else:
-            outcomes.append(_success_outcome(result, wire))
+            outcomes.append({"ok": True, "result": result})
     return outcomes
 
 
@@ -285,35 +255,10 @@ class _BatchState:
         """Record one :func:`execute_job_chunk`-style outcome dict.
 
         This is the single funnel every dispatch path (thread futures,
-        process pipe, cluster HTTP) feeds outcomes through, so it is where
-        columnar payloads are decoded back to plain dicts — detected by the
-        payload marker, not the ``"encoding"`` field, so a response from any
-        worker version does the right thing.  An encoded payload that fails
-        to decode is a corrupt transfer: it fails as a retryable
-        ``CorruptResultError`` exactly like a payload that fails hydration.
+        process pipe, cluster HTTP) feeds outcomes through.
         """
         if outcome.get("ok"):
-            payload = outcome["result"]
-            if is_columnar(payload):
-                started = time.perf_counter()
-                try:
-                    payload = decode_result(payload)
-                except CodecError as exc:
-                    self.fail(
-                        index,
-                        error=f"undecodable columnar result payload: {exc}",
-                        exc_type="CorruptResultError",
-                        elapsed_s=elapsed_s,
-                    )
-                    return
-                WIRE_COUNTERS.add(
-                    decoded_results=1,
-                    decode_s=time.perf_counter() - started,
-                    encoded_results=1,
-                    encode_s=float(outcome.get("encode_s", 0.0)),
-                    encoded_bytes=float(outcome.get("wire_bytes", 0)),
-                )
-            self.succeed(index, payload)
+            self.succeed(index, outcome["result"])
         else:
             self.fail(
                 index,
@@ -330,10 +275,11 @@ class _BatchState:
         :class:`~repro.metrics.comparison.SchemeResult` (a worker returned
         garbage — e.g. injected corruption, or a partially transferred
         object) is converted into a retryable ``CorruptResultError`` failure
-        instead of poisoning the store.
+        instead of poisoning the store.  The hydrated result goes to
+        ``on_outcome`` next to the dict, which stays the recorded outcome.
         """
         try:
-            SchemeResult.from_dict(payload)
+            result = SchemeResult.from_dict(payload)
         except Exception as exc:  # noqa: BLE001 - any hydration error is corruption
             self.fail(
                 index,
@@ -346,7 +292,7 @@ class _BatchState:
         self._completed += 1
         Executor._emit(self.progress, "finished", job)
         if self.on_outcome is not None:
-            self.on_outcome(job, payload)
+            self.on_outcome(job, payload, result)
 
     def fail(
         self,
@@ -386,7 +332,7 @@ class _BatchState:
         self._completed += 1
         Executor._emit(self.progress, "failed", job, failure.error)
         if self.on_outcome is not None:
-            self.on_outcome(job, failure)
+            self.on_outcome(job, failure, None)
         return None
 
     def fail_exception(
@@ -446,12 +392,6 @@ class Executor:
     #: the chaos wrapper to attach its injection envelope.  Runs in the
     #: caller's process — only its *output* crosses to workers.
     payload_transform: Optional[Callable[[Dict[str, Any], int], Dict[str, Any]]] = None
-    #: transfer encoding of successful results on this backend's dispatch
-    #: path (see :mod:`repro.metrics.codec`).  ``"json"`` ships the plain
-    #: dict; backends whose results cross a process or network boundary
-    #: default to ``"columnar"``.  Never changes result bytes — only how
-    #: they travel.
-    wire_format = WIRE_JSON
     #: worker-pool lifecycle of pooled backends: ``"fresh"`` tears workers
     #: down after every ``execute`` call (the historical behaviour),
     #: ``"keep"`` retains idle workers across calls (warm pool; see
@@ -565,9 +505,7 @@ class Executor:
             while state.ready:
                 chunk, attempts = state.next_chunk(batch_size)
                 future = pool.submit(
-                    execute_job_chunk,
-                    self._chunk_payloads(state, chunk, attempts),
-                    self.wire_format,
+                    execute_job_chunk, self._chunk_payloads(state, chunk, attempts)
                 )
                 future_to_chunk[future] = chunk
                 submitted_at[future] = time.monotonic()
@@ -667,9 +605,8 @@ def _process_worker_main(conn) -> None:
 
     Protocol (all messages are plain picklable tuples over the pipe):
 
-    * parent → worker: ``(task_id, [payload_dict, ...], wire)`` — ``wire``
-      names the result transfer encoding (older two-element messages imply
-      plain JSON) — or ``None`` (shut down);
+    * parent → worker: ``(task_id, [payload_dict, ...])`` or ``None`` (shut
+      down);
     * worker → parent: ``("started", task_id)`` the moment work begins —
       the parent starts the chunk's timeout clock on this, so worker spawn
       and import time never count against the jobs — then
@@ -695,11 +632,10 @@ def _process_worker_main(conn) -> None:
             return
         if message is None:
             return
-        task_id, payloads = message[0], message[1]
-        wire = message[2] if len(message) > 2 else WIRE_JSON
+        task_id, payloads = message
         try:
             conn.send(("started", task_id))
-            outcomes = execute_job_chunk(payloads, wire=wire)
+            outcomes = execute_job_chunk(payloads)
         except BaseException as exc:  # noqa: BLE001 - serialised for the parent
             try:
                 conn.send(
@@ -753,15 +689,11 @@ class _PoolWorker:
         self.idle_since = time.monotonic()  # last moment this worker went idle
 
     def dispatch(
-        self,
-        task_id: int,
-        indexes: Sequence[int],
-        payloads: List[Dict[str, Any]],
-        wire: str = WIRE_JSON,
+        self, task_id: int, indexes: Sequence[int], payloads: List[Dict[str, Any]]
     ) -> bool:
         """Send one job chunk; ``False`` when the pipe is already broken."""
         try:
-            self.conn.send((task_id, payloads, wire))
+            self.conn.send((task_id, payloads))
         except (BrokenPipeError, OSError):
             return False
         self.task = _InFlight(task_id, indexes)
@@ -827,7 +759,6 @@ class ProcessExecutor(Executor):
 
     name = "process"
     supports_timeout = True
-    wire_format = WIRE_COLUMNAR
 
     def __init__(
         self,
@@ -1029,9 +960,7 @@ class ProcessExecutor(Executor):
             chunk, attempts = state.next_chunk(batch_size)
             payloads = self._chunk_payloads(state, chunk, attempts)
             self._pool_counters["task_id"] += 1
-            if not worker.dispatch(
-                self._pool_counters["task_id"], chunk, payloads, self.wire_format
-            ):
+            if not worker.dispatch(self._pool_counters["task_id"], chunk, payloads):
                 # The pipe broke before the chunk left: roll the attempts
                 # back; the next reap pass retires this worker and respawns.
                 for index in chunk:
@@ -1184,9 +1113,10 @@ class ExecutionReport:
     retried: int = 0
     #: one ``{"from", "to", "error", "jobs"}`` record per backend downgrade
     fallbacks: List[Dict[str, Any]] = field(default_factory=list)
-    #: serialization perf counters of this run (delta of
-    #: :data:`~repro.metrics.codec.WIRE_COUNTERS` across the execute loop):
-    #: results encoded/decoded columnar, encode/decode seconds, wire bytes
+    #: always empty: results cross every boundary as plain dicts, so there
+    #: are no serialization counters.  Kept only because the benchmark's
+    #: traced sweep reader (``perfbench/layers.py``) reads it; it goes when
+    #: the in-process counter ledger (ROADMAP) replaces that reader.
     wire: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -1215,7 +1145,6 @@ class ExecutionReport:
             "retried": self.retried,
             "fallbacks": len(self.fallbacks),
             "wall_clock_s": self.wall_clock_s,
-            "wire": dict(self.wire),
         }
 
 
@@ -1224,7 +1153,6 @@ def resolve_executor(
     max_workers: Optional[int] = None,
     batch_size: Optional[int] = None,
     pool: Optional[str] = None,
-    wire: Optional[str] = None,
 ) -> Executor:
     """An :class:`Executor` instance from a registry key (or pass through).
 
@@ -1232,16 +1160,14 @@ def resolve_executor(
     inner key through (``"chaos:process"`` builds a
     :class:`~repro.exec.chaos.ChaosExecutor` around the process backend).
     A passed-in instance is treated as read-only: a ``max_workers``,
-    ``batch_size``, ``pool`` or ``wire`` override applies to a shallow copy,
+    ``batch_size`` or ``pool`` override applies to a shallow copy,
     never to the caller's object.  (A copy shares the original's warm pool —
     pool state is mutated in place, see :class:`ProcessExecutor` — so
     overriding, say, ``batch_size`` between calls does not cost the warm
     workers.)
 
-    ``pool`` selects the worker-pool lifecycle (``"fresh"``/``"keep"``) and
-    ``wire`` the result transfer encoding (``"json"``/``"columnar"``); both
-    are advisory attribute sets that backends without pools/wire simply
-    ignore.
+    ``pool`` selects the worker-pool lifecycle (``"fresh"``/``"keep"``); it
+    is an advisory attribute set that backends without pools simply ignore.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
@@ -1249,8 +1175,6 @@ def resolve_executor(
         raise ValueError("batch_size must be >= 1")
     if pool is not None and pool not in POOL_MODES:
         raise ValueError(f"pool must be one of {POOL_MODES}, got {pool!r}")
-    if wire is not None and wire not in WIRE_FORMATS:
-        raise ValueError(f"wire must be one of {WIRE_FORMATS}, got {wire!r}")
     if isinstance(executor, Executor):
         overrides: Dict[str, Any] = {}
         if max_workers is not None and max_workers != executor.max_workers:
@@ -1259,8 +1183,6 @@ def resolve_executor(
             overrides["batch_size"] = batch_size
         if pool is not None and pool != executor.pool:
             overrides["pool"] = pool
-        if wire is not None and wire != executor.wire_format:
-            overrides["wire_format"] = wire
         if overrides:
             executor = copy.copy(executor)
             for name, value in overrides.items():
@@ -1288,8 +1210,6 @@ def resolve_executor(
         built.batch_size = batch_size
     if pool is not None:
         built.pool = pool
-    if wire is not None:
-        built.wire_format = wire
     return built
 
 
@@ -1305,7 +1225,6 @@ def run_jobs(
     store_fsync: Optional[bool] = None,
     batch_size: Optional[int] = None,
     pool: Optional[str] = None,
-    wire: Optional[str] = None,
 ) -> ExecutionReport:
     """Run a job list on a backend, with caching, retries and degradation.
 
@@ -1357,12 +1276,6 @@ def run_jobs(
         executor *instance* to benefit across ``run_jobs`` calls),
         ``"fresh"`` tears them down per call.  Default (``None``): the
         backend's own setting.
-    wire:
-        Result transfer encoding on dispatch boundaries: ``"columnar"``
-        column-packs result payloads (see :mod:`repro.metrics.codec`),
-        ``"json"`` ships plain dicts.  Never changes result bytes; the
-        per-run serialization counters land in ``report.summary()["wire"]``.
-        Default (``None``): the backend's own setting.
     """
     jobs = list(jobs)
     backend = resolve_executor(
@@ -1370,7 +1283,6 @@ def run_jobs(
         max_workers=max_workers,
         batch_size=batch_size,
         pool=pool,
-        wire=wire,
     )
     if isinstance(store, (str, os.PathLike)):
         result_store: Optional[ResultStore] = ResultStore(
@@ -1421,7 +1333,9 @@ def run_jobs(
         if progress is not None:
             progress(event, job, detail)
 
-    def record_outcome(job: ExperimentJob, outcome: JobOutcome) -> None:
+    def record_outcome(
+        job: ExperimentJob, outcome: JobOutcome, result: Optional[SchemeResult]
+    ) -> None:
         # Invoked as each job finishes (completion order): results reach the
         # store immediately — the incremental checkpoint that lets an
         # interrupted batch keep everything it computed and a restarted run
@@ -1429,15 +1343,13 @@ def run_jobs(
         if isinstance(outcome, JobFailure):
             report.failures.append(outcome)
             return
-        result = SchemeResult.from_dict(outcome)
         key = job.key
         report.results[key] = result
         report.computed_keys.append(key)
         if result_store is not None:
             # The outcome dict *is* the canonical encoding (plus wall clock)
-            # — it was validated by hydration in succeed() and again just
-            # above — so hand it to the store directly instead of paying a
-            # third serialisation via result.canonical_dict().
+            # and ``result`` proved it hydrates, so hand the dict to the
+            # store directly instead of re-encoding the hydrated result.
             result_store.put(
                 job,
                 outcome,
@@ -1449,7 +1361,6 @@ def run_jobs(
 
     current = backend
     remaining = to_run
-    wire_before = WIRE_COUNTERS.snapshot()
     while remaining:
         try:
             current.execute(
@@ -1498,7 +1409,6 @@ def run_jobs(
             current = next_backend
             backend_cell["name"] = current.name
 
-    report.wire = WIRE_COUNTERS.delta_since(wire_before)
     report.wall_clock_s = time.perf_counter() - started
     if report.failures and raise_on_error:
         raise ExecutionError(report.failures)

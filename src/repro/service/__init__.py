@@ -4,8 +4,10 @@ The network layer of the execution stack, modelled on the PYME cluster
 filesystem pattern: per-node HTTP daemons, write-once local result shards,
 union-of-shards merging, no cluster-wide locking.
 
-* :mod:`~repro.service.protocol` — the JSON-over-HTTP wire protocol and the
-  stdlib client with retry-vocabulary failure mapping;
+* :mod:`~repro.service.protocol` — the JSON-over-HTTP protocol (results
+  travel as plain :meth:`~repro.metrics.comparison.SchemeResult.to_dict`
+  dicts, as on every other backend) and the stdlib client with
+  retry-vocabulary failure mapping;
 * :mod:`~repro.service.worker` — the ``repro worker`` daemon: runs job
   chunks through the shared execution funnel, appends canonical results to
   its local shard;

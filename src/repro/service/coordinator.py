@@ -167,7 +167,6 @@ class CoordinatorServer(HTTPDaemon):
         self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters = {"batches": 0, "computed": 0, "cached": 0, "failed": 0}
-        self._wire_totals: Dict[str, float] = {}
         self._thread: Optional[threading.Thread] = None
 
     def stop(self) -> None:
@@ -187,17 +186,12 @@ class CoordinatorServer(HTTPDaemon):
         with self._stats_lock:
             counters = dict(self._counters)
         pool_stats = getattr(self.backend, "stats", None)
-        with self._stats_lock:
-            wire_totals = dict(self._wire_totals)
         return {
             **self.identity(),
             **counters,
             "store_entries": len(self.store),
             "kernel": self._kernel_stats(),
-            # Serialization counters summed over every batch this daemon ran
-            # (the per-run ExecutionReport "wire" dicts), plus the warm-pool
-            # lifetime counters when the backend has a pool.
-            "wire": wire_totals,
+            # The warm-pool lifetime counters, when the backend has a pool.
             "pool": pool_stats() if callable(pool_stats) else {},
         }
 
@@ -262,8 +256,6 @@ class CoordinatorServer(HTTPDaemon):
             self._counters["computed"] += report.computed
             self._counters["cached"] += report.cached
             self._counters["failed"] += len(report.failures)
-            for key, value in report.wire.items():
-                self._wire_totals[key] = self._wire_totals.get(key, 0.0) + value
         return {"summary": report.summary(), "jobs": statuses}
 
     def query_entries(

@@ -13,22 +13,13 @@ for the servers):
     accepted as a chunk of one).  The worker runs each payload through
     :func:`~repro.exec.executors.execute_job_payload`, appends successful
     canonical results to its write-once JSONL shard, and answers
-    ``{"outcomes": [...], "wire": "<format>"}`` with one
+    ``{"outcomes": [...]}`` with one
     :func:`~repro.exec.executors.execute_job_chunk`-style outcome per job,
-    in order.  Job failures travel *in-band* as ``{"ok": False, "error",
-    "exc_type", "traceback"}`` outcomes — an HTTP error status always means
-    the transport or the protocol broke, never that a job raised.
-
-    Wire negotiation (:data:`WIRE_KEY`): a client may add ``"wire":
-    "columnar"`` to the body to request column-packed result payloads (the
-    lossless codec of :mod:`repro.metrics.codec` — typically 2-4x smaller
-    bodies).  A worker that speaks columnar answers encoded payloads marked
-    with the codec's reserved key; a pre-codec (or ``--wire json``) worker
-    simply ignores the unknown field and answers plain dicts.  Because the
-    *payload marker*, not the request, drives decoding on the client, every
-    client/worker version pairing interoperates — new↔old degrades to plain
-    JSON with zero configuration.  The response's ``"wire"`` field reports
-    what the worker chose (absent from pre-codec workers).
+    in order.  A successful outcome carries the plain
+    :meth:`~repro.metrics.comparison.SchemeResult.to_dict` result.  Job
+    failures travel *in-band* as ``{"ok": False, "error", "exc_type",
+    "traceback"}`` outcomes — an HTTP error status always means the
+    transport or the protocol broke, never that a job raised.
 
 ``GET /healthz``
     ``{"status": "ok", ...}`` — liveness probe used by discovery gating.
@@ -77,9 +68,6 @@ SHARD_PATH = "/shard"
 SHUTDOWN_PATH = "/shutdown"
 #: Additional paths served by the coordinator.
 RESULTS_PATH = "/results"
-
-#: Body field carrying the requested/chosen wire format on ``POST /jobs``.
-WIRE_KEY = "wire"
 
 #: Default socket timeout for control-plane calls (health checks, stats).
 CONTROL_TIMEOUT_S = 5.0
@@ -181,7 +169,6 @@ __all__ = [
     "SHARD_PATH",
     "SHUTDOWN_PATH",
     "STATS_PATH",
-    "WIRE_KEY",
     "http_json",
     "http_text",
 ]

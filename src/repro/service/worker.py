@@ -37,13 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.exec.executors import execute_job_chunk
 from repro.exec.job import ExperimentJob
 from repro.exec.store import ResultStore, ResultStoreError
-from repro.metrics.codec import (
-    WIRE_COLUMNAR,
-    WIRE_FORMATS,
-    WIRE_JSON,
-    CodecError,
-    encode_wire_outcome,
-)
 from repro.metrics.comparison import SchemeResult
 from repro.service import protocol
 
@@ -162,14 +155,7 @@ class _WorkerHandler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            # Wire negotiation: the client opts in via the request body's
-            # "wire" field; this worker honours it only when it speaks
-            # columnar itself.  Older clients send no field and get plain
-            # JSON; older workers ignore the field for the same effect.
-            requested = request.get("wire") if isinstance(request, dict) else None
-            wire = self.worker.negotiate_wire(requested)
-            outcomes = self.worker.run_chunk(payloads, wire=wire)
-            self._send_json(200, {"outcomes": outcomes, "wire": wire})
+            self._send_json(200, {"outcomes": self.worker.run_chunk(payloads)})
         elif self.path == protocol.SHUTDOWN_PATH:
             self._send_json(200, {"status": "stopping", **self.worker.identity()})
             # shutdown() blocks until serve_forever returns, so it must not
@@ -196,12 +182,6 @@ class WorkerServer(HTTPDaemon):
         :class:`~repro.exec.store.ResultStore`).
     verbose:
         Log one line per request to stderr (the CLI's ``--verbose``).
-    wire:
-        The richest result transfer encoding this worker will speak.
-        ``"columnar"`` (default) column-packs successful results when the
-        request asks for it (see :mod:`repro.metrics.codec`); ``"json"``
-        makes the worker answer plain dicts unconditionally — the switch
-        that emulates (and tests against) a pre-codec worker.
     """
 
     def __init__(
@@ -211,10 +191,7 @@ class WorkerServer(HTTPDaemon):
         shard_dir: Union[str, Path] = ".",
         fsync: bool = False,
         verbose: bool = False,
-        wire: str = WIRE_COLUMNAR,
     ) -> None:
-        if wire not in WIRE_FORMATS:
-            raise ValueError(f"wire must be one of {WIRE_FORMATS}, got {wire!r}")
         self.httpd = _WorkerHTTPServer((host, port), _WorkerHandler)
         self.httpd.worker = self
         self.host = host
@@ -223,18 +200,13 @@ class WorkerServer(HTTPDaemon):
         self.shard_path = self.shard_dir / shard_filename(self.host, self.port)
         self.store = ResultStore(self.shard_path, fsync=fsync)
         self.verbose = bool(verbose)
-        self.wire = wire
         self._store_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._counters: Dict[str, Any] = {
+        self._counters: Dict[str, int] = {
             "chunks": 0,
             "jobs_ok": 0,
             "jobs_failed": 0,
             "shard_conflicts": 0,
-            "columnar_chunks": 0,
-            "wire_results": 0,
-            "wire_bytes": 0,
-            "wire_encode_s": 0.0,
         }
         self._thread: Optional[threading.Thread] = None
 
@@ -243,14 +215,7 @@ class WorkerServer(HTTPDaemon):
         return {
             "worker": f"{self.host}:{self.port}",
             "shard": str(self.shard_path),
-            "wire": self.wire,
         }
-
-    def negotiate_wire(self, requested: Any) -> str:
-        """The transfer encoding for a request asking for ``requested``."""
-        if requested == WIRE_COLUMNAR and self.wire == WIRE_COLUMNAR:
-            return WIRE_COLUMNAR
-        return WIRE_JSON
 
     def stats(self) -> Dict[str, Any]:
         with self._stats_lock:
@@ -282,52 +247,18 @@ class WorkerServer(HTTPDaemon):
             raise ValueError("empty job chunk")
         return payloads
 
-    def run_chunk(
-        self, payloads: List[Dict[str, Any]], wire: str = WIRE_JSON
-    ) -> List[Dict[str, Any]]:
-        """Run one chunk and persist successful results to the shard.
-
-        Jobs always execute (and persist) against the plain result dict —
-        the shard's bytes are wire-independent.  With ``wire="columnar"``
-        each successful outcome is then column-packed for the response; a
-        result the strict codec rejects (chaos corruption) ships plain, so
-        the client's corruption detection still fires.  Encoder-side perf
-        counters accumulate into this worker's ``GET /stats``.
-        """
-        outcomes = execute_job_chunk(payloads)
-        persisted = []
-        for payload, outcome in zip(payloads, outcomes):
-            persisted.append(self._persist(payload, outcome))
-        ok = sum(1 for outcome in persisted if outcome.get("ok"))
-        encoded_results = 0
-        encoded_bytes = 0
-        encode_s = 0.0
-        if wire == WIRE_COLUMNAR:
-            shipped = []
-            for outcome in persisted:
-                if outcome.get("ok"):
-                    try:
-                        envelope = encode_wire_outcome(outcome["result"])
-                    except CodecError:
-                        shipped.append(outcome)
-                        continue
-                    encoded_results += 1
-                    encoded_bytes += envelope["wire_bytes"]
-                    encode_s += envelope["encode_s"]
-                    shipped.append(envelope)
-                else:
-                    shipped.append(outcome)
-            persisted = shipped
+    def run_chunk(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Run one chunk and persist successful results to the shard."""
+        outcomes = [
+            self._persist(payload, outcome)
+            for payload, outcome in zip(payloads, execute_job_chunk(payloads))
+        ]
+        ok = sum(1 for outcome in outcomes if outcome.get("ok"))
         with self._stats_lock:
             self._counters["chunks"] += 1
             self._counters["jobs_ok"] += ok
-            self._counters["jobs_failed"] += len(persisted) - ok
-            if wire == WIRE_COLUMNAR:
-                self._counters["columnar_chunks"] += 1
-                self._counters["wire_results"] += encoded_results
-                self._counters["wire_bytes"] += encoded_bytes
-                self._counters["wire_encode_s"] += encode_s
-        return persisted
+            self._counters["jobs_failed"] += len(outcomes) - ok
+        return outcomes
 
     def _persist(
         self, payload: Dict[str, Any], outcome: Dict[str, Any]

@@ -5,17 +5,13 @@ with a small, deterministic, pure-Python discrete-event engine:
 
 * :class:`~repro.sim.engine.Simulator` — event heap and simulation clock.
 * :class:`~repro.sim.events.Event` — schedulable events with cancellation.
-* :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes, SimPy-style (``yield sim.timeout(1.0)``).
-* :mod:`~repro.sim.resources` — capacity resources, stores and containers.
+* :class:`~repro.sim.timers.PeriodicTimer` — self-rescheduling timers.
 * :class:`~repro.sim.random.RandomStreams` — named, seeded random streams so
   every experiment is reproducible.
 """
 
 from repro.sim.engine import Simulator, SimulationError
-from repro.sim.events import Event, EventState, Timeout, AllOf, AnyOf, Interrupt
-from repro.sim.process import Process, ProcessKilled
-from repro.sim.resources import Resource, PriorityResource, Container, Store
+from repro.sim.events import Event, EventState
 from repro.sim.random import RandomStreams
 from repro.sim.timers import PeriodicTimer
 
@@ -24,16 +20,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventState",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "ProcessKilled",
-    "Resource",
-    "PriorityResource",
-    "Container",
-    "Store",
     "RandomStreams",
     "PeriodicTimer",
 ]

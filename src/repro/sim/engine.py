@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event
 
 #: Compaction never triggers below this heap size — rebuilding a tiny heap
 #: costs more than carrying a few cancelled entries.
@@ -45,23 +45,11 @@ class SimulationError(RuntimeError):
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    Examples
-    --------
-    Callback style::
+    Example::
 
         sim = Simulator()
         sim.call_at(2.5, lambda: print("hello at", sim.now))
         sim.run(until=10.0)
-
-    Process (generator) style::
-
-        def proc(sim):
-            yield sim.timeout(1.0)
-            print("one second elapsed")
-
-        sim = Simulator()
-        sim.process(proc(sim))
-        sim.run()
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -96,23 +84,6 @@ class Simulator:
     def heap_size(self) -> int:
         """Raw heap length, cancelled residents included (compaction metric)."""
         return len(self._heap)
-
-    # -- event creation --------------------------------------------------------
-    def event(self, name: str = "") -> Event:
-        """Create a bare, untriggered :class:`Event` owned by this simulator."""
-        return Event(self, name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------------
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -171,15 +142,6 @@ class Simulator:
 
             self._wheel = TimerWheel(self)
         return self._wheel
-
-    def process(self, generator) -> "Any":
-        """Start a generator as a cooperative process.
-
-        See :class:`repro.sim.process.Process`.
-        """
-        from repro.sim.process import Process
-
-        return Process(self, generator)
 
     def _schedule_event(self, event: Event, time: float) -> None:
         if time < self._now - 1e-12:

@@ -1,15 +1,14 @@
 """Event primitives for the discrete-event kernel.
 
-An :class:`Event` is a one-shot occurrence that callbacks (and processes) can
-wait on.  Events move through the states PENDING -> SCHEDULED -> TRIGGERED,
-or PENDING/SCHEDULED -> CANCELLED.  Composite events (:class:`AllOf`,
-:class:`AnyOf`) trigger when their children do.
+An :class:`Event` is a one-shot occurrence that callbacks can wait on.
+Events move through the states PENDING -> SCHEDULED -> TRIGGERED, or
+PENDING/SCHEDULED -> CANCELLED.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 
 class EventState(enum.Enum):
@@ -32,14 +31,13 @@ class Event:
         Optional human-readable label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("sim", "name", "_state", "_callbacks", "_value", "_time")
+    __slots__ = ("sim", "name", "_state", "_callbacks", "_time")
 
     def __init__(self, sim: "Any", name: str = "") -> None:
         self.sim = sim
         self.name = name
         self._state = EventState.PENDING
         self._callbacks: List[Callable[["Event"], None]] = []
-        self._value: Any = None
         self._time: Optional[float] = None
 
     # -- state inspection ---------------------------------------------------
@@ -64,11 +62,6 @@ class Event:
         return self._state in (EventState.PENDING, EventState.SCHEDULED)
 
     @property
-    def value(self) -> Any:
-        """The payload passed to :meth:`succeed` (None until triggered)."""
-        return self._value
-
-    @property
     def scheduled_time(self) -> Optional[float]:
         """Simulated time at which the event is/was scheduled to fire."""
         return self._time
@@ -87,15 +80,6 @@ class Event:
             self._callbacks.append(fn)
 
     # -- transitions ---------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event immediately (at the current simulation time)."""
-        if not self.pending:
-            raise RuntimeError(f"cannot succeed {self!r}: state={self._state}")
-        self._value = value
-        self._time = self.sim.now
-        self._fire()
-        return self
-
     def cancel(self) -> None:
         """Cancel the event; its callbacks will never run."""
         if self._state is EventState.TRIGGERED:
@@ -112,7 +96,7 @@ class Event:
         self._time = time
 
     def _fire(self) -> None:
-        """Run callbacks; used by the engine and by :meth:`succeed`."""
+        """Run callbacks; used by the engine when the event fires."""
         self._state = EventState.TRIGGERED
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
@@ -121,82 +105,3 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.__class__.__name__
         return f"<{label} state={self._state.value} t={self._time}>"
-
-
-class Timeout(Event):
-    """An event that fires after a fixed delay.
-
-    Created through :meth:`repro.sim.engine.Simulator.timeout`.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Any", delay: float, value: Any = None, name: str = "") -> None:
-        if delay < 0:
-            raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        super().__init__(sim, name or f"timeout({delay:g})")
-        self.delay = float(delay)
-        self._value = value
-        sim._schedule_event(self, sim.now + self.delay)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class _Composite(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Any", events: Iterable[Event], name: str) -> None:
-        super().__init__(sim, name)
-        self.events: List[Event] = list(events)
-        if not self.events:
-            # An empty composite triggers immediately with an empty result.
-            self._value = []
-            sim._schedule_event(self, sim.now)
-            return
-        self._remaining = len(self.events)
-        for ev in self.events:
-            ev.add_callback(self._child_done)
-
-    def _child_done(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Composite):
-    """Triggers when *all* child events have triggered.
-
-    The value is the list of child values in construction order.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Any", events: Iterable[Event]) -> None:
-        super().__init__(sim, events, "all_of")
-
-    def _child_done(self, event: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and self.pending:
-            self.succeed([ev.value for ev in self.events])
-
-
-class AnyOf(_Composite):
-    """Triggers when *any* child event triggers.
-
-    The value is the first triggering child event.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Any", events: Iterable[Event]) -> None:
-        super().__init__(sim, events, "any_of")
-
-    def _child_done(self, event: Event) -> None:
-        if self.pending:
-            self.succeed(event)

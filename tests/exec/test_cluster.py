@@ -123,74 +123,6 @@ class TestDeterminism:
         assert stats_chunks < len(jobs)  # round-trips were actually amortised
 
 
-class TestColumnarWire:
-    def test_cluster_defaults_to_columnar_and_matches_serial(self, two_workers, tmp_path):
-        jobs = ensemble_jobs()
-        serial_store = tmp_path / "serial.jsonl"
-        cluster_store = tmp_path / "cluster.jsonl"
-        serial = run_jobs(jobs, executor="serial", store=serial_store)
-        report = run_jobs(jobs, executor="cluster", store=cluster_store)
-        assert canonical(report) == canonical(serial)
-        assert (
-            ResultStore(cluster_store).results_by_key()
-            == ResultStore(serial_store).results_by_key()
-        )
-        # The exchange really was columnar: the dispatcher decoded every
-        # computed result, and the workers counted the encodes.
-        wire = report.summary()["wire"]
-        assert wire["decoded_results"] == len(jobs)
-        assert wire["encoded_bytes"] > 0
-        assert sum(w.stats()["wire_results"] for w in two_workers) == len(jobs)
-
-    def test_json_wire_override_matches_serial(self, two_workers, tmp_path):
-        jobs = tiny_jobs()
-        serial = run_jobs(jobs, executor="serial")
-        report = run_jobs(jobs, executor="cluster", wire="json")
-        assert canonical(report) == canonical(serial)
-        assert report.summary()["wire"]["decoded_results"] == 0
-        assert all(w.stats()["columnar_chunks"] == 0 for w in two_workers)
-
-    def test_json_only_workers_fall_back_transparently(self, tmp_path, monkeypatch):
-        # A columnar client against a fleet of pre-codec (json-only) workers:
-        # negotiation degrades to plain JSON with identical results.
-        workers = [
-            WorkerServer(port=0, shard_dir=tmp_path, wire="json").start()
-            for _ in range(2)
-        ]
-        monkeypatch.setenv(
-            HOSTS_ENV, ",".join(f"{w.host}:{w.port}" for w in workers)
-        )
-        try:
-            jobs = tiny_jobs()
-            serial = run_jobs(jobs, executor="serial")
-            report = run_jobs(jobs, executor="cluster")  # asks for columnar
-            assert canonical(report) == canonical(serial)
-            assert not report.failures
-            assert report.summary()["wire"]["decoded_results"] == 0
-        finally:
-            for worker in workers:
-                worker.stop()
-
-    def test_chaos_cluster_over_columnar_store_equals_serial(self, two_workers, tmp_path):
-        # The acceptance criterion: chaos:cluster on the columnar wire still
-        # converges to the serial bytes — corruption is caught, not masked.
-        jobs = ensemble_jobs()
-        serial_store = tmp_path / "serial.jsonl"
-        chaos_store = tmp_path / "chaos.jsonl"
-        run_jobs(jobs, executor="serial", store=serial_store)
-        report = run_jobs(
-            jobs,
-            executor="chaos:cluster",
-            store=chaos_store,
-            policy=RetryPolicy(max_attempts=4),
-        )
-        assert not report.failures
-        assert (
-            ResultStore(chaos_store).results_by_key()
-            == ResultStore(serial_store).results_by_key()
-        )
-
-
 class TestChaosCluster:
     def test_chaos_cluster_converges_to_serial_results(self, two_workers, tmp_path):
         jobs = ensemble_jobs()

@@ -206,6 +206,28 @@ class TestRunJobs:
             resolve_executor(mine, max_workers=0)
 
 
+class TestHydration:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_each_computed_result_is_hydrated_once(self, backend, monkeypatch, tmp_path):
+        # The dispatcher validates every result dict by hydrating it and hands
+        # that object to run_jobs; the store takes the dict as it came.
+        from repro.metrics.comparison import SchemeResult
+
+        hydrate = SchemeResult.from_dict.__func__
+        calls = []
+
+        def counting(cls, data):
+            calls.append(data)
+            return hydrate(cls, data)
+
+        monkeypatch.setattr(SchemeResult, "from_dict", classmethod(counting))
+        jobs = tiny_jobs()
+        store = ResultStore(tmp_path / "hydrate.jsonl")
+        report = run_jobs(jobs, executor=backend, max_workers=2, store=store)
+        assert report.computed == len(jobs) == len(store)
+        assert len(calls) / report.computed == 1
+
+
 class TestBatchSize:
     def test_chunked_thread_results_match_serial(self):
         jobs = tiny_jobs()

@@ -151,7 +151,7 @@ class TestResultStore:
 class TestDictPut:
     """``put`` accepting the pre-encoded canonical/to_dict forms directly.
 
-    The dispatch paths already hold the plain dict (decoded off the wire);
+    The dispatch paths already hold the plain dict (as it crossed the pipe);
     re-hydrating to a SchemeResult only to re-serialise it was pure overhead.
     The contract: a dict put writes the byte-identical line a SchemeResult
     put would have.

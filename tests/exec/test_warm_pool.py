@@ -1,4 +1,4 @@
-"""Tests for warm worker pools (``pool="keep"``) and the columnar dispatch wire.
+"""Tests for warm worker pools (``pool="keep"``) and the process pool's retries.
 
 These spawn real worker processes, so they use the shortest scenarios that
 still exercise the machinery; the lifetime counters on
@@ -11,17 +11,11 @@ import time
 import pytest
 
 from repro.exec.chaos import ChaosConfig, ChaosExecutor
-from repro.exec.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
-    run_jobs,
-)
+from repro.exec.executors import ProcessExecutor, resolve_executor, run_jobs
 from repro.exec.planner import plan_comparison
 from repro.exec.retry import RetryPolicy
 from repro.exec.store import ResultStore
 from repro.experiments.spec import ScenarioSpec
-from repro.metrics.codec import WIRE_COLUMNAR, WIRE_JSON
 
 
 def tiny_jobs(sim_time_s=1.0, seed=3):
@@ -41,10 +35,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="idle_timeout_s"):
             ProcessExecutor(idle_timeout_s=0.0)
 
-    def test_defaults_are_fresh_and_columnar(self):
+    def test_defaults_are_fresh(self):
         backend = ProcessExecutor()
         assert backend.pool == "fresh"
-        assert backend.wire_format == WIRE_COLUMNAR
         assert backend.stats() == {
             "spawned": 0,
             "respawned": 0,
@@ -53,13 +46,11 @@ class TestConstruction:
             "pool_size": 0,
         }
 
-    def test_resolve_executor_threads_pool_and_wire(self):
-        built = resolve_executor("process", max_workers=2, pool="keep", wire=WIRE_JSON)
-        assert (built.pool, built.wire_format) == ("keep", WIRE_JSON)
+    def test_resolve_executor_threads_pool(self):
+        built = resolve_executor("process", max_workers=2, pool="keep")
+        assert built.pool == "keep"
         with pytest.raises(ValueError, match="pool must be one of"):
             resolve_executor("process", pool="warm")
-        with pytest.raises(ValueError, match="wire must be one of"):
-            resolve_executor("process", wire="msgpack")
 
     def test_resolve_executor_override_copy_shares_the_pool(self):
         # Overrides take a shallow copy; the retained pool must be the *same*
@@ -109,7 +100,7 @@ class TestWarmReuse:
         # orchestrator only pays off with an instance — but the knob must
         # still arrive (observable via the stats of the built backend).
         report = run_jobs(tiny_jobs()[:1], executor="process", max_workers=1,
-                          pool="fresh", wire=WIRE_JSON)
+                          pool="fresh")
         assert not report.failures
 
     def test_close_shuts_down_retained_workers(self):
@@ -221,52 +212,16 @@ class TestWarmFaultTolerance:
         inner = ProcessExecutor(max_workers=1)
         chaos = ChaosExecutor(inner)
         chaos.pool = "keep"
-        chaos.wire_format = WIRE_JSON
-        assert (inner.pool, inner.wire_format) == ("keep", WIRE_JSON)
-        assert (chaos.pool, chaos.wire_format) == ("keep", WIRE_JSON)
+        assert inner.pool == chaos.pool == "keep"
         assert chaos.stats() == inner.stats()
         chaos.close()  # forwards; no retained workers, must not raise
 
 
-class TestWireFormat:
-    def test_columnar_and_json_wires_are_bit_identical(self, tmp_path):
-        jobs = tiny_jobs()
-        serial = run_jobs(jobs, executor="serial", store=str(tmp_path / "s.jsonl"))
-        columnar = run_jobs(jobs, executor="process", max_workers=2,
-                            store=str(tmp_path / "c.jsonl"))
-        plain = run_jobs(jobs, executor="process", max_workers=2, wire=WIRE_JSON,
-                         store=str(tmp_path / "j.jsonl"))
-        assert canonical(serial) == canonical(columnar) == canonical(plain)
-        stores = [ResultStore(tmp_path / n) for n in ("s.jsonl", "c.jsonl", "j.jsonl")]
-        assert stores[0].results_by_key() == stores[1].results_by_key()
-        assert stores[0].results_by_key() == stores[2].results_by_key()
-
-    def test_columnar_runs_report_wire_counters(self):
-        jobs = tiny_jobs()[:1]
-        report = run_jobs(jobs, executor="process", max_workers=1)
-        wire = report.summary()["wire"]
-        assert wire["decoded_results"] == len(jobs)
-        assert wire["encoded_results"] == len(jobs)
-        assert wire["encoded_bytes"] > 0
-        assert wire["decode_s"] >= 0.0
-
-    def test_json_wire_reports_zero_wire_counters(self):
-        report = run_jobs(tiny_jobs()[:1], executor="process", max_workers=1,
-                          wire=WIRE_JSON)
-        assert report.summary()["wire"]["decoded_results"] == 0
-        assert report.summary()["wire"]["encoded_results"] == 0
-
-    def test_serial_backend_ships_plain_dicts(self):
-        # In-process backends skip encoding entirely — nothing crosses a
-        # boundary, so columns would be pure overhead.
-        assert SerialExecutor().wire_format == WIRE_JSON
-        report = run_jobs(tiny_jobs()[:1], executor="serial")
-        assert report.summary()["wire"]["encoded_results"] == 0
-
-    def test_chaos_corruption_survives_the_columnar_wire(self, tmp_path):
-        # A chaos-corrupted payload must NOT be maskable by the codec: the
-        # corrupt dict fails strict encoding, ships plain, and is caught by
-        # the usual hydration check, then retried to the serial bytes.
+class TestProcessCorruption:
+    def test_chaos_corruption_on_the_process_pool_retries_to_serial_bits(self):
+        # A chaos-corrupted payload crosses the pipe, fails the dispatcher's
+        # hydration check as a retryable CorruptResultError, and the retry
+        # gets back to the serial bytes.
         jobs = tiny_jobs()
         serial = run_jobs(jobs, executor="serial")
         chaos = ChaosExecutor("process", max_workers=2,

@@ -3,8 +3,8 @@
 Three invariants:
 
 * records carry multiplicity and tenant losslessly through ``to_dict`` /
-  ``from_dict``, the columnar codec, and the JSONL :class:`ResultStore` —
-  and payloads written *before* the fields existed still load;
+  ``from_dict`` and the JSONL :class:`ResultStore` — and payloads written
+  *before* the fields existed still load;
 * every summary statistic is session-weighted — an aggregate record of
   multiplicity N is indistinguishable from N discrete records with the same
   FCT and goodput;
@@ -20,7 +20,6 @@ import pytest
 from repro.exec.job import ExperimentJob
 from repro.exec.store import ResultStore
 from repro.experiments.spec import ScenarioSpec
-from repro.metrics.codec import decode_result, encode_result
 from repro.metrics.comparison import SchemeResult
 from repro.metrics.fct import FctStatistics, afct_by_size_bins, average_fct
 from repro.metrics.records import FlowRecord
@@ -167,7 +166,7 @@ class TestTenancyExtras:
         assert np.isnan(jain_fairness_index([]))
 
 
-class TestCodecAndStoreRoundTrip:
+class TestStoreRoundTrip:
     def _result(self, multiplicity=1000, tenant="cdn-a"):
         return SchemeResult(
             scheme="scda",
@@ -177,10 +176,6 @@ class TestCodecAndStoreRoundTrip:
             ],
             extras={"tenant_count": 1.0},
         )
-
-    def test_columnar_codec_round_trips_new_columns(self):
-        data = self._result().canonical_dict()
-        assert json.dumps(decode_result(encode_result(data))) == json.dumps(data)
 
     def test_result_store_round_trips_aggregate_records(self, tmp_path):
         store = ResultStore(tmp_path / "agg.jsonl")

@@ -123,23 +123,23 @@ class TestQueries:
         assert stats["batches"] == 1
         assert stats["store_entries"] == len(jobs)
 
-    def test_stats_expose_wire_and_pool_sections(self, coordinator):
-        # Serial backend: the sections exist but are quiet (no pool, no
-        # cross-boundary encodes) — the daemon's stats shape is stable
-        # regardless of the configured backend.
+    def test_stats_expose_pool_section(self, coordinator):
+        # Serial backend: the section exists but is quiet (no pool) — the
+        # daemon's stats shape is stable regardless of the configured
+        # backend.
         jobs = tiny_jobs(seeds=1)
         protocol.http_json(
             "POST", url(coordinator, protocol.JOBS_PATH),
             {"jobs": [job.to_dict() for job in jobs]},
         )
         stats = protocol.http_json("GET", url(coordinator, protocol.STATS_PATH))
-        assert stats["wire"]["decoded_results"] == 0
         assert stats["pool"] == {}
 
     def test_process_backend_daemon_keeps_a_warm_pool(self, tmp_path):
         # The serve daemon's whole point of pool="keep": two submissions on
         # a process backend reuse the same workers (zero respawns) and the
-        # wire totals accumulate across batches; stop() releases the pool.
+        # computed counter accumulates across batches; stop() releases the
+        # pool.
         server = CoordinatorServer(
             port=0, store_path=tmp_path / "store.jsonl",
             executor="process", max_workers=2,
@@ -159,7 +159,7 @@ class TestQueries:
             assert stats["pool"]["pool_size"] > 0
             assert stats["pool"]["respawned"] == 0
             assert stats["pool"]["reused"] > 0
-            assert stats["wire"]["decoded_results"] == len(set(
+            assert stats["computed"] == len(set(
                 job.key for job in first + second
             ))
         assert server.backend.stats()["pool_size"] == 0  # stop() closed it

@@ -179,124 +179,105 @@ class TestChaosEnvelope:
         assert ExperimentJob.from_dict(payload).key == job.key
 
 
-class TestWireNegotiation:
-    def test_columnar_request_gets_columnar_payloads(self, worker):
+class TestResultWire:
+    """``POST /jobs`` answers carry each result as its plain ``to_dict()``."""
+
+    def test_outcomes_carry_the_plain_result_dict(self, worker):
         from repro.exec.executors import run_jobs
-        from repro.metrics.codec import decode_result, is_columnar
 
         jobs = tiny_jobs()
         serial = run_jobs(jobs, executor="serial")
         answer = protocol.http_json(
             "POST",
             worker_url(worker, protocol.JOBS_PATH),
-            {"jobs": [job.to_dict() for job in jobs], "wire": "columnar"},
+            {"jobs": [job.to_dict() for job in jobs]},
         )
-        assert answer["wire"] == "columnar"
+        assert set(answer) == {"outcomes"}
         for job, outcome in zip(jobs, answer["outcomes"]):
-            assert outcome["ok"]
-            assert is_columnar(outcome["result"])
-            assert outcome["wire_bytes"] > 0
-            decoded = decode_result(outcome["result"])
-            decoded.pop("wall_clock_s", None)
-            assert decoded == serial.results[job.key].canonical_dict()
+            assert set(outcome) == {"ok", "result"}
+            expected = serial.results[job.key].to_dict()
+            assert set(outcome["result"]) == set(expected)
+            assert outcome["result"]["wall_clock_s"] > 0.0
+            del outcome["result"]["wall_clock_s"], expected["wall_clock_s"]
+            assert outcome["result"] == expected
 
-    def test_request_without_wire_field_gets_plain_json(self, worker):
-        from repro.metrics.codec import is_columnar
-
-        answer = protocol.http_json(
-            "POST",
-            worker_url(worker, protocol.JOBS_PATH),
-            {"jobs": [tiny_jobs()[0].to_dict()]},
-        )
-        assert answer["wire"] == "json"
-        assert not is_columnar(answer["outcomes"][0]["result"])
-
-    def test_json_only_worker_ignores_the_columnar_request(self, tmp_path):
-        # The pre-codec/downgraded worker: a client asking for columnar gets
-        # plain dicts back, and decoding falls through on the payload marker.
-        from repro.metrics.codec import is_columnar
-
-        with WorkerServer(port=0, shard_dir=tmp_path, wire="json") as server:
-            assert server.identity()["wire"] == "json"
-            answer = protocol.http_json(
-                "POST",
-                worker_url(server, protocol.JOBS_PATH),
-                {"jobs": [tiny_jobs()[0].to_dict()], "wire": "columnar"},
-            )
-            assert answer["wire"] == "json"
-            (outcome,) = answer["outcomes"]
-            assert outcome["ok"]
-            assert not is_columnar(outcome["result"])
-
-    def test_negotiate_wire_truth_table(self, tmp_path):
-        columnar = WorkerServer(port=0, shard_dir=tmp_path, wire="columnar")
-        assert columnar.negotiate_wire("columnar") == "columnar"
-        assert columnar.negotiate_wire(None) == "json"
-        assert columnar.negotiate_wire("json") == "json"
-        assert columnar.negotiate_wire("msgpack") == "json"  # unknown: plain
-        json_only = WorkerServer(port=0, shard_dir=tmp_path, wire="json")
-        assert json_only.negotiate_wire("columnar") == "json"
-
-    def test_invalid_wire_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="wire must be one of"):
-            WorkerServer(port=0, shard_dir=tmp_path, wire="msgpack")
-
-    def test_corrupt_result_ships_plain_over_columnar(self, worker):
-        # Chaos corruption must not be masked by the codec: the corrupt dict
-        # fails strict encoding, travels as plain JSON, and the client-side
-        # hydration check still catches it.
-        from repro.metrics.codec import is_columnar
-
-        payload = tiny_jobs()[0].to_dict()
-        payload["__chaos__"] = {"mode": "corrupt", "delay_s": 0.0, "crash_ok": False}
-        answer = protocol.http_json(
-            "POST",
-            worker_url(worker, protocol.JOBS_PATH),
-            {"jobs": [payload], "wire": "columnar"},
-        )
-        assert answer["wire"] == "columnar"
-        (outcome,) = answer["outcomes"]
-        assert outcome["ok"]
-        assert not is_columnar(outcome["result"])
-        assert outcome["result"]["__chaos_corrupted__"] is True
-
-    def test_stats_count_wire_activity(self, worker):
-        jobs = tiny_jobs()
-        protocol.http_json(
-            "POST",
-            worker_url(worker, protocol.JOBS_PATH),
-            {"jobs": [job.to_dict() for job in jobs], "wire": "columnar"},
-        )
-        protocol.http_json(
-            "POST",
-            worker_url(worker, protocol.JOBS_PATH),
-            {"jobs": [jobs[0].to_dict()]},  # plain chunk: no wire counters
-        )
-        stats = protocol.http_json("GET", worker_url(worker, protocol.STATS_PATH))
-        assert stats["chunks"] == 2
-        assert stats["columnar_chunks"] == 1
-        assert stats["wire_results"] == len(jobs)
-        assert stats["wire_bytes"] > 0
-        assert stats["wire_encode_s"] >= 0.0
-
-    def test_shard_bytes_are_wire_independent(self, tmp_path):
-        # The same job through a columnar and a JSON exchange must leave
-        # byte-identical shard lines (modulo the port in the meta) — the
-        # codec exists on the wire only.
+    def test_a_wire_field_from_an_older_client_is_ignored(self, tmp_path):
+        # Clients that negotiated a columnar encoding sent "wire" next to
+        # the jobs; today's workers answer them like any other request.
         job = tiny_jobs()[0]
-        with WorkerServer(port=0, shard_dir=tmp_path / "a") as a:
-            protocol.http_json(
-                "POST", worker_url(a, protocol.JOBS_PATH),
-                {"jobs": [job.to_dict()], "wire": "columnar"},
-            )
-            shard_a = ResultStore(a.shard_path)
-        with WorkerServer(port=0, shard_dir=tmp_path / "b", wire="json") as b:
-            protocol.http_json(
-                "POST", worker_url(b, protocol.JOBS_PATH),
-                {"jobs": [job.to_dict()], "wire": "columnar"},
-            )
-            shard_b = ResultStore(b.shard_path)
-        assert shard_a.results_by_key() == shard_b.results_by_key()
+        answers, shards = [], []
+        for label, extra in (("plain", {}), ("older", {"wire": "columnar"})):
+            with WorkerServer(port=0, shard_dir=tmp_path / label) as server:
+                answers.append(
+                    protocol.http_json(
+                        "POST",
+                        worker_url(server, protocol.JOBS_PATH),
+                        {"jobs": [job.to_dict()], **extra},
+                    )
+                )
+                shards.append(ResultStore(server.shard_path).results_by_key())
+        for answer in answers:
+            answer["outcomes"][0]["result"].pop("wall_clock_s")
+        assert answers[0] == answers[1]
+        assert shards[0] == shards[1] and job.key in shards[0]
+
+    def test_corrupt_result_ships_as_it_came(self, worker):
+        # The worker does not repair or drop a corrupt dict; it forwards it
+        # so the dispatcher's hydration check can classify and retry it.
+        job = tiny_jobs()[0]
+        clean = protocol.http_json(
+            "POST", worker_url(worker, protocol.JOBS_PATH), {"jobs": [job.to_dict()]}
+        )["outcomes"][0]["result"]
+        payload = job.to_dict()
+        payload["__chaos__"] = {"mode": "corrupt", "delay_s": 0.0, "crash_ok": False}
+        (outcome,) = protocol.http_json(
+            "POST", worker_url(worker, protocol.JOBS_PATH), {"jobs": [payload]}
+        )["outcomes"]
+        damaged = outcome["result"]
+        assert outcome["ok"]
+        assert damaged.pop("__chaos_corrupted__") is True
+        assert "scheme" not in damaged
+        for result in (damaged, clean):
+            result.pop("wall_clock_s")
+        clean.pop("scheme")
+        assert damaged == clean
+
+    def test_stats_count_chunks_and_failed_jobs(self, worker):
+        jobs = tiny_jobs()
+        bad = jobs[0].to_dict()
+        bad["scheme"] = "no-such-scheme"
+        for body in ({"jobs": [job.to_dict() for job in jobs]}, {"jobs": [bad]}):
+            protocol.http_json("POST", worker_url(worker, protocol.JOBS_PATH), body)
+        stats = protocol.http_json("GET", worker_url(worker, protocol.STATS_PATH))
+        counters = {
+            key: stats[key]
+            for key in ("chunks", "jobs_ok", "jobs_failed", "shard_conflicts",
+                        "shard_entries")
+        }
+        assert counters == {
+            "chunks": 2,
+            "jobs_ok": len(jobs),
+            "jobs_failed": 1,
+            "shard_conflicts": 0,
+            "shard_entries": len(jobs),
+        }
+        assert set(stats) == set(counters) | set(worker.identity())
+
+    def test_same_job_on_two_workers_leaves_identical_shard_results(self, tmp_path):
+        job = tiny_jobs()[0]
+        shards = []
+        for label in ("a", "b"):
+            with WorkerServer(port=0, shard_dir=tmp_path / label) as server:
+                protocol.http_json(
+                    "POST",
+                    worker_url(server, protocol.JOBS_PATH),
+                    {"jobs": [job.to_dict()]},
+                )
+                entry = ResultStore(server.shard_path).entry(job.key)
+                assert entry["meta"]["worker"] == f"{server.host}:{server.port}"
+                shards.append(entry)
+        assert shards[0]["job"] == shards[1]["job"] == job.to_dict()
+        assert shards[0]["result"] == shards[1]["result"]
 
 
 class TestShutdown:
