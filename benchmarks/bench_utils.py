@@ -34,28 +34,26 @@ def save_result(results_dir: Path, name: str, payload: dict) -> None:
 
 
 def scenario_video_with_control():
-    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.spec import paper_scenario
 
-    return ScenarioConfig.video_with_control(sim_time=FIGURE_SIM_TIME_S, seed=FIGURE_SEED)
+    return paper_scenario("video", FIGURE_SIM_TIME_S, FIGURE_SEED)
 
 
 def scenario_video_without_control():
-    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.spec import paper_scenario
 
-    return ScenarioConfig.video_without_control(sim_time=FIGURE_SIM_TIME_S, seed=FIGURE_SEED)
+    return paper_scenario("video-nocontrol", FIGURE_SIM_TIME_S, FIGURE_SEED)
 
 
 def scenario_datacenter(k: float):
-    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.spec import paper_scenario
 
-    return ScenarioConfig.datacenter(
-        bandwidth_factor=k, sim_time=FIGURE_SIM_TIME_S, seed=FIGURE_SEED
-    )
+    return paper_scenario(f"datacenter-k{k:g}", FIGURE_SIM_TIME_S, FIGURE_SEED)
 
 
 def scenario_pareto_poisson():
-    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.spec import ScenarioSpec
 
-    return ScenarioConfig.pareto_poisson(
-        sim_time=FIGURE_SIM_TIME_S, seed=FIGURE_SEED, arrival_rate_per_s=50.0
+    return ScenarioSpec.pareto_poisson(
+        sim_time_s=FIGURE_SIM_TIME_S, seed=FIGURE_SEED, arrival_rate_per_s=50.0
     )

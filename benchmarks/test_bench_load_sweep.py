@@ -21,11 +21,9 @@ def test_bench_offered_load_sweep(benchmark, results_dir):
     rates = (15.0, 40.0, 80.0)
 
     def run_sweep():
-        # The sweep is planned into jobs and run on the thread backend; any
-        # backend (serial/thread/process) produces bit-identical points.
-        return sweep_offered_load(
-            rates, sim_time=6.0, seed=2013, executor="thread", max_workers=2
-        )
+        # The sweep is planned into jobs and run on the serial backend; any
+        # backend (serial/process/cluster) produces bit-identical points.
+        return sweep_offered_load(rates, sim_time=6.0, seed=2013, executor="serial")
 
     result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
@@ -41,7 +39,7 @@ def test_bench_offered_load_sweep(benchmark, results_dir):
         "load_sweep",
         {
             "arrival_rates_per_s": list(rates),
-            "executor": "thread x2",
+            "executor": "serial",
             "speedups": result.speedups(),
             "scda_mean_fct_s": [p.candidate_mean_fct_s for p in result.points],
             "randtcp_mean_fct_s": [p.baseline_mean_fct_s for p in result.points],

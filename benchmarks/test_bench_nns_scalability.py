@@ -40,21 +40,21 @@ def test_bench_cluster_with_multiple_name_nodes(benchmark, results_dir):
     """End-to-end: the same workload served by 1 vs 4 name nodes.
 
     The NNS count is a first-class scenario axis (``num_name_nodes``), so the
-    two runs are two serialisable jobs fanned out on the thread backend; the
+    two runs are two serialisable jobs run on the serial backend; the
     per-NNS load comes back in the results' ``extras``, not by reaching into
     live simulator state.
     """
     from repro.baselines.schemes import SCDA_SCHEME
     from repro.exec import ExperimentJob, run_jobs
 
-    scenario = scenario_pareto_poisson().with_overrides(sim_time_s=6.0).to_spec()
+    scenario = scenario_pareto_poisson().with_overrides(sim_time_s=6.0)
     jobs = {
         n: ExperimentJob(spec=scenario.with_overrides(num_name_nodes=n), scheme=SCDA_SCHEME)
         for n in (1, 4)
     }
 
     def run_both():
-        report = run_jobs(list(jobs.values()), executor="thread", max_workers=2)
+        report = run_jobs(list(jobs.values()), executor="serial")
         return {
             n: {
                 "max": report.result_for(job).extras["nns_write_requests_max"],

@@ -1,12 +1,12 @@
 """Replication-layer benchmark: ensemble size vs wall clock and CI width.
 
 Runs the Pareto/Poisson comparison as an N-seed ensemble for N ∈ {1, 4, 8}
-through the thread executor, recording the wall clock and the 95 % CI
+through the serial executor, recording the wall clock and the 95 % CI
 half-width of the AFCT speedup at each N — the cost/precision trade-off the
-replication layer exists to navigate.  Replicate jobs are embarrassingly
-parallel (one independent stack each), so on multi-core hardware wall clock
-grows near-linearly in N/workers; the recorded numbers double as the
-regression baseline for that claim.
+replication layer exists to navigate.  Replicate jobs are independent (one
+stack each), so serial wall clock grows near-linearly in the number of newly
+computed replicates; the recorded numbers double as the regression baseline
+for that claim.
 
 Because replicate seeds derive from replicate identity, the N=4 ensemble is
 a strict prefix of the N=8 ensemble: sharing one result store across the
@@ -39,7 +39,7 @@ def test_bench_replication_fanout_and_ci_width(benchmark, results_dir, tmp_path)
         for seeds in seeds_axis:
             jobs = plan_replications(spec, seeds=seeds)
             start = time.perf_counter()
-            report = run_jobs(jobs, executor="thread", max_workers=4, store=store)
+            report = run_jobs(jobs, executor="serial", store=store)
             wall = time.perf_counter() - start
             ensemble = ensemble_from_store(store)
             speedup = ensemble.speedup_stats()
@@ -73,7 +73,7 @@ def test_bench_replication_fanout_and_ci_width(benchmark, results_dir, tmp_path)
         "replication_scaling",
         {
             "scenario": "pareto-poisson (sim_time=2s, rate=40/s)",
-            "executor": "thread x4",
+            "executor": "serial",
             "points": {str(seeds): points[seeds] for seeds in seeds_axis},
         },
     )

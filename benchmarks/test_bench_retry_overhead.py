@@ -21,7 +21,7 @@ def test_bench_retry_overhead_on_the_happy_path(benchmark, results_dir):
     from repro.exec.planner import plan_comparison
 
     jobs = plan_comparison(
-        scenario_pareto_poisson().with_overrides(sim_time_s=6.0).to_spec()
+        scenario_pareto_poisson().with_overrides(sim_time_s=6.0)
     )
     policy = RetryPolicy(max_attempts=5, timeout_s=None)
 

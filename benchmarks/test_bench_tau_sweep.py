@@ -20,7 +20,7 @@ def test_bench_control_interval_sweep(benchmark, results_dir):
     taus = (0.005, 0.010, 0.050, 0.100)
 
     # Planned up front as serialisable jobs (candidate per τ, baseline once),
-    # then fanned out on the thread backend — same numbers as a serial loop.
+    # then run on the serial backend — same numbers on every backend.
     jobs = {
         tau: ExperimentJob(
             spec=base.with_overrides(control_interval_s=tau), scheme=SCDA_SCHEME
@@ -30,7 +30,7 @@ def test_bench_control_interval_sweep(benchmark, results_dir):
     jobs["randtcp"] = ExperimentJob(spec=base, scheme=RAND_TCP)
 
     def sweep():
-        report = run_jobs(list(jobs.values()), executor="thread", max_workers=2)
+        report = run_jobs(list(jobs.values()), executor="serial")
         return {
             label: report.result_for(job).mean_fct_s() for label, job in jobs.items()
         }

@@ -32,7 +32,7 @@ def main() -> int:
     parser.add_argument("--sim-time", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--executor", default="serial",
-                        help="execution backend: serial, thread or process")
+                        help="execution backend: serial, process or cluster")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count for pooled executors")
     parser.add_argument("--store", default=None,

@@ -21,7 +21,7 @@ from pathlib import Path
 # Allow running straight from a source checkout.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.experiments import ScenarioConfig, check_comparison_shape, run_comparison
+from repro.experiments import ScenarioSpec, check_comparison_shape, run_comparison
 
 
 def main() -> int:
@@ -37,12 +37,12 @@ def main() -> int:
 
     print("Building the Pareto/Poisson scenario of Section X-B "
           f"(sim_time={args.sim_time:.0f}s, {args.arrival_rate:.0f} flows/s, seed={args.seed})")
-    config = ScenarioConfig.pareto_poisson(
-        sim_time=args.sim_time, seed=args.seed, arrival_rate_per_s=args.arrival_rate
+    spec = ScenarioSpec.pareto_poisson(
+        sim_time_s=args.sim_time, seed=args.seed, arrival_rate_per_s=args.arrival_rate
     )
 
     print("Running SCDA and RandTCP on the identical workload ...")
-    comparison = run_comparison(config)
+    comparison = run_comparison(spec)
 
     scda, rand = comparison.candidate, comparison.baseline
     print()

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.experiments import ScenarioConfig, run_comparison
+from repro.experiments import paper_scenario, run_comparison
 from repro.experiments.figures import figure07, figure08, figure09, figure10, figure11, figure12
 
 MB = 1024.0 * 1024.0
@@ -45,16 +45,18 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.control:
-        config = ScenarioConfig.video_with_control(sim_time=args.sim_time, seed=args.seed)
+        spec = paper_scenario("video", args.sim_time, args.seed)
         throughput_fig, cdf_fig, afct_fig = figure07, figure08, figure09
     else:
-        config = ScenarioConfig.video_without_control(sim_time=args.sim_time, seed=args.seed)
+        spec = paper_scenario("video-nocontrol", args.sim_time, args.seed)
         throughput_fig, cdf_fig, afct_fig = figure10, figure11, figure12
 
-    print(f"Scenario: {config.name} — X = {config.topology.base_bandwidth_bps / 1e6:.0f} Mb/s, "
-          f"K = {config.topology.bandwidth_factor:g}, "
-          f"{config.topology.num_hosts} block servers, {config.topology.num_clients} clients")
-    comparison = run_comparison(config)
+    tree = spec.topology_params
+    servers = tree["num_agg"] * tree["racks_per_agg"] * tree["hosts_per_rack"]
+    print(f"Scenario: {spec.name} — X = {tree['base_bandwidth_bps'] / 1e6:.0f} Mb/s, "
+          f"K = {tree['bandwidth_factor']:g}, "
+          f"{servers} block servers, {tree['num_clients']} clients")
+    comparison = run_comparison(spec)
 
     print_figure_table(throughput_fig(comparison=comparison))
     print_figure_table(afct_fig(comparison=comparison))

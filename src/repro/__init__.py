@@ -5,8 +5,8 @@ storage and retrieval (Fesehaye & Nahrstedt).  This package implements the
 full system described in the paper on top of a from-scratch discrete-event,
 flow-level datacenter simulator:
 
-* :mod:`repro.sim` — discrete-event simulation kernel (event heap, processes,
-  resources, deterministic random streams).
+* :mod:`repro.sim` — discrete-event simulation kernel (event heap, periodic
+  timers, deterministic random streams).
 * :mod:`repro.network` — datacenter network substrate: topologies, links with
   queues, routing, flow-level transfers, and transport models (flow-level TCP
   for the RandTCP baseline and the SCDA explicit-rate transport).
@@ -24,13 +24,17 @@ flow-level datacenter simulator:
 * :mod:`repro.registry` — the plugin registries (topologies, workloads,
   schemes, placements) behind the declarative scenario API.
 * :mod:`repro.experiments` — the harness that regenerates every figure of the
-  paper's evaluation section.
+  paper's evaluation section from one scenario type,
+  :class:`~repro.experiments.spec.ScenarioSpec` (the paper's five scenarios
+  are its :data:`~repro.experiments.spec.PAPER_SCENARIOS` table).
+* :mod:`repro.exec` — planned jobs on the serial, process and cluster
+  backends, with a resumable result store.
 
 Quickstart
 ----------
->>> from repro.experiments import ScenarioConfig, run_comparison
->>> cfg = ScenarioConfig.pareto_poisson(sim_time=20.0, seed=1)
->>> result = run_comparison(cfg)
+>>> from repro.experiments import ScenarioSpec, run_comparison
+>>> spec = ScenarioSpec.pareto_poisson(sim_time_s=20.0, seed=1)
+>>> result = run_comparison(spec)
 >>> result.speedup_afct() > 1.0
 True
 

@@ -66,25 +66,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro._version import __version__
 
-SCENARIOS = ("video", "video-nocontrol", "datacenter-k1", "datacenter-k3", "pareto")
-
-
-def _scenario_from_name(name: str, sim_time: float, seed: int):
-    from repro.experiments.config import ScenarioConfig
-
-    if name == "video":
-        return ScenarioConfig.video_with_control(sim_time=sim_time, seed=seed)
-    if name == "video-nocontrol":
-        return ScenarioConfig.video_without_control(sim_time=sim_time, seed=seed)
-    if name == "datacenter-k1":
-        return ScenarioConfig.datacenter(bandwidth_factor=1.0, sim_time=sim_time, seed=seed)
-    if name == "datacenter-k3":
-        return ScenarioConfig.datacenter(bandwidth_factor=3.0, sim_time=sim_time, seed=seed)
-    if name == "pareto":
-        return ScenarioConfig.pareto_poisson(sim_time=sim_time, seed=seed)
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-
-
 def _scenario_spec(args: argparse.Namespace):
     """The declarative spec for a command's scenario arguments.
 
@@ -92,7 +73,9 @@ def _scenario_spec(args: argparse.Namespace):
     workload by registry key when ``--topology`` / ``--workload`` are given
     (resetting the respective params to the plugin's defaults).
     """
-    spec = _scenario_from_name(args.scenario, args.sim_time, args.seed).to_spec()
+    from repro.experiments.spec import paper_scenario
+
+    spec = paper_scenario(args.scenario, args.sim_time, args.seed)
     topology = getattr(args, "topology", None)
     workload = getattr(args, "workload", None)
     if topology:
@@ -103,7 +86,9 @@ def _scenario_spec(args: argparse.Namespace):
 
 
 def _add_common_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", choices=SCENARIOS, default="pareto",
+    from repro.experiments.spec import PAPER_SCENARIOS
+
+    parser.add_argument("--scenario", choices=tuple(PAPER_SCENARIOS), default="pareto",
                         help="which of the paper's scenarios to start from")
     parser.add_argument("--sim-time", type=float, default=10.0,
                         help="seconds of workload to generate")
@@ -132,8 +117,8 @@ def _positive_int(text: str) -> int:
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default="serial", metavar="KEY",
-                        help="execution backend registry key (serial, thread, "
-                             "process, cluster, chaos:<inner>); see "
+                        help="execution backend registry key (serial, process, "
+                             "cluster, chaos:<inner>); see "
                              "'list-plugins'")
     parser.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                         help="worker count for pooled executors (for the "
@@ -141,7 +126,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=_positive_int, default=None,
                         metavar="N",
                         help="jobs shipped per dispatch round-trip on chunked "
-                             "backends (thread/process submissions, cluster "
+                             "backends (process submissions, cluster "
                              "HTTP requests); amortises per-job overhead "
                              "without changing results")
     parser.add_argument("--pool", choices=("keep", "fresh"), default=None,
@@ -170,7 +155,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                              "overruns it (see docs/EXECUTION.md)")
     parser.add_argument("--fallback", action=argparse.BooleanOptionalAction,
                         default=True,
-                        help="degrade cluster→process→thread→serial when a "
+                        help="degrade cluster→process→serial when a "
                              "backend fails at the batch level (--no-fallback: "
                              "let the backend error propagate)")
     parser.add_argument("--fsync", action="store_true",
@@ -321,7 +306,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         scenario = ScenarioSpec.load(args.scenario_file)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, LookupError) as exc:
+        # LookupError covers RegistryError on unknown keys and bad params.
         print(f"cannot load scenario file {args.scenario_file!r}: {exc}", file=sys.stderr)
         return 2
     if args.dynamics:
@@ -490,6 +476,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         FIGURE_GENERATORS,
         generate_figure,
     )
+    from repro.experiments.spec import paper_scenario
 
     if args.figure not in FIGURE_GENERATORS:
         print(f"unknown figure {args.figure!r}; choose from {', '.join(sorted(FIGURE_GENERATORS))}",
@@ -498,7 +485,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # Each figure's default scenario comes from the figures module's single
     # source of truth; --scenario overrides it.
     scenario_name = args.scenario or FIGURE_DEFAULT_SCENARIOS[args.figure]
-    scenario = _scenario_from_name(scenario_name, args.sim_time, args.seed)
+    scenario = paper_scenario(scenario_name, args.sim_time, args.seed)
     figure = generate_figure(
         args.figure,
         config=scenario,
@@ -551,17 +538,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.metrics.comparison import ComparisonResult
     from repro.workloads.traces import Workload
 
-    workload = Workload.from_csv(args.workload)
+    workload = Workload.from_csv(args.trace)
     scenario = _scenario_spec(args)
     # The replayed trace defines the arrivals; stretch the horizon to cover it.
     scenario = scenario.with_overrides(sim_time_s=max(scenario.sim_time_s, workload.duration_s + 1.0))
 
     candidate = run_scheme(scenario, args.candidate, workload)
     baseline = run_scheme(scenario, args.baseline, workload)
-    comparison = ComparisonResult(scenario=f"replay:{args.workload}", candidate=candidate, baseline=baseline)
+    comparison = ComparisonResult(scenario=f"replay:{args.trace}", candidate=candidate, baseline=baseline)
     shape = check_comparison_shape(comparison)
     summary = comparison.summary()
-    print(f"replayed {len(workload)} requests from {args.workload}")
+    print(f"replayed {len(workload)} requests from {args.trace}")
     print(f"  mean FCT   {baseline.scheme} {summary['baseline_mean_fct_s']:.3f}s"
           f"   {candidate.scheme} {summary['candidate_mean_fct_s']:.3f}s"
           f"   (-{100 * summary['fct_reduction_fraction']:.0f}%)")
@@ -769,6 +756,8 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.spec import PAPER_SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SCDA (HPDC 2013) reproduction — run comparisons, figures and reports.",
@@ -836,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument("figure", help="figure id, e.g. fig09")
-    figure.add_argument("--scenario", choices=SCENARIOS, default=None,
+    figure.add_argument("--scenario", choices=tuple(PAPER_SCENARIOS), default=None,
                         help="override the figure's default scenario")
     figure.add_argument("--sim-time", type=float, default=10.0)
     figure.add_argument("--seed", type=int, default=1)
@@ -856,7 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay = subparsers.add_parser(
         "replay", help="replay a workload CSV through two schemes and compare"
     )
-    replay.add_argument("workload", help="CSV produced by the 'workload' command (or any trace)")
+    # Its own dest: the scenario arguments below also define --workload.
+    replay.add_argument("trace", metavar="workload",
+                        help="CSV produced by the 'workload' command (or any trace)")
     _add_common_scenario_args(replay)
     _add_scheme_args(replay)
     replay.set_defaults(func=cmd_replay)

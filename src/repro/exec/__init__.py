@@ -10,8 +10,12 @@ pluggable backends:
 * :mod:`~repro.exec.planner` — expands comparisons, matrices and sweeps into
   job lists;
 * :mod:`~repro.exec.executors` — the :data:`~repro.registry.EXECUTORS`
-  registry with ``serial``, ``thread`` and ``process`` backends plus the
-  :func:`~repro.exec.executors.run_jobs` orchestrator;
+  registry with ``serial`` and ``process`` backends plus the
+  :func:`~repro.exec.executors.run_jobs` orchestrator, which degrades
+  ``process → serial`` when a backend fails at the batch level;
+  :mod:`~repro.exec.cluster` adds ``cluster`` (HTTP worker daemons,
+  degrading ``cluster → process → serial``) and :mod:`~repro.exec.chaos`
+  the ``chaos:<inner>`` fault-injection wrapper;
 * :class:`~repro.exec.store.ResultStore` — an append-only JSONL store keyed
   by job content, enabling resume (already-computed points are never re-run)
   and a typed query API (filter by scheme/tags/spec fields, group by
@@ -51,7 +55,6 @@ from repro.exec.executors import (
     JobFailure,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
     run_jobs,
 )
@@ -88,7 +91,6 @@ __all__ = [
     "RetryPolicy",
     "SerialExecutor",
     "StoredEntry",
-    "ThreadExecutor",
     "WorkerCrashError",
     "ensemble_from_store",
     "resolve_executor",

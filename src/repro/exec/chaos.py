@@ -57,7 +57,7 @@ class ChaosCrashError(ChaosError):
     """An injected crash on a backend whose workers cannot be killed.
 
     Raised instead of ``os._exit`` when the inner backend runs jobs in the
-    caller's own process (serial, thread) — actually exiting there would
+    caller's own process (serial) — actually exiting there would
     take the whole run down rather than simulate a worker loss.
     """
 

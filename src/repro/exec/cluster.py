@@ -1,6 +1,6 @@
 """The ``cluster`` backend: dispatch jobs to HTTP worker daemons.
 
-Fourth entry in the ``EXECUTORS`` registry (after ``serial`` / ``thread`` /
+Third entry in the ``EXECUTORS`` registry (after ``serial`` and
 ``process``), composable with wrapper syntax (``chaos:cluster``).  The
 executor is a *client*: workers are long-lived `repro worker` daemons (see
 :mod:`repro.service.worker`), discovered from static configuration with
@@ -24,7 +24,7 @@ retry machine as every other backend:
 * when every worker has left the rotation (or none was configured), the
   executor raises :class:`~repro.exec.retry.ExecutorDegradedError` and
   :func:`~repro.exec.executors.run_jobs` degrades
-  ``cluster → process → thread → serial``, re-running only unfinished jobs.
+  ``cluster → process → serial``, re-running only unfinished jobs.
 
 Because jobs are content-addressed and deterministic, none of this can
 change results: the merged cluster store is line-for-line identical (after

@@ -1,10 +1,10 @@
-"""Executor backends: run job lists serially, on threads, or on processes.
+"""Executor backends: run job lists serially or on processes.
 
 Every backend funnels each job through the same module-level payload
 function (:func:`execute_job_payload`): the job crosses the boundary as its
 plain :meth:`~repro.exec.job.ExperimentJob.to_dict` form and the result comes
 back as its :meth:`~repro.metrics.comparison.SchemeResult.to_dict` form.
-Serialising on *every* backend — including ``serial`` — keeps the three
+Serialising on *every* backend — including ``serial`` — keeps the
 paths structurally identical, so "parallel equals serial" reduces to the
 simulator's own determinism (which the per-run id counters and the
 hierarchical seed derivation guarantee; see ``docs/EXECUTION.md``).
@@ -31,7 +31,7 @@ Fault tolerance (see ``docs/EXECUTION.md`` § Failure semantics):
   job that exceeds ``policy.timeout_s`` gets its worker killed
   (hung-worker detection) instead of stalling the batch;
 * :func:`run_jobs` degrades gracefully — when a backend fails at the *batch*
-  level it falls back ``process → thread → serial``, recording the downgrade
+  level it falls back ``process → serial``, recording the downgrade
   in the :class:`ExecutionReport`, and re-runs only the unfinished jobs
   (everything already computed was checkpointed through ``on_outcome``).
 """
@@ -46,7 +46,6 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -203,8 +202,8 @@ class _BatchState:
     (re)dispatch, the deterministic-backoff retry heap, and the final
     outcome slots.  Every backend drives its scheduling loop through this
     object so retry semantics (classification, backoff, progress events,
-    final-outcome delivery) are identical on serial, thread and process
-    paths.
+    final-outcome delivery) are identical on the serial, process and
+    cluster paths.
     """
 
     def __init__(
@@ -254,8 +253,8 @@ class _BatchState:
     ) -> None:
         """Record one :func:`execute_job_chunk`-style outcome dict.
 
-        This is the single funnel every dispatch path (thread futures,
-        process pipe, cluster HTTP) feeds outcomes through.
+        This is the single funnel every pooled dispatch path (process pipe,
+        cluster HTTP) feeds outcomes through.
         """
         if outcome.get("ok"):
             self.succeed(index, outcome["result"])
@@ -444,7 +443,7 @@ class Executor:
     def fallback_backend(self) -> Optional["Executor"]:
         """The next-simpler backend :func:`run_jobs` degrades to, if any.
 
-        The built-in chain is ``process → thread → serial → (none)``; the
+        The built-in chain is ``process → serial → (none)``; the
         chaos wrapper degrades to its inner backend (dropping injection).
         """
         return None
@@ -475,66 +474,6 @@ class Executor:
             self._job_payload(state.jobs[index], attempt)
             for index, attempt in zip(chunk, attempts)
         ]
-
-    def _execute_on_pool(
-        self,
-        pool,
-        jobs: Sequence[ExperimentJob],
-        progress: Optional[ProgressCallback],
-        on_outcome: Optional[OutcomeCallback],
-        policy: RetryPolicy,
-    ) -> List[JobOutcome]:
-        """Fan jobs out on a ``concurrent.futures`` pool, in-order results.
-
-        Jobs are submitted as their plain dict payloads, so pools only ever
-        pickle JSON-safe values plus a module-level function.  ``on_outcome``
-        fires here, in the caller's thread, as each future completes.
-        Transient failures are resubmitted once their deterministic backoff
-        elapses; the wait loop wakes for whichever comes first — a completed
-        future or a due retry.  With ``batch_size > 1`` each submission
-        carries a chunk of jobs through :func:`execute_job_chunk`; outcomes
-        stay per-job (one succeed/fail each), only the round-trips are
-        amortised.
-        """
-        state = _BatchState(jobs, policy, progress, on_outcome)
-        future_to_chunk: Dict[Any, List[int]] = {}
-        submitted_at: Dict[Any, float] = {}
-        batch_size = max(1, int(self.batch_size))
-        while not state.finished():
-            state.release_due_retries()
-            while state.ready:
-                chunk, attempts = state.next_chunk(batch_size)
-                future = pool.submit(
-                    execute_job_chunk, self._chunk_payloads(state, chunk, attempts)
-                )
-                future_to_chunk[future] = chunk
-                submitted_at[future] = time.monotonic()
-            if not future_to_chunk:
-                delay = state.seconds_until_next_retry()
-                if delay is None:  # pragma: no cover - defensive
-                    break
-                time.sleep(delay)
-                continue
-            done, _ = wait(
-                set(future_to_chunk),
-                timeout=state.seconds_until_next_retry(),
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                chunk = future_to_chunk.pop(future)
-                elapsed = time.monotonic() - submitted_at.pop(future)
-                try:
-                    outcomes = future.result()
-                except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                    # The chunk runner itself failed (it captures per-job
-                    # exceptions, so this is catastrophic): every job of the
-                    # chunk shares the failure.
-                    for index in chunk:
-                        state.fail_exception(index, exc, elapsed_s=elapsed)
-                else:
-                    for index, outcome in zip(chunk, outcomes):
-                        state.apply_outcome(index, outcome, elapsed_s=elapsed)
-        return state.results()
 
 
 class SerialExecutor(Executor):
@@ -567,32 +506,6 @@ class SerialExecutor(Executor):
                 else:
                     state.succeed(index, payload)
         return state.results()
-
-
-class ThreadExecutor(Executor):
-    """Run jobs on a thread pool.
-
-    Each job builds its own simulator/fabric/cluster stack, so jobs share no
-    mutable state; the GIL limits the speed-up for pure-python scenarios but
-    numpy-heavy allocation rounds release it.
-    """
-
-    name = "thread"
-
-    def fallback_backend(self) -> Optional[Executor]:
-        return SerialExecutor()
-
-    def execute(
-        self,
-        jobs: Sequence[ExperimentJob],
-        progress: Optional[ProgressCallback] = None,
-        on_outcome: Optional[OutcomeCallback] = None,
-        policy: Optional[RetryPolicy] = None,
-    ) -> List[JobOutcome]:
-        if not jobs:
-            return []
-        with ThreadPoolExecutor(max_workers=self.effective_workers(len(jobs))) as pool:
-            return self._execute_on_pool(pool, jobs, progress, on_outcome, policy or NO_RETRY)
 
 
 # --------------------------------------------------------------------------------------
@@ -801,7 +714,7 @@ class ProcessExecutor(Executor):
         return clone
 
     def fallback_backend(self) -> Optional[Executor]:
-        return ThreadExecutor(max_workers=self.max_workers)
+        return SerialExecutor()
 
     # -- pool lifecycle ----------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
@@ -1074,12 +987,6 @@ EXECUTORS.register(
     description="one job after another in this interpreter",
 )
 EXECUTORS.register(
-    "thread",
-    ThreadExecutor,
-    aliases=("threads",),
-    description="thread pool; shared interpreter, isolated per-job stacks",
-)
-EXECUTORS.register(
     "process",
     ProcessExecutor,
     aliases=("processes", "multiprocessing"),
@@ -1234,7 +1141,7 @@ def run_jobs(
         The planned jobs (see :mod:`repro.exec.planner`).  Jobs sharing a
         content key are computed once.
     executor:
-        Registry key (``serial``, ``thread``, ``process``,
+        Registry key (``serial``, ``process``, ``cluster``,
         ``chaos:<inner>``) or an :class:`Executor` instance.
     max_workers:
         Worker count for pooled backends.
@@ -1255,7 +1162,7 @@ def run_jobs(
     fallback:
         When the backend fails at the *batch* level (cannot spawn workers,
         pool degraded beyond its respawn budget, an unexpected scheduler
-        error), degrade along ``process → thread → serial`` and re-run only
+        error), degrade along ``process → serial`` and re-run only
         the jobs without a finished outcome.  Each downgrade is recorded in
         ``report.fallbacks`` and emitted as a ``degraded`` progress event.
         With ``fallback=False`` the backend's exception propagates.
@@ -1265,8 +1172,8 @@ def run_jobs(
         :meth:`~repro.exec.store.ResultStore.put`).  Ignored for
         already-constructed stores (configure those directly).
     batch_size:
-        Ship N jobs per dispatch round-trip on chunked backends (thread /
-        process submissions, cluster HTTP requests) to amortise per-job
+        Ship N jobs per dispatch round-trip on chunked backends (process
+        submissions, cluster HTTP requests) to amortise per-job
         spawn, pickle and network overhead.  Jobs keep per-job outcomes and
         retries; results are unchanged.  Default (``None``): the backend's
         own setting (1 unless configured otherwise).

@@ -9,7 +9,7 @@
 CI-carrying :class:`~repro.metrics.replication.ReplicatedComparison`.
 
 Because replicate seeds derive from the replicate's *identity* and jobs are
-content-addressed, an ensemble is serial ≡ thread ≡ process bit-identical
+content-addressed, an ensemble is serial ≡ process ≡ cluster bit-identical
 through the store, and :func:`ensemble_from_store` can rebuild it later from
 the JSONL alone — which is how the :data:`~repro.registry.ANALYSES` plugins
 read ensembles without re-running anything.

@@ -2,10 +2,9 @@
 
 * :mod:`~repro.experiments.spec` — the declarative, registry-driven
   :class:`ScenarioSpec` (string-keyed topology/workload plus typed params,
-  JSON round-trip for reproducible scenario files).
-* :mod:`~repro.experiments.config` — :class:`ScenarioConfig`, a typed shim
-  over the spec with named constructors for every scenario of the paper's
-  evaluation section.
+  JSON round-trip for reproducible scenario files), the one scenario type;
+  :data:`PAPER_SCENARIOS` builds every scenario of the paper's evaluation
+  section from it.
 * :mod:`~repro.experiments.runner` — builds a full stack (topology, fabric,
   transport, controller, cluster, workload) for a scheme and runs it;
   :func:`run_scenario` / :func:`run_comparison` run two schemes on the
@@ -17,8 +16,7 @@
   roughly how much) used by the tests and benchmarks.
 """
 
-from repro.experiments.config import ScenarioConfig, WorkloadKind
-from repro.experiments.spec import ScenarioSpec, as_spec
+from repro.experiments.spec import PAPER_SCENARIOS, ScenarioSpec, as_spec, paper_scenario
 from repro.experiments.runner import (
     SchemeStack,
     build_stack,
@@ -53,10 +51,10 @@ from repro.experiments.sweeps import (
 )
 
 __all__ = [
-    "ScenarioConfig",
-    "WorkloadKind",
     "ScenarioSpec",
     "as_spec",
+    "PAPER_SCENARIOS",
+    "paper_scenario",
     "resolve_scheme",
     "SchemeStack",
     "build_stack",

@@ -5,9 +5,10 @@ the corresponding scenario and returns a :class:`FigureData` holding exactly
 the series the paper plots: throughput-over-time curves, FCT CDFs, or
 AFCT-versus-file-size curves, one series per scheme.
 
-The functions accept a ``ScenarioConfig`` so tests and benchmarks can run
-scaled-down versions; the defaults match the scenario constructors in
-:mod:`repro.experiments.config`.
+The functions accept a :class:`~repro.experiments.spec.ScenarioSpec` so tests
+and benchmarks can run scaled-down versions; without one, each runs its
+:data:`~repro.experiments.spec.PAPER_SCENARIOS` entry at that entry's
+default duration.
 
 Every generator also accepts a multi-seed ``ensemble`` (a
 :class:`~repro.metrics.replication.ReplicatedComparison`, typically from
@@ -28,8 +29,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_comparison
+from repro.experiments.spec import PAPER_SCENARIOS, ScenarioSpec, paper_scenario
 from repro.metrics.comparison import ComparisonResult, SchemeResult
 from repro.metrics.fct import size_bin_edges
 from repro.metrics.replication import ReplicatedComparison, ReplicatedResult
@@ -257,8 +258,8 @@ def _afct_figure(
 
 
 def _ensure_comparison(
-    config: Optional[ScenarioConfig],
-    default_config: Callable[[], ScenarioConfig],
+    figure_id: str,
+    config: Optional[ScenarioSpec],
     comparison: Optional[ComparisonResult],
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> ComparisonLike:
@@ -268,69 +269,56 @@ def _ensure_comparison(
         return ensemble
     if comparison is not None:
         return comparison
-    cfg = config if config is not None else default_config()
-    return run_comparison(cfg)
+    return run_comparison(config if config is not None else default_scenario(figure_id))
 
 
-#: figure id -> the *name* of the paper scenario its generator defaults to.
-#: The single source of each figure's default: ``figureNN``,
-#: :func:`generate_figure` and the CLI's ``figure`` command all read it.
+#: figure id -> the name of the paper scenario its generator defaults to,
+#: read off :data:`~repro.experiments.spec.PAPER_SCENARIOS`.  ``figureNN``,
+#: :func:`generate_figure` and the CLI's ``figure`` command all use it.
 FIGURE_DEFAULT_SCENARIOS: Dict[str, str] = {
-    "fig07": "video", "fig08": "video", "fig09": "video",
-    "fig10": "video-nocontrol", "fig11": "video-nocontrol", "fig12": "video-nocontrol",
-    "fig13": "datacenter-k1", "fig14": "datacenter-k1",
-    "fig15": "datacenter-k3", "fig16": "datacenter-k3",
-    "fig17": "pareto", "fig18": "pareto",
+    figure_id: name
+    for name, entry in PAPER_SCENARIOS.items()
+    for figure_id in entry.figures
 }
 
-_SCENARIO_CONSTRUCTORS: Dict[str, Callable[[], ScenarioConfig]] = {
-    "video": ScenarioConfig.video_with_control,
-    "video-nocontrol": ScenarioConfig.video_without_control,
-    "datacenter-k1": lambda: ScenarioConfig.datacenter(bandwidth_factor=1.0),
-    "datacenter-k3": lambda: ScenarioConfig.datacenter(bandwidth_factor=3.0),
-    "pareto": ScenarioConfig.pareto_poisson,
-}
 
-#: figure id -> default ``ScenarioConfig`` constructor (derived from
-#: :data:`FIGURE_DEFAULT_SCENARIOS`)
-FIGURE_DEFAULT_CONFIGS: Dict[str, Callable[[], ScenarioConfig]] = {
-    figure_id: _SCENARIO_CONSTRUCTORS[scenario_name]
-    for figure_id, scenario_name in FIGURE_DEFAULT_SCENARIOS.items()
-}
+def default_scenario(figure_id: str) -> ScenarioSpec:
+    """The scenario ``figure_id`` runs when given none (seed 1, default duration)."""
+    return paper_scenario(FIGURE_DEFAULT_SCENARIOS[figure_id])
 
 
 # ------------------------------------------------------------------------------------------
 # Figures 7-9: video traces with control flows
 # ------------------------------------------------------------------------------------------
 def figure07(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """Average instantaneous throughput, video traces *with* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig07"], comparison, ensemble)
+    comparison = _ensure_comparison("fig07", config, comparison, ensemble)
     return _throughput_figure(
         "fig07", "RandTCP vs SCDA instantaneous average throughput (video + control)", comparison
     )
 
 
 def figure08(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """FCT CDF, video traces *with* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig08"], comparison, ensemble)
+    comparison = _ensure_comparison("fig08", config, comparison, ensemble)
     return _fct_cdf_figure("fig08", "Content upload time CDF (video + control)", comparison)
 
 
 def figure09(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """AFCT versus file size, video traces *with* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig09"], comparison, ensemble)
+    comparison = _ensure_comparison("fig09", config, comparison, ensemble)
     return _afct_figure(
         "fig09",
         "Average file completion time vs file size (video + control)",
@@ -346,34 +334,34 @@ def figure09(
 # Figures 10-12: video traces without control flows
 # ------------------------------------------------------------------------------------------
 def figure10(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """Average instantaneous throughput, video traces *without* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig10"], comparison, ensemble)
+    comparison = _ensure_comparison("fig10", config, comparison, ensemble)
     return _throughput_figure(
         "fig10", "RandTCP vs SCDA instantaneous average throughput (video only)", comparison
     )
 
 
 def figure11(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """FCT CDF, video traces *without* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig11"], comparison, ensemble)
+    comparison = _ensure_comparison("fig11", config, comparison, ensemble)
     return _fct_cdf_figure("fig11", "Content upload time CDF (video only)", comparison)
 
 
 def figure12(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """AFCT versus file size, video traces *without* control flows."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig12"], comparison, ensemble)
+    comparison = _ensure_comparison("fig12", config, comparison, ensemble)
     return _afct_figure(
         "fig12",
         "Average file completion time vs file size (video only)",
@@ -389,12 +377,12 @@ def figure12(
 # Figures 13-16: general datacenter traces
 # ------------------------------------------------------------------------------------------
 def figure13(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """AFCT versus file size, datacenter traces, K = 1."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig13"], comparison, ensemble)
+    comparison = _ensure_comparison("fig13", config, comparison, ensemble)
     return _afct_figure(
         "fig13",
         "Average file completion time vs file size (datacenter traces, K=1)",
@@ -407,22 +395,22 @@ def figure13(
 
 
 def figure14(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """FCT CDF, datacenter traces, K = 1."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig14"], comparison, ensemble)
+    comparison = _ensure_comparison("fig14", config, comparison, ensemble)
     return _fct_cdf_figure("fig14", "Content upload time CDF (datacenter traces, K=1)", comparison)
 
 
 def figure15(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """AFCT versus file size, datacenter traces, K = 3."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig15"], comparison, ensemble)
+    comparison = _ensure_comparison("fig15", config, comparison, ensemble)
     return _afct_figure(
         "fig15",
         "Average file completion time vs file size (datacenter traces, K=3)",
@@ -435,12 +423,12 @@ def figure15(
 
 
 def figure16(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """FCT CDF, datacenter traces, K = 3."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig16"], comparison, ensemble)
+    comparison = _ensure_comparison("fig16", config, comparison, ensemble)
     return _fct_cdf_figure("fig16", "Content upload time CDF (datacenter traces, K=3)", comparison)
 
 
@@ -448,28 +436,28 @@ def figure16(
 # Figures 17-18: Pareto sizes, Poisson arrivals
 # ------------------------------------------------------------------------------------------
 def figure17(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """Average instantaneous throughput, Pareto/Poisson workload."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig17"], comparison, ensemble)
+    comparison = _ensure_comparison("fig17", config, comparison, ensemble)
     return _throughput_figure(
         "fig17", "RandTCP vs SCDA instantaneous average throughput (Pareto/Poisson)", comparison
     )
 
 
 def figure18(
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     comparison: Optional[ComparisonResult] = None,
     ensemble: Optional[ReplicatedComparison] = None,
 ) -> FigureData:
     """FCT CDF, Pareto/Poisson workload."""
-    comparison = _ensure_comparison(config, FIGURE_DEFAULT_CONFIGS["fig18"], comparison, ensemble)
+    comparison = _ensure_comparison("fig18", config, comparison, ensemble)
     return _fct_cdf_figure("fig18", "File completion time CDF (Pareto/Poisson)", comparison)
 
 
-#: figure id -> (generator, default scenario constructor)
+#: figure id -> generator
 FIGURE_GENERATORS: Dict[str, Callable[..., FigureData]] = {
     "fig07": figure07,
     "fig08": figure08,
@@ -489,7 +477,7 @@ FIGURE_GENERATORS: Dict[str, Callable[..., FigureData]] = {
 
 def generate_figure(
     figure_id: str,
-    config: Optional[ScenarioConfig] = None,
+    config: Optional[ScenarioSpec] = None,
     seeds: int = 1,
     executor="serial",
     max_workers: Optional[int] = None,
@@ -523,7 +511,7 @@ def generate_figure(
     # Lazy import: repro.exec builds on the experiments layer.
     from repro.exec.replication import run_replicated_comparison
 
-    scenario = config if config is not None else FIGURE_DEFAULT_CONFIGS[figure_id]()
+    scenario = config if config is not None else default_scenario(figure_id)
     ensemble = run_replicated_comparison(
         scenario,
         seeds=seeds,

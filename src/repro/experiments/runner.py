@@ -7,9 +7,7 @@ given as registry keys (``"scda"``, ``"rand-tcp"``, ``"hedera"``, ...) or as
 :class:`~repro.baselines.schemes.SchemeSpec` objects, and placements are
 built by the placement registry.  :func:`run_scenario` is the declarative
 entry point; :func:`run_comparison` and :func:`run_scheme` remain for
-callers that hold scheme objects.  All of them also accept a legacy
-:class:`~repro.experiments.config.ScenarioConfig`, which is normalised via
-``to_spec()`` and produces bit-identical results.
+callers that hold scheme objects.  All of them also accept a spec dict.
 """
 
 from __future__ import annotations
@@ -47,10 +45,9 @@ from repro.workloads.traces import FlowRequest, Operation, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.job import ExperimentJob
-    from repro.experiments.config import ScenarioConfig
 
-#: A scenario in any accepted form: declarative spec, legacy config, or dict.
-ScenarioLike = Union[ScenarioSpec, "ScenarioConfig", Mapping[str, Any]]
+#: A scenario in either accepted form: declarative spec or spec dict.
+ScenarioLike = Union[ScenarioSpec, Mapping[str, Any]]
 
 #: A scheme as a registry key or a full spec object.
 SchemeLike = Union[str, SchemeSpec]
@@ -363,7 +360,7 @@ def run_job(job: "ExperimentJob") -> SchemeResult:
     This is the only thing executor workers call: everything the run needs is
     (re)built from the job's serialisable spec — simulator, topology, fabric,
     cluster, workload — so the function is safe to invoke from a spawn-started
-    process, a thread, or the current interpreter, and returns a bit-identical
+    process or the current interpreter, and returns a bit-identical
     :class:`~repro.metrics.comparison.SchemeResult` in each case (modulo wall
     clock).
     """
@@ -395,9 +392,8 @@ def run_scenario(
 ) -> ComparisonResult:
     """Declarative entry point: run ``schemes[0]`` vs ``schemes[1]`` on a scenario.
 
-    ``scenario`` may be a :class:`~repro.experiments.spec.ScenarioSpec`, a
-    legacy :class:`~repro.experiments.config.ScenarioConfig`, or a spec dict
-    (e.g. parsed from a scenario JSON file); schemes may be registry keys or
+    ``scenario`` may be a :class:`~repro.experiments.spec.ScenarioSpec` or a
+    spec dict (e.g. parsed from a scenario JSON file); schemes may be registry keys or
     :class:`~repro.baselines.schemes.SchemeSpec` objects.  Both schemes see
     the identical workload.  For a single scheme use :func:`run_scheme`.
     """

@@ -1,7 +1,6 @@
 """Declarative, serialisable experiment scenarios.
 
-:class:`ScenarioSpec` is the registry-driven successor of
-:class:`~repro.experiments.config.ScenarioConfig`: every axis of the
+:class:`ScenarioSpec` is the one scenario type: every axis of the
 evaluation cross-product is a *string key* resolved through
 :mod:`repro.registry` plus a plain dict of typed parameters, so a complete
 experiment is one JSON document::
@@ -23,38 +22,36 @@ with ``python -m repro run scenario.json``, get the same numbers.
 The spec builds its pieces through the registries
 (:data:`~repro.registry.TOPOLOGIES`, :data:`~repro.registry.WORKLOADS`), so
 a topology or workload registered by third-party code is immediately usable
-here, in the sweeps and from the CLI.  See ``docs/SCENARIOS.md``.
+here, in the sweeps and from the CLI.  A spec resolves its keys and
+parameters when it is constructed, so a bad one fails there, not inside a
+run.  See ``docs/SCENARIOS.md``.
+
+The paper's five evaluation scenarios (Section X, Figures 7-18) are the
+:data:`PAPER_SCENARIOS` table, keyed by the CLI's ``--scenario`` names:
+
+* video traces, with and without control flows — ``X = 500 Mb/s``, ``K = 3``,
+  20 block servers (Section X-A1),
+* general datacenter traces — ``K = 1`` and ``K = 3`` (Section X-A2),
+* Pareto sizes / Poisson arrivals — ``X = 200 Mb/s``, ``K = 3``, mean size
+  500 KB, shape 1.6 (Section X-B).
+
+Their default durations are shorter than the paper's 100 s so the whole
+figure suite runs in minutes on a laptop.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.core.rate_metric import ScdaParams
 from repro.registry import RegistryError, TOPOLOGIES, WORKLOADS, _normalise
 
 
-#: The paper's Pareto/Poisson scenario constants (Section X-B, Figures
-#: 17-18) — the single source both :meth:`ScenarioSpec.pareto_poisson` and
-#: :meth:`repro.experiments.config.ScenarioConfig.pareto_poisson` build
-#: from, so the two factories cannot drift apart.
-PARETO_POISSON_TREE_PARAMS: Dict[str, Any] = {
-    "base_bandwidth_bps": 200e6,
-    "bandwidth_factor": 3.0,
-    "num_agg": 2,
-    "racks_per_agg": 2,
-    "hosts_per_rack": 5,
-    "num_clients": 8,
-    "client_bandwidth_bps": 600e6,
-}
-PARETO_POISSON_WORKLOAD_PARAMS: Dict[str, Any] = {
-    "mean_size_bytes": 500 * 1024.0,
-    "pareto_shape": 1.6,
-    "num_clients": 8,
-}
+MBPS = 1e6
 
 
 def _jsonify(value: Any) -> Any:
@@ -162,8 +159,91 @@ class ScenarioSpec:
                 raise ValueError(
                     f"each dynamics event must be a dict with a 'kind', got {item!r}"
                 )
+        # Resolve every key and parameter set through the same helpers the
+        # builders use, so a bad spec fails here with the valid names rather
+        # than inside a job.  The fabric is not built and the workload is not
+        # generated: both cost set-up time.
+        self._topology_config()
+        self._workload_config()
+        self.build_scda_params()
+        self.build_hedera_config()
+        self.build_dynamics()
 
     # -- paper scenarios ---------------------------------------------------------------
+    @classmethod
+    def _paper(
+        cls,
+        name: str,
+        sim_time_s: float,
+        seed: int,
+        tree: Mapping[str, float],
+        workload: str,
+        workload_config: Any,
+    ) -> "ScenarioSpec":
+        """A paper scenario on the 20-server tree fabric with default SCDA params."""
+        from repro.network.tree import TreeTopologyConfig
+
+        topology = TreeTopologyConfig(
+            num_agg=2, racks_per_agg=2, hosts_per_rack=5, num_clients=8, **tree
+        )
+        # τ lives on the spec itself, never inside scda_params.
+        scda = asdict(ScdaParams())
+        scda.pop("control_interval_s", None)
+        return cls(
+            name=name,
+            seed=int(seed),
+            sim_time_s=float(sim_time_s),
+            topology="tree",
+            topology_params=asdict(topology),
+            workload=workload,
+            workload_params=asdict(workload_config),
+            scda_params=scda,
+        )
+
+    @classmethod
+    def video(
+        cls, sim_time_s: float = 30.0, seed: int = 1, include_control_flows: bool = True
+    ) -> "ScenarioSpec":
+        """Section X-A1: video traces with (Figures 7-9) or without (10-12) control flows."""
+        from repro.workloads.video_traces import VideoTraceConfig
+
+        return cls._paper(
+            "video-with-control" if include_control_flows else "video-without-control",
+            sim_time_s,
+            seed,
+            tree={
+                "base_bandwidth_bps": 500 * MBPS,
+                "bandwidth_factor": 3.0,
+                "client_bandwidth_bps": 1500 * MBPS,
+            },
+            workload="video",
+            workload_config=VideoTraceConfig(
+                duration_s=float(sim_time_s),
+                include_control_flows=include_control_flows,
+                num_clients=8,
+            ),
+        )
+
+    @classmethod
+    def datacenter(
+        cls, bandwidth_factor: float = 1.0, sim_time_s: float = 30.0, seed: int = 1
+    ) -> "ScenarioSpec":
+        """Section X-A2, Figures 13-16: general datacenter traces (K = 1 or 3)."""
+        from repro.workloads.datacenter_traces import DatacenterTraceConfig
+
+        return cls._paper(
+            f"datacenter-k{bandwidth_factor:g}",
+            sim_time_s,
+            seed,
+            tree={
+                "base_bandwidth_bps": 500 * MBPS,
+                "bandwidth_factor": bandwidth_factor,
+                "client_bandwidth_bps": 1500 * MBPS,
+            },
+            workload="datacenter",
+            workload_config=DatacenterTraceConfig(duration_s=float(sim_time_s), num_clients=8),
+        )
+
     @classmethod
     def pareto_poisson(
         cls,
@@ -171,38 +251,32 @@ class ScenarioSpec:
         seed: int = 1,
         arrival_rate_per_s: float = 60.0,
     ) -> "ScenarioSpec":
-        """The paper's Pareto/Poisson scenario as a pure spec (Figures 17-18).
+        """Section X-B, Figures 17-18: Pareto sizes, Poisson arrivals.
 
-        Declarative twin of
-        :meth:`repro.experiments.config.ScenarioConfig.pareto_poisson` —
-        bit-identical to ``ScenarioConfig.pareto_poisson(...).to_spec()``
-        (a test pins the equality) but with no dependency on the legacy
-        config layer, so the sweeps and the execution planner can default to
-        it without importing :mod:`repro.experiments.config`.
+        The paper uses 200 flows/s over 100 s; the default here scales the
+        rate down so the scenario finishes quickly — pass
+        ``arrival_rate_per_s=200`` and ``sim_time_s=100`` for the full-size
+        run.
         """
-        from dataclasses import asdict
-
-        from repro.network.tree import TreeTopologyConfig
         from repro.workloads.pareto_poisson import ParetoPoissonConfig
 
-        topology = TreeTopologyConfig(**PARETO_POISSON_TREE_PARAMS)
-        pareto = ParetoPoissonConfig(
-            duration_s=float(sim_time_s),
-            arrival_rate_per_s=float(arrival_rate_per_s),
-            **PARETO_POISSON_WORKLOAD_PARAMS,
-        )
-        # τ lives on the spec itself, never inside scda_params.
-        scda = asdict(ScdaParams())
-        scda.pop("control_interval_s", None)
-        return cls(
-            name="pareto-poisson",
-            seed=int(seed),
-            sim_time_s=float(sim_time_s),
-            topology="tree",
-            topology_params=asdict(topology),
+        return cls._paper(
+            "pareto-poisson",
+            sim_time_s,
+            seed,
+            tree={
+                "base_bandwidth_bps": 200 * MBPS,
+                "bandwidth_factor": 3.0,
+                "client_bandwidth_bps": 600 * MBPS,
+            },
             workload="pareto-poisson",
-            workload_params=asdict(pareto),
-            scda_params=scda,
+            workload_config=ParetoPoissonConfig(
+                duration_s=float(sim_time_s),
+                arrival_rate_per_s=float(arrival_rate_per_s),
+                mean_size_bytes=500 * 1024.0,
+                pareto_shape=1.6,
+                num_clients=8,
+            ),
         )
 
     # -- derived -----------------------------------------------------------------------
@@ -231,9 +305,9 @@ class ScenarioSpec:
         """Change the simulated duration, keeping the workload in sync.
 
         Unlike a bare ``with_overrides(sim_time_s=...)``, this also rewrites
-        a ``duration_s`` already baked into :attr:`workload_params` (as
-        :meth:`~repro.experiments.config.ScenarioConfig.to_spec` does), so
-        the generated workload actually spans the new horizon.
+        a ``duration_s`` already baked into :attr:`workload_params` (as the
+        paper-scenario factories do), so the generated workload actually
+        spans the new horizon.
         """
         params = dict(self.workload_params)
         if "duration_s" in params:
@@ -241,20 +315,28 @@ class ScenarioSpec:
         return self.with_overrides(sim_time_s=float(sim_time_s), workload_params=params)
 
     # -- registry-backed builders ------------------------------------------------------
-    def build_topology(self):
-        """Instantiate the fabric named by :attr:`topology`."""
+    def _topology_config(self):
+        """The registry entry and config of :attr:`topology` (nothing built)."""
         entry = TOPOLOGIES.get(self.topology)
-        config = entry.make_config(self.topology_params)
-        return entry.builder(config)
+        return entry, entry.make_config(self.topology_params)
 
-    def build_workload(self):
-        """Generate the workload named by :attr:`workload` (keyed by the seed)."""
+    def _workload_config(self):
+        """The registry entry and config of :attr:`workload` (nothing generated)."""
         entry = WORKLOADS.get(self.workload)
         params = dict(self.workload_params)
         if entry.config_cls is not None and "duration_s" not in params:
             if any(f.name == "duration_s" for f in dataclass_fields(entry.config_cls)):
                 params["duration_s"] = self.sim_time_s
-        config = entry.make_config(params)
+        return entry, entry.make_config(params)
+
+    def build_topology(self):
+        """Instantiate the fabric named by :attr:`topology`."""
+        entry, config = self._topology_config()
+        return entry.builder(config)
+
+    def build_workload(self):
+        """Generate the workload named by :attr:`workload` (keyed by the seed)."""
+        entry, config = self._workload_config()
         return entry.builder(config, seed=self.seed)
 
     def build_scda_params(self) -> ScdaParams:
@@ -372,18 +454,63 @@ class ScenarioSpec:
 def as_spec(obj: Any) -> ScenarioSpec:
     """Coerce a scenario-like object to a :class:`ScenarioSpec`.
 
-    Accepts a spec (returned as-is), anything exposing ``to_spec()``
-    (:class:`~repro.experiments.config.ScenarioConfig`), or a mapping in
+    Accepts a spec (returned as-is) or a mapping in
     :meth:`ScenarioSpec.to_dict` form.
     """
     if isinstance(obj, ScenarioSpec):
         return obj
-    to_spec = getattr(obj, "to_spec", None)
-    if callable(to_spec):
-        return to_spec()
     if isinstance(obj, Mapping):
         return ScenarioSpec.from_dict(obj)
     raise TypeError(
         f"cannot interpret {type(obj).__name__!r} as a scenario; "
-        "pass a ScenarioSpec, a ScenarioConfig, or a spec dict"
+        "pass a ScenarioSpec or a spec dict"
+    )
+
+
+class PaperScenario(NamedTuple):
+    """One of the paper's evaluation scenarios (an entry of :data:`PAPER_SCENARIOS`)."""
+
+    #: ``build(sim_time_s=..., seed=...)`` -> the scenario's spec
+    build: Callable[..., ScenarioSpec]
+    #: duration of a figure run that is given no scenario
+    sim_time_s: float
+    #: the figures of Section X this scenario reproduces
+    figures: Tuple[str, ...]
+
+
+#: The paper's five evaluation scenarios, keyed by the CLI's ``--scenario``
+#: names.  The one place those names map to constructors: the CLI, the
+#: per-figure defaults of :mod:`repro.experiments.figures` and the
+#: benchmarks all read it.
+PAPER_SCENARIOS: Dict[str, PaperScenario] = {
+    "video": PaperScenario(ScenarioSpec.video, 30.0, ("fig07", "fig08", "fig09")),
+    "video-nocontrol": PaperScenario(
+        partial(ScenarioSpec.video, include_control_flows=False),
+        30.0,
+        ("fig10", "fig11", "fig12"),
+    ),
+    "datacenter-k1": PaperScenario(
+        partial(ScenarioSpec.datacenter, 1.0), 30.0, ("fig13", "fig14")
+    ),
+    "datacenter-k3": PaperScenario(
+        partial(ScenarioSpec.datacenter, 3.0), 30.0, ("fig15", "fig16")
+    ),
+    "pareto": PaperScenario(ScenarioSpec.pareto_poisson, 20.0, ("fig17", "fig18")),
+}
+
+
+def paper_scenario(
+    name: str, sim_time_s: Optional[float] = None, seed: int = 1
+) -> ScenarioSpec:
+    """The paper scenario called ``name`` (a :data:`PAPER_SCENARIOS` key).
+
+    ``sim_time_s=None`` uses the scenario's figure default duration.
+    """
+    if name not in PAPER_SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {name!r}; expected one of {tuple(PAPER_SCENARIOS)}"
+        )
+    entry = PAPER_SCENARIOS[name]
+    return entry.build(
+        sim_time_s=entry.sim_time_s if sim_time_s is None else sim_time_s, seed=seed
     )

@@ -11,7 +11,7 @@ evaluation by varying
 Every sweep is planned into :class:`~repro.exec.job.ExperimentJob` s
 (:mod:`repro.exec.planner`) and executed through a pluggable backend
 (:mod:`repro.exec.executors`), so the points of a sweep run serially, on a
-thread pool, or on a process pool — with bit-identical numbers — and can be
+process pool or on cluster workers — with bit-identical numbers — and can be
 cached/resumed through a :class:`~repro.exec.store.ResultStore`::
 
     sweep_offered_load([15, 40, 80], executor="process", max_workers=4,

@@ -20,18 +20,8 @@ class IdealMaxMinTransport(TransportModel):
 
     name = "ideal-maxmin"
 
-    def __init__(self, utilisation: float = 1.0) -> None:
-        super().__init__()
-        if not (0.0 < utilisation <= 1.0):
-            raise ValueError("utilisation must be in (0, 1]")
-        self.utilisation = float(utilisation)
-
     def update_rates(self, flows: Sequence[Flow], now: float) -> None:
-        rates = max_min_shares(
-            flows,
-            capacity_scale=self.utilisation,
-            cache=self.fabric.incidence,
-        )
+        rates = max_min_shares(flows, cache=self.fabric.incidence)
         # Sources offer exactly their allocation.  At scale ``rates`` is the
         # incremental solver's row-aligned vector, written in one go.
         self.fabric.set_rates(flows, rates, rates)

@@ -37,40 +37,29 @@ class RateProvider:
 class ScdaTransport(TransportModel):
     """Explicit-rate transport driven by the SCDA RM/RA allocation.
 
+    The delivered rates are the allocations passed through the max-min
+    water-filler with the allocations as caps.  The converged SCDA allocation
+    is already feasible, but during the first control interval after a burst
+    of arrivals the previous-round effective flow count can transiently
+    oversubscribe a link — exactly the situation the ``βQ/d`` term of
+    equation 2 corrects — and the physical network can of course never
+    deliver more than capacity.  The attached fabric's incidence cache is
+    passed along, so at scale this pass runs vectorized over the cached
+    link×flow incidence.
+
     Parameters
     ----------
     provider:
         The rate provider (normally the SCDA controller).
-    enforce_capacity:
-        When True (default) the delivered rates are additionally passed
-        through the max-min water-filler with the allocations as caps.  The
-        converged SCDA allocation is already feasible, but during the first
-        control interval after a burst of arrivals the previous-round
-        effective flow count can transiently oversubscribe a link — exactly
-        the situation the ``βQ/d`` term of equation 2 corrects — and the
-        physical network can of course never deliver more than capacity.
-    solver:
-        Water-filler backend for the capacity-enforcement pass
-        (``"auto"``/``"python"``/``"numpy"``, see
-        :func:`repro.network.fluid.max_min_shares`).  The attached fabric's
-        incidence cache is passed along, so at scale this runs vectorized
-        over the cached link×flow incidence.
     """
 
     name = "scda"
 
-    def __init__(
-        self,
-        provider: RateProvider,
-        enforce_capacity: bool = True,
-        solver: str = "auto",
-    ) -> None:
+    def __init__(self, provider: RateProvider) -> None:
         super().__init__()
         if provider is None:
             raise ValueError("ScdaTransport requires a RateProvider")
         self.provider = provider
-        self.enforce_capacity = bool(enforce_capacity)
-        self.solver = solver
 
     def on_flow_start(self, flow: Flow, now: float) -> None:
         self.provider.on_flow_start(flow, now)
@@ -92,12 +81,6 @@ class ScdaTransport(TransportModel):
                 allocated = max(allocated, flow.aggregate_min_rate_bps)
             demands[flow.flow_id] = max(allocated, 0.0)
 
-        if self.enforce_capacity:
-            cache = getattr(self.fabric, "incidence", None)
-            delivered = max_min_shares(
-                flows, demand_caps=demands, solver=self.solver, cache=cache
-            )
-        else:
-            delivered = demands
-
+        cache = getattr(self.fabric, "incidence", None)
+        delivered = max_min_shares(flows, demand_caps=demands, cache=cache)
         self.fabric.set_rates(flows, demands, delivered)

@@ -15,7 +15,7 @@ world changes mid-run, and how stored results are analysed):
 * :data:`PLACEMENTS` — server-selection policies (``random``,
   ``round-robin``, ``least-loaded``, ``scda``);
 * :data:`EXECUTORS` — execution backends for planned job lists (``serial``,
-  ``thread``, ``process``; see :mod:`repro.exec`);
+  ``process``, ``cluster``; see :mod:`repro.exec`);
 * :data:`DYNAMICS` — timed world-mutation events (``link-failure``,
   ``link-recovery``, ``capacity-degradation``, ``block-server-churn``,
   ``workload-surge``; see :mod:`repro.dynamics`);
@@ -283,8 +283,8 @@ SCHEMES = Registry("scheme", bootstrap=load_builtin_plugins)
 #: ``scda``.
 PLACEMENTS = Registry("placement", bootstrap=load_builtin_plugins)
 
-#: Execution backends for planned job lists — ``serial``, ``thread``,
-#: ``process`` (see :mod:`repro.exec.executors`).
+#: Execution backends for planned job lists — ``serial``, ``process``,
+#: ``cluster`` and the ``chaos`` wrapper (see :mod:`repro.exec.executors`).
 EXECUTORS = Registry("executor", bootstrap=load_builtin_plugins)
 
 #: Timed world-mutation events scheduled by a

@@ -1,7 +1,7 @@
 """Every backend returns the serial bits for every registered scheme.
 
-One job per registered scheme runs on the serial, thread, process and
-cluster backends (the cluster on two in-process ``WorkerServer`` daemons).
+One job per registered scheme runs on the serial, process and cluster
+backends (the cluster on two in-process ``WorkerServer`` daemons).
 A result crosses the process pipe pickled and the cluster's HTTP body as
 JSON, in both cases as the plain ``to_dict()`` dict, and the dispatcher
 hydrates it once.  So per scheme and backend the canonical result and the
@@ -12,7 +12,7 @@ stored line must come from the same returned dict.
 import pytest
 
 from repro.exec.cluster import ClusterExecutor
-from repro.exec.executors import ProcessExecutor, ThreadExecutor, run_jobs
+from repro.exec.executors import ProcessExecutor, run_jobs
 from repro.exec.planner import plan_matrix
 from repro.exec.store import ResultStore
 from repro.experiments.spec import ScenarioSpec
@@ -20,7 +20,7 @@ from repro.metrics.comparison import SchemeResult
 from repro.registry import SCHEMES
 from repro.service.worker import WorkerServer
 
-BACKENDS = ["serial", "thread", "process", "cluster"]
+BACKENDS = ["serial", "process", "cluster"]
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,6 @@ def runs(scheme_jobs, tmp_path_factory):
     try:
         backends = {
             "serial": "serial",
-            "thread": ThreadExecutor(max_workers=2),
             "process": ProcessExecutor(max_workers=2),
             "cluster": ClusterExecutor(hosts=[f"{w.host}:{w.port}" for w in workers]),
         }

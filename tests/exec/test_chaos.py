@@ -40,7 +40,7 @@ class TestResolution:
         assert backend.inner.name == "serial"
 
     def test_wrapper_passes_max_workers_through(self):
-        backend = resolve_executor("chaos:thread", max_workers=3)
+        backend = resolve_executor("chaos:serial", max_workers=3)
         assert backend.inner.max_workers == 3
         assert backend.effective_workers(10) == 3
 
@@ -53,7 +53,7 @@ class TestResolution:
 
     def test_non_wrapper_executors_reject_the_colon_syntax(self):
         with pytest.raises(RegistryError, match="does not wrap"):
-            resolve_executor("serial:thread")
+            resolve_executor("serial:process")
 
     def test_chaos_cannot_wrap_chaos(self):
         with pytest.raises(RegistryError, match="cannot wrap each other"):
@@ -117,10 +117,10 @@ class TestInProcessInjection:
         report = run_jobs(tiny_jobs()[:1], executor=chaos, raise_on_error=False)
         assert report.failures[0].exc_type == "CorruptResultError"
 
-    def test_mixed_chaos_on_threads_converges_to_serial_bits(self):
+    def test_mixed_chaos_on_serial_converges_to_serial_bits(self):
         jobs = tiny_jobs()
         plain = run_jobs(jobs, executor="serial")
-        chaos = ChaosExecutor("thread", max_workers=2, config=ChaosConfig(
+        chaos = ChaosExecutor("serial", config=ChaosConfig(
             crash_rate=0.3, error_rate=0.3, delay_rate=0.0, corrupt_rate=0.4, seed=9))
         report = run_jobs(
             jobs, executor=chaos,
@@ -220,21 +220,17 @@ class TestGracefulDegradation:
                      policy=RetryPolicy(max_attempts=2, base_delay_s=0.001),
                      fallback=False)
 
-    def test_fallback_chain_is_process_thread_serial(self):
-        from repro.exec.executors import SerialExecutor, ThreadExecutor
+    def test_fallback_chain_is_process_serial(self):
+        from repro.exec.executors import SerialExecutor
 
-        process = ProcessExecutor(max_workers=4)
-        thread = process.fallback_backend()
-        assert isinstance(thread, ThreadExecutor)
-        assert thread.max_workers == 4
-        serial = thread.fallback_backend()
+        serial = ProcessExecutor(max_workers=4).fallback_backend()
         assert isinstance(serial, SerialExecutor)
         assert serial.fallback_backend() is None
 
     def test_chaos_falls_back_to_its_plain_inner(self):
-        chaos = ChaosExecutor("thread", max_workers=2)
+        chaos = ChaosExecutor("serial", max_workers=2)
         inner = chaos.fallback_backend()
-        assert inner.name == "thread"
+        assert inner.name == "serial"
         assert inner.payload_transform is None
 
 

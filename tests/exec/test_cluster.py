@@ -46,7 +46,7 @@ def two_workers(tmp_path, monkeypatch):
 
 class TestRegistration:
     def test_cluster_is_the_fourth_backend(self):
-        assert {"serial", "thread", "process", "cluster"} <= set(EXECUTORS.names())
+        assert {"serial", "process", "cluster"} <= set(EXECUTORS.names())
 
     def test_unconfigured_cluster_raises_degraded(self, monkeypatch):
         monkeypatch.delenv(HOSTS_ENV, raising=False)
@@ -67,7 +67,7 @@ class TestRegistration:
         while backend is not None:
             names.append(backend.name)
             backend = backend.fallback_backend()
-        assert names == ["cluster", "process", "thread", "serial"]
+        assert names == ["cluster", "process", "serial"]
 
 
 class TestDeterminism:

@@ -5,8 +5,8 @@ import pytest
 from repro.exec.executors import (
     ExecutionError,
     JobFailure,
+    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
     run_jobs,
 )
@@ -25,33 +25,45 @@ def canonical(report):
     return {key: result.canonical_dict() for key, result in report.results.items()}
 
 
+def unrunnable_job():
+    """A valid job that fails inside the run, on every attempt.
+
+    Specs validate their keys and parameters when built, so the failure is a
+    dynamics event naming a link the fabric does not have: it only surfaces
+    when the worker runs the job.
+    """
+    spec = ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_dynamics(
+        [{"kind": "link-failure", "at_s": 0.5, "link_id": "moebius"}]
+    )
+    return ExperimentJob(spec=spec, scheme="scda")
+
+
 class TestRegistry:
     def test_builtin_executors_are_registered(self):
-        assert {"serial", "thread", "process"} <= set(EXECUTORS.names())
+        assert {"serial", "process"} <= set(EXECUTORS.names())
+
+    def test_thread_backend_is_gone(self):
+        with pytest.raises(RegistryError) as excinfo:
+            resolve_executor("thread")
+        for name in ("serial", "process", "cluster", "chaos"):
+            assert name in str(excinfo.value)
 
     def test_unknown_executor_gets_did_you_mean(self):
         with pytest.raises(RegistryError, match="did you mean 'serial'"):
             EXECUTORS.get("serail")
 
     def test_resolve_executor_from_key_and_instance(self):
-        backend = resolve_executor("thread", max_workers=3)
-        assert isinstance(backend, ThreadExecutor)
+        backend = resolve_executor("process", max_workers=3)
+        assert isinstance(backend, ProcessExecutor)
         assert backend.max_workers == 3
         same = SerialExecutor()
         assert resolve_executor(same) is same
 
     def test_aliases(self):
-        assert EXECUTORS.get("threads").name == "thread"
         assert EXECUTORS.get("multiprocessing").name == "process"
 
 
 class TestDeterminism:
-    def test_serial_and_thread_are_bit_identical(self):
-        jobs = tiny_jobs()
-        serial = run_jobs(jobs, executor="serial")
-        threaded = run_jobs(jobs, executor="thread", max_workers=2)
-        assert canonical(serial) == canonical(threaded)
-
     def test_process_matches_serial(self):
         jobs = tiny_jobs(sim_time_s=1.0)
         serial = run_jobs(jobs, executor="serial")
@@ -107,22 +119,16 @@ class TestRunJobs:
         ]
 
     def test_failures_raise_execution_error_with_labels(self):
-        # Scheme keys are validated at planning time; an unknown *topology*
-        # only surfaces when the worker builds the stack, exercising the
-        # failure-reporting path.
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+        # Scheme keys and spec parameters are validated at planning time; a
+        # link the fabric lacks only surfaces when the worker runs the job,
+        # exercising the failure-reporting path.
+        bad = unrunnable_job()
         with pytest.raises(ExecutionError, match="moebius"):
             run_jobs([bad], executor="serial")
 
     def test_failures_collected_when_not_fatal(self):
         good = tiny_jobs()[0]
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+        bad = unrunnable_job()
         events = []
         report = run_jobs(
             [good, bad],
@@ -139,13 +145,10 @@ class TestRunJobs:
         with pytest.raises(KeyError):
             report.result_for(bad)
 
-    def test_thread_pool_reports_failures_too(self):
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+    def test_process_pool_reports_failures_too(self):
+        bad = unrunnable_job()
         report = run_jobs(
-            [bad], executor="thread", max_workers=2, raise_on_error=False
+            [bad], executor="process", max_workers=2, raise_on_error=False
         )
         assert len(report.failures) == 1
 
@@ -160,13 +163,10 @@ class TestRunJobs:
         assert summary["fallbacks"] == 0
 
     def test_failures_carry_structured_fields(self):
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+        bad = unrunnable_job()
         report = run_jobs([bad], executor="serial", raise_on_error=False)
         failure = report.failures[0]
-        assert failure.exc_type == "RegistryError"
+        assert failure.exc_type == "DynamicsError"
         assert failure.attempts == 1
         assert failure.elapsed_s > 0.0
         assert JobFailure.from_dict(failure.to_dict()).to_dict() == failure.to_dict()
@@ -197,7 +197,7 @@ class TestRunJobs:
         assert len(store) == 2
 
     def test_resolve_executor_does_not_mutate_caller_instance(self):
-        mine = ThreadExecutor(max_workers=8)
+        mine = ProcessExecutor(max_workers=8)
         resolved = resolve_executor(mine, max_workers=2)
         assert mine.max_workers == 8
         assert resolved.max_workers == 2
@@ -229,12 +229,6 @@ class TestHydration:
 
 
 class TestBatchSize:
-    def test_chunked_thread_results_match_serial(self):
-        jobs = tiny_jobs()
-        serial = run_jobs(jobs, executor="serial")
-        chunked = run_jobs(jobs, executor="thread", max_workers=2, batch_size=2)
-        assert canonical(chunked) == canonical(serial)
-
     def test_chunked_process_results_match_serial(self):
         jobs = tiny_jobs(sim_time_s=1.0)
         serial = run_jobs(jobs, executor="serial")
@@ -243,15 +237,15 @@ class TestBatchSize:
 
     def test_resolve_executor_validates_batch_size(self):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            resolve_executor("thread", batch_size=0)
+            resolve_executor("process", batch_size=0)
 
     def test_resolve_executor_sets_batch_size_on_built_backend(self):
-        backend = resolve_executor("thread", batch_size=4)
+        backend = resolve_executor("process", batch_size=4)
         assert backend.batch_size == 4
-        assert resolve_executor("thread").batch_size == 1
+        assert resolve_executor("process").batch_size == 1
 
     def test_batch_size_override_copies_passed_instances(self):
-        mine = ThreadExecutor(max_workers=2)
+        mine = ProcessExecutor(max_workers=2)
         resolved = resolve_executor(mine, batch_size=5)
         assert resolved is not mine
         assert resolved.batch_size == 5

@@ -74,18 +74,18 @@ class TestPlanReplications:
 
 
 class TestRunReplications:
-    def test_serial_equals_thread_through_the_store(self, tmp_path):
+    def test_serial_equals_process_through_the_store(self, tmp_path):
         spec = tiny_spec(seed=5)
         serial_store = ResultStore(tmp_path / "serial.jsonl")
-        thread_store = ResultStore(tmp_path / "thread.jsonl")
+        process_store = ResultStore(tmp_path / "process.jsonl")
         serial = run_replicated_comparison(spec, seeds=2, store=serial_store)
-        threaded = run_replicated_comparison(
-            spec, seeds=2, executor="thread", max_workers=2, store=thread_store
+        processed = run_replicated_comparison(
+            spec, seeds=2, executor="process", max_workers=2, store=process_store
         )
-        assert serial_store.results_by_key() == thread_store.results_by_key()
+        assert serial_store.results_by_key() == process_store.results_by_key()
         # And the folded ensembles agree (modulo wall clock, which to_dict
         # keeps; compare canonical payloads per replicate).
-        for a, b in zip(serial.candidate.results, threaded.candidate.results):
+        for a, b in zip(serial.candidate.results, processed.candidate.results):
             assert a.canonical_dict() == b.canonical_dict()
 
     def test_replicate_zero_is_the_single_seed_run(self):

@@ -14,6 +14,18 @@ def tiny_jobs(sim_time_s=1.5, seed=3):
     return plan_comparison(ScenarioSpec.pareto_poisson(sim_time_s=sim_time_s, seed=seed))
 
 
+def unrunnable_job():
+    """A valid job whose dynamics script fails a link the fabric lacks.
+
+    Specs validate keys and parameters when built, so this failure only
+    surfaces when the worker runs the job.
+    """
+    spec = ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_dynamics(
+        [{"kind": "link-failure", "at_s": 0.5, "link_id": "moebius"}]
+    )
+    return ExperimentJob(spec=spec, scheme="scda")
+
+
 def canonical(report):
     return {key: result.canonical_dict() for key, result in report.results.items()}
 
@@ -157,12 +169,9 @@ class TestRetriesThroughRunJobs:
         assert report.summary()["failed"] == 1
 
     def test_non_retryable_failures_are_not_retried(self):
-        # An unknown topology is deterministic: retrying would fail the same
-        # way, so the policy must spend exactly one attempt on it.
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+        # A link the fabric lacks is deterministic: retrying would fail the
+        # same way, so the policy must spend exactly one attempt on it.
+        bad = unrunnable_job()
         report = run_jobs(
             [bad], executor="serial",
             policy=RetryPolicy(max_attempts=5, base_delay_s=0.001),
@@ -172,10 +181,7 @@ class TestRetriesThroughRunJobs:
         assert report.retried == 0
 
     def test_failure_to_dict_round_trips_losslessly(self):
-        bad = ExperimentJob(
-            spec=ScenarioSpec.pareto_poisson(sim_time_s=1.0).with_topology("moebius"),
-            scheme="scda",
-        )
+        bad = unrunnable_job()
         report = run_jobs([bad], executor="serial", raise_on_error=False)
         failure = report.failures[0]
         data = failure.to_dict()

@@ -1,55 +1,59 @@
-"""Tests for scenario configuration and the experiment runner."""
+"""Tests for the paper scenarios and the experiment runner."""
 
 import pytest
 
 from repro.baselines.schemes import IDEAL_ORACLE, RAND_TCP, SCDA_SCHEME
-from repro.experiments.config import ScenarioConfig, WorkloadKind
 from repro.experiments.runner import build_stack, generate_workload, run_comparison, run_scheme
+from repro.experiments.spec import ScenarioSpec, paper_scenario
 
 MBPS = 1e6
 
 
 def tiny_scenario(**overrides):
     """A deliberately small scenario so runner tests stay fast."""
-    cfg = ScenarioConfig.pareto_poisson(sim_time=3.0, seed=5, arrival_rate_per_s=15.0)
-    cfg = cfg.with_overrides(drain_time_s=10.0, **overrides)
-    return cfg
+    spec = ScenarioSpec.pareto_poisson(sim_time_s=3.0, seed=5, arrival_rate_per_s=15.0)
+    return spec.with_overrides(drain_time_s=10.0, **overrides)
 
 
-class TestScenarioConfig:
+def num_hosts(spec):
+    tree = spec.topology_params
+    return tree["num_agg"] * tree["racks_per_agg"] * tree["hosts_per_rack"]
+
+
+class TestPaperScenarios:
     def test_named_constructors_set_paper_parameters(self):
-        video = ScenarioConfig.video_with_control()
-        assert video.workload_kind is WorkloadKind.VIDEO
-        assert video.topology.base_bandwidth_bps == pytest.approx(500 * MBPS)
-        assert video.topology.num_hosts == 20
-        assert video.video.include_control_flows
+        video = paper_scenario("video")
+        assert video.workload == "video"
+        assert video.topology_params["base_bandwidth_bps"] == pytest.approx(500 * MBPS)
+        assert num_hosts(video) == 20
+        assert video.workload_params["include_control_flows"]
 
-        no_control = ScenarioConfig.video_without_control()
-        assert not no_control.video.include_control_flows
+        no_control = paper_scenario("video-nocontrol")
+        assert not no_control.workload_params["include_control_flows"]
 
-        dc1 = ScenarioConfig.datacenter(bandwidth_factor=1.0)
-        dc3 = ScenarioConfig.datacenter(bandwidth_factor=3.0)
-        assert dc1.topology.bandwidth_factor == 1.0
-        assert dc3.topology.bandwidth_factor == 3.0
+        dc1 = paper_scenario("datacenter-k1")
+        dc3 = paper_scenario("datacenter-k3")
+        assert dc1.topology_params["bandwidth_factor"] == 1.0
+        assert dc3.topology_params["bandwidth_factor"] == 3.0
 
-        pareto = ScenarioConfig.pareto_poisson()
-        assert pareto.topology.base_bandwidth_bps == pytest.approx(200 * MBPS)
-        assert pareto.pareto.pareto_shape == pytest.approx(1.6)
+        pareto = paper_scenario("pareto")
+        assert pareto.topology_params["base_bandwidth_bps"] == pytest.approx(200 * MBPS)
+        assert pareto.workload_params["pareto_shape"] == pytest.approx(1.6)
 
     def test_with_overrides_returns_modified_copy(self):
-        cfg = ScenarioConfig.pareto_poisson()
-        other = cfg.with_overrides(seed=99)
-        assert other.seed == 99 and cfg.seed != 99
+        spec = paper_scenario("pareto")
+        other = spec.with_overrides(seed=99)
+        assert other.seed == 99 and spec.seed != 99
 
     def test_total_time_includes_drain(self):
-        cfg = ScenarioConfig.pareto_poisson(sim_time=10.0).with_overrides(drain_time_s=5.0)
-        assert cfg.total_time_s == 15.0
+        spec = ScenarioSpec.pareto_poisson(sim_time_s=10.0).with_overrides(drain_time_s=5.0)
+        assert spec.total_time_s == 15.0
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(sim_time_s=0.0)
+            ScenarioSpec(sim_time_s=0.0)
         with pytest.raises(ValueError):
-            ScenarioConfig(drain_time_s=-1.0)
+            ScenarioSpec(drain_time_s=-1.0)
 
 
 class TestWorkloadGeneration:
@@ -60,9 +64,9 @@ class TestWorkloadGeneration:
 
     def test_each_kind_produces_requests(self):
         for cfg in (
-            ScenarioConfig.video_with_control(sim_time=3.0),
-            ScenarioConfig.datacenter(sim_time=3.0),
-            ScenarioConfig.pareto_poisson(sim_time=3.0, arrival_rate_per_s=20.0),
+            ScenarioSpec.video(sim_time_s=3.0),
+            ScenarioSpec.datacenter(sim_time_s=3.0),
+            ScenarioSpec.pareto_poisson(sim_time_s=3.0, arrival_rate_per_s=20.0),
         ):
             assert len(generate_workload(cfg)) > 0
 

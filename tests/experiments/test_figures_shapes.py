@@ -8,9 +8,9 @@ seconds each).
 import numpy as np
 import pytest
 
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.spec import ScenarioSpec, paper_scenario
 from repro.experiments.figures import (
-    FIGURE_DEFAULT_CONFIGS,
+    FIGURE_DEFAULT_SCENARIOS,
     FIGURE_GENERATORS,
     FigureData,
     figure08,
@@ -45,13 +45,13 @@ def _fake_ensemble(comparison, n):
 
 @pytest.fixture(scope="module")
 def pareto_comparison():
-    cfg = ScenarioConfig.pareto_poisson(sim_time=6.0, seed=11, arrival_rate_per_s=30.0)
+    cfg = ScenarioSpec.pareto_poisson(sim_time_s=6.0, seed=11, arrival_rate_per_s=30.0)
     return run_comparison(cfg)
 
 
 @pytest.fixture(scope="module")
 def video_comparison():
-    cfg = ScenarioConfig.video_with_control(sim_time=8.0, seed=12)
+    cfg = paper_scenario("video", 8.0, seed=12)
     return run_comparison(cfg)
 
 
@@ -179,7 +179,7 @@ class TestEnsembleFigures:
             fig.add_band("ghost", np.array([1.0]), np.array([0.5]), np.array([1.5]))
 
     def test_generate_figure_covers_every_figure_default(self):
-        assert set(FIGURE_DEFAULT_CONFIGS) == set(FIGURE_GENERATORS)
+        assert set(FIGURE_DEFAULT_SCENARIOS) == set(FIGURE_GENERATORS)
         with pytest.raises(ValueError, match="unknown figure"):
             generate_figure("fig99")
         with pytest.raises(ValueError, match="seeds"):

@@ -1,25 +1,28 @@
-"""Tests for the declarative ScenarioSpec API and its back-compat guarantees."""
+"""Tests for the declarative ScenarioSpec API and the paper-scenario table."""
 
+import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ScenarioConfig
+from repro.exec import plan_comparison
 from repro.experiments.runner import (
     generate_workload,
     resolve_scheme,
     run_comparison,
     run_scenario,
 )
-from repro.experiments.spec import ScenarioSpec, as_spec
+from repro.experiments.spec import PAPER_SCENARIOS, ScenarioSpec, as_spec, paper_scenario
 from repro.registry import RegistryError
 
 TOPOLOGY_KEYS = ("tree", "fattree", "vl2", "leafspine")
 
-#: Pre-refactor mean FCTs for ``ScenarioConfig.pareto_poisson(sim_time=2.5,
-#: seed=3)`` measured on the direct-import runner, before the registry
-#: rewire.  The refactor must keep these bit-for-bit (tolerance only for
-#: cross-platform float noise).
+#: Pre-refactor mean FCTs for the Pareto/Poisson paper scenario at
+#: ``sim_time_s=2.5, seed=3`` measured on the direct-import runner, before
+#: the registry rewire.  The refactor must keep these bit-for-bit (tolerance
+#: only for cross-platform float noise).
 PARETO_PINNED_SCDA_FCT_S = 0.26670428511751804
 PARETO_PINNED_RANDTCP_FCT_S = 1.2718256447813858
 
@@ -64,8 +67,11 @@ class TestSerialisation:
             ScenarioSpec.from_dict({"definitely_not_a_field": 1})
 
     def test_params_are_canonicalised_to_json_types(self):
-        spec = small_spec(topology_params={"k": 4, "weights": (1, 2)})
-        assert spec.topology_params["weights"] == [1, 2]
+        spec = small_spec(
+            workload="multi-tenant",
+            workload_params={"tenants": ("a", "b"), "sessions_per_tenant": (1, 2)},
+        )
+        assert spec.workload_params["sessions_per_tenant"] == [1, 2]
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
@@ -175,18 +181,15 @@ class TestRunScenario:
         from repro.exec.planner import with_arrival_rate
         from repro.experiments.sweeps import _base_spec
 
-        base = ScenarioConfig.pareto_poisson(
-            sim_time=2.0, arrival_rate_per_s=200.0
-        ).to_spec()
+        base = ScenarioSpec.pareto_poisson(sim_time_s=2.0, arrival_rate_per_s=200.0)
         # mirrors sweep_control_interval's rate handling: None keeps the base's
         spec = _base_spec(base, None, None, None)
         assert spec.workload_params["arrival_rate_per_s"] == 200.0
         assert with_arrival_rate(spec, 40.0).workload_params["arrival_rate_per_s"] == 40.0
 
     def test_control_interval_cannot_diverge_via_scda_params(self):
-        spec = small_spec(scda_params={"control_interval_s": 0.1})
         with pytest.raises(RegistryError, match="control_interval_s"):
-            spec.build_scda_params()
+            small_spec(scda_params={"control_interval_s": 0.1})
         assert (
             small_spec(control_interval_s=0.02).build_scda_params().control_interval_s
             == 0.02
@@ -205,7 +208,7 @@ class TestRunScenario:
     def test_sweep_sim_time_override_shortens_a_baked_in_duration(self):
         from repro.experiments.sweeps import _base_spec
 
-        base = ScenarioConfig.pareto_poisson(sim_time=20.0).to_spec()
+        base = ScenarioSpec.pareto_poisson(sim_time_s=20.0)
         assert base.workload_params["duration_s"] == 20.0
         short = _base_spec(base, 1.0, None, None)
         assert short.workload_params["duration_s"] == 1.0
@@ -221,18 +224,114 @@ class TestRunScenario:
     def test_sweep_handles_video_arrival_rate_field(self):
         from repro.exec.planner import with_arrival_rate
 
-        video = ScenarioConfig.video_with_control(sim_time=2.0).to_spec()
+        video = paper_scenario("video", 2.0)
         swept = with_arrival_rate(video, 5.0)
         assert swept.workload_params["video_arrival_rate_per_s"] == 5.0
-        pareto = ScenarioConfig.pareto_poisson(sim_time=2.0).to_spec()
+        pareto = ScenarioSpec.pareto_poisson(sim_time_s=2.0)
         assert with_arrival_rate(pareto, 9.0).workload_params["arrival_rate_per_s"] == 9.0
+
+
+#: One bad input per plugin axis; each must fail when the spec is built.
+BAD_SPECS = {
+    "unknown-topology": {"topology": "nope"},
+    "unknown-workload-param": {"workload_params": {"bogus": 1}},
+    "negative-arrival-rate": {"workload_params": {"arrival_rate_per_s": -1.0}},
+    "unknown-fattree-param": {"topology": "fattree", "topology_params": {"pods": 4}},
+    "bad-scda-value": {"scda_params": {"alpha": -5}},
+    "unknown-hedera-param": {"hedera_params": {"threshold": 1}},
+    "unknown-dynamics-kind": {"dynamics": [{"kind": "nope"}]},
+}
+
+
+class TestValidationAtConstruction:
+    @pytest.mark.parametrize("payload", BAD_SPECS.values(), ids=list(BAD_SPECS))
+    def test_bad_spec_raises_at_from_dict(self, payload):
+        with pytest.raises(RegistryError):
+            ScenarioSpec.from_dict(payload)
+
+    def test_validation_builds_no_fabric_and_generates_no_workload(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ScenarioSpec, "build_topology", lambda self: calls.append("topology"))
+        monkeypatch.setattr(ScenarioSpec, "build_workload", lambda self: calls.append("workload"))
+        ScenarioSpec.pareto_poisson().with_overrides(seed=4)
+        assert calls == []
+
+
+def _bench_utils():
+    """``benchmarks/bench_utils.py``, loaded by path (it is not a package)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_utils.py"
+    module_spec = importlib.util.spec_from_file_location("bench_utils", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def _golden_cases():
+    path = Path(__file__).resolve().parent / "data" / "paper_scenarios.json"
+    return json.loads(path.read_text())["cases"]
+
+
+def _build_case(case):
+    """Build one fixture case through the call site it was recorded from."""
+    kind, _, label = case["case"].partition("/")
+    build = case["build"]
+    if kind == "figure-default":
+        from repro.experiments.figures import default_scenario
+
+        specs = [default_scenario(fig) for fig in PAPER_SCENARIOS[label].figures]
+        assert all(spec == specs[0] for spec in specs)
+        return specs[0]
+    if kind == "ab":
+        from repro.cli import _scenario_spec
+
+        return _scenario_spec(argparse.Namespace(
+            scenario=label, sim_time=build["sim_time_s"], seed=build["seed"],
+            topology=None, workload=None,
+        ))
+    bench = _bench_utils()
+    if kind == "bench":
+        makers = {
+            "video": bench.scenario_video_with_control,
+            "video-nocontrol": bench.scenario_video_without_control,
+            "datacenter-k1": lambda: bench.scenario_datacenter(1.0),
+            "datacenter-k3": lambda: bench.scenario_datacenter(3.0),
+            "pareto": bench.scenario_pareto_poisson,
+        }
+        return makers[label]()
+    assert kind == "bench-override", kind
+    return bench.scenario_pareto_poisson().with_overrides(
+        sim_time_s=build["override_sim_time_s"]
+    )
+
+
+class TestPaperScenarioGolden:
+    """The table reproduces the scenario dicts and job keys of the typed shim it replaced.
+
+    ``data/paper_scenarios.json`` was generated from the retired typed
+    scenario-config shim; result stores are keyed by these job keys.
+    """
+
+    @pytest.mark.parametrize("case", _golden_cases(), ids=lambda case: case["case"])
+    def test_spec_dict_and_job_keys_match_the_fixture(self, case):
+        spec = _build_case(case)
+        # Compared as JSON text so key order and int/float types count too.
+        assert json.dumps(spec.to_dict()) == json.dumps(case["spec"])
+        assert [job.key for job in plan_comparison(spec)] == case["job_keys"]
+
+    def test_table_covers_every_figure_once(self):
+        figures = [fig for entry in PAPER_SCENARIOS.values() for fig in entry.figures]
+        assert figures == [f"fig{n:02d}" for n in range(7, 19)]
+
+    def test_unknown_name_lists_the_table(self):
+        with pytest.raises(ValueError, match="datacenter-k3"):
+            paper_scenario("datacenter-k2")
 
 
 class TestBackCompat:
     def test_pareto_fct_matches_pre_refactor_pin(self):
-        """The old ScenarioConfig path must keep producing the seed-pinned FCTs."""
-        cfg = ScenarioConfig.pareto_poisson(sim_time=2.5, seed=3)
-        comparison = run_comparison(cfg)
+        """The Pareto paper scenario keeps producing the seed-pinned FCTs."""
+        spec = ScenarioSpec.pareto_poisson(sim_time_s=2.5, seed=3)
+        comparison = run_comparison(spec)
         assert comparison.candidate.mean_fct_s() == pytest.approx(
             PARETO_PINNED_SCDA_FCT_S, rel=1e-6
         )
@@ -240,55 +339,14 @@ class TestBackCompat:
             PARETO_PINNED_RANDTCP_FCT_S, rel=1e-6
         )
 
-    def test_config_and_spec_paths_are_bit_identical(self):
-        cfg = ScenarioConfig.pareto_poisson(sim_time=2.5, seed=3)
-        via_config = run_comparison(cfg)
-        via_spec = run_scenario(cfg.to_spec())
-        assert via_config.candidate.mean_fct_s() == via_spec.candidate.mean_fct_s()
-        assert via_config.baseline.mean_fct_s() == via_spec.baseline.mean_fct_s()
-
-    def test_to_spec_preserves_workload(self):
-        for cfg in (
-            ScenarioConfig.video_with_control(sim_time=2.0),
-            ScenarioConfig.datacenter(sim_time=2.0),
-            ScenarioConfig.pareto_poisson(sim_time=2.0, arrival_rate_per_s=20.0),
-        ):
-            old = generate_workload(cfg)
-            new = cfg.to_spec().build_workload()
-            assert [r.size_bytes for r in old] == [r.size_bytes for r in new]
-            assert [r.arrival_time_s for r in old] == [r.arrival_time_s for r in new]
-
-    def test_to_spec_accepts_string_and_alias_workload_kinds(self):
-        cfg = ScenarioConfig.pareto_poisson(sim_time=2.0, arrival_rate_per_s=40.0)
-        for kind in ("pareto-poisson", "pareto", "PARETO_POISSON"):
-            spec = cfg.with_overrides(workload_kind=kind).to_spec()
-            assert spec.workload == "pareto-poisson"
-            assert spec.workload_params["arrival_rate_per_s"] == 40.0
-
-    def test_as_spec_accepts_config_spec_and_dict(self):
-        cfg = ScenarioConfig.pareto_poisson()
-        spec = cfg.to_spec()
-        assert as_spec(cfg) == spec
+    def test_as_spec_accepts_spec_and_dict(self):
+        spec = ScenarioSpec.pareto_poisson()
         assert as_spec(spec) is spec
         assert as_spec(spec.to_dict()) == spec
         with pytest.raises(TypeError):
             as_spec(42)
 
     def test_named_constructors_still_round_trip_through_json(self):
-        for cfg in (
-            ScenarioConfig.video_with_control(),
-            ScenarioConfig.video_without_control(),
-            ScenarioConfig.datacenter(bandwidth_factor=1.0),
-            ScenarioConfig.datacenter(bandwidth_factor=3.0),
-            ScenarioConfig.pareto_poisson(),
-        ):
-            spec = cfg.to_spec()
+        for name in PAPER_SCENARIOS:
+            spec = paper_scenario(name)
             assert ScenarioSpec.from_json(spec.to_json()) == spec
-
-    def test_spec_pareto_poisson_factory_matches_legacy_config_bit_for_bit(self):
-        # The sweeps and the execution planner default to the pure-spec
-        # factory; it must stay interchangeable with the config shim.
-        for sim_time, seed in ((6.0, 1), (2.5, 2013), (10.0, 7)):
-            via_config = ScenarioConfig.pareto_poisson(sim_time=sim_time, seed=seed).to_spec()
-            via_spec = ScenarioSpec.pareto_poisson(sim_time_s=sim_time, seed=seed)
-            assert via_spec.to_dict() == via_config.to_dict()

@@ -78,11 +78,11 @@ class TestSweepSerialisation:
 
 
 class TestExecutorBackends:
-    def test_thread_sweep_is_bit_identical_to_serial(self):
+    def test_process_sweep_is_bit_identical_to_serial(self):
         kwargs = dict(sim_time=2.0, seed=4)
         serial = sweep_offered_load([10.0, 30.0], executor="serial", **kwargs)
-        threaded = sweep_offered_load([10.0, 30.0], executor="thread", max_workers=2, **kwargs)
-        assert threaded.to_dict() == serial.to_dict()
+        processed = sweep_offered_load([10.0, 30.0], executor="process", max_workers=2, **kwargs)
+        assert processed.to_dict() == serial.to_dict()
 
     def test_sweep_with_store_resumes_fully(self, tmp_path):
         store = tmp_path / "sweep.jsonl"

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.baselines.schemes import RAND_TCP, SCDA_SCHEME
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.runner import generate_workload, run_scheme
 
 
 def tiny_config(seed=9):
-    return ScenarioConfig.pareto_poisson(
-        sim_time=2.5, seed=seed, arrival_rate_per_s=20.0
+    return ScenarioSpec.pareto_poisson(
+        sim_time_s=2.5, seed=seed, arrival_rate_per_s=20.0
     ).with_overrides(drain_time_s=15.0)
 
 

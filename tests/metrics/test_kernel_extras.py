@@ -62,10 +62,10 @@ class TestCollectorKernelExtras:
 
 class TestRunnerExportsKernelExtras:
     def test_scheme_result_carries_prefixed_kernel_counters(self):
-        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.spec import ScenarioSpec
         from repro.experiments.runner import run_scheme
 
-        scenario = ScenarioConfig.pareto_poisson(sim_time=1.0, seed=5)
+        scenario = ScenarioSpec.pareto_poisson(sim_time_s=1.0, seed=5)
         result = run_scheme(scenario, "rand-tcp")
         assert result.extras["kernel_recomputes"] > 0.0
         assert "kernel_heap_compactions" in result.extras

@@ -58,7 +58,7 @@ class TestScdaTransport:
 
     def test_over_allocation_is_capped_by_capacity(self, tiny_line_topology):
         sim = Simulator()
-        # Provider hands out 10x the link capacity; enforce_capacity must cap it.
+        # Provider hands out 10x the link capacity; the transport must cap it.
         provider = StubProvider(1000 * MBPS)
         fabric = FabricSimulator(sim, tiny_line_topology, ScdaTransport(provider))
         flow = fabric.start_flow(
@@ -66,18 +66,6 @@ class TestScdaTransport:
         )
         sim.run(until=10.0)
         assert flow.fct == pytest.approx(0.1, rel=1e-2)
-
-    def test_enforce_capacity_disabled_trusts_the_provider(self, tiny_line_topology):
-        sim = Simulator()
-        provider = StubProvider(10 * MBPS)
-        fabric = FabricSimulator(
-            sim, tiny_line_topology, ScdaTransport(provider, enforce_capacity=False)
-        )
-        flow = fabric.start_flow(
-            tiny_line_topology.node("ucl-0"), tiny_line_topology.node("bs-0"), 1_250_000.0
-        )
-        sim.run(until=10.0)
-        assert flow.fct == pytest.approx(1.0, rel=1e-2)
 
     def test_app_limit_caps_the_allocation(self, tiny_line_topology):
         sim = Simulator()
@@ -108,10 +96,6 @@ class TestScdaTransport:
 
 
 class TestIdealTransport:
-    def test_utilisation_validation(self):
-        with pytest.raises(ValueError):
-            IdealMaxMinTransport(utilisation=0.0)
-
     def test_two_flows_finish_simultaneously(self, tiny_line_topology):
         sim = Simulator()
         fabric = FabricSimulator(sim, tiny_line_topology, IdealMaxMinTransport())

@@ -59,6 +59,19 @@ class TestSubmission:
         # the batch was rejected atomically: nothing ran, nothing stored
         assert len(ResultStore(coordinator.store.path)) == 0
 
+    def test_bad_spec_is_a_400_at_submit(self, coordinator):
+        from repro.exec.retry import ClusterTransportError
+
+        good = tiny_jobs(seeds=1)[0]
+        bad = good.to_dict()
+        bad["spec"]["scda_params"] = {"alpha": -5}
+        with pytest.raises(ClusterTransportError, match="HTTP 400.*alpha"):
+            protocol.http_json(
+                "POST", url(coordinator, protocol.JOBS_PATH),
+                {"jobs": [good.to_dict(), bad]},
+            )
+        assert len(ResultStore(coordinator.store.path)) == 0
+
     def test_submit_accepts_a_policy(self, coordinator):
         job = tiny_jobs(seeds=1)[0]
         answer = protocol.http_json(

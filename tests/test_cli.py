@@ -74,7 +74,7 @@ class TestListPluginsCommand:
                         "executors:", "dynamics:", "analyses:"):
             assert section in out
         for name in ("fattree", "vl2", "leafspine", "pareto-poisson", "hedera", "vlb",
-                     "serial", "thread", "process",
+                     "serial", "process", "cluster", "chaos",
                      "link-failure", "link-recovery", "capacity-degradation",
                      "block-server-churn", "workload-surge",
                      "scheme-comparison", "sweep-summary", "fct-cdf", "availability"):
@@ -133,6 +133,16 @@ class TestRunCommand:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_run_bad_spec_exits_before_planning(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"topology": "fattree", "topology_params": {"pods": 4}}')
+        store = tmp_path / "s.jsonl"
+        code = main(["run", str(bad), "--results", str(store)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load scenario file" in err and "pods" in err
+        assert not store.exists()
+
     def test_run_badly_typed_field_errors_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sim_time_s": "10"}')
@@ -140,7 +150,7 @@ class TestRunCommand:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
-    def test_run_with_thread_executor_and_store(self, tmp_path, capsys):
+    def test_run_with_process_executor_and_store(self, tmp_path, capsys):
         from repro.exec.store import ResultStore
         from repro.experiments.spec import ScenarioSpec
 
@@ -148,7 +158,7 @@ class TestRunCommand:
             tmp_path / "scenario.json"
         )
         store = tmp_path / "results.jsonl"
-        code = main(["run", str(path), "--executor", "thread", "--jobs", "2",
+        code = main(["run", str(path), "--executor", "process", "--jobs", "2",
                      "--results", str(store), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 1)
@@ -215,7 +225,7 @@ class TestRunCommand:
             tmp_path / "scenario.json"
         )
         store = tmp_path / "results.jsonl"
-        code = main(["run", str(path), "--seeds", "2", "--executor", "thread",
+        code = main(["run", str(path), "--seeds", "2", "--executor", "process",
                      "--jobs", "2", "--results", str(store), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 1)
@@ -343,7 +353,7 @@ class TestFigureCommand:
     def test_figure_with_seeds_writes_bands_to_json(self, tmp_path, capsys):
         out_file = tmp_path / "fig18_ens.json"
         code = main(["figure", "fig18", "--sim-time", "1.5", "--seed", "3",
-                     "--seeds", "2", "--executor", "thread", "--jobs", "2",
+                     "--seeds", "2", "--executor", "process", "--jobs", "2",
                      "--out", str(out_file)])
         capsys.readouterr()
         assert code == 0

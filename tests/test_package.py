@@ -42,6 +42,6 @@ def test_public_exports_resolve(module_name):
 
 
 def test_quickstart_symbols_are_importable():
-    from repro.experiments import ScenarioConfig, run_comparison  # noqa: F401
+    from repro.experiments import ScenarioSpec, run_comparison  # noqa: F401
     from repro.core import ScdaController  # noqa: F401
     from repro.network import build_tree_topology  # noqa: F401
