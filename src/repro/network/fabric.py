@@ -108,7 +108,7 @@ class FabricSimulator:
         #: link→flows incidence over the active set, updated incrementally on
         #: every arrival/departure/reroute and shared with the water-filler
         #: and the SCDA control round (instead of each re-deriving it).
-        self.incidence = IncidenceCache()
+        self.incidence = IncidenceCache(transport_columns=transport.transport_columns)
         DeltaWaterFiller.attach(self.incidence)
         #: Table rows of the active flows in active order, cached per cache
         #: epoch; a reroute re-adds its flow at the end of the table, after
@@ -619,8 +619,9 @@ class FabricSimulator:
             callback(flow, now)
 
     # -- per-flow views for transports ---------------------------------------------------
-    def _columnar(self, flows: Sequence[Flow]) -> Optional[IncidenceTable]:
-        """The table, when ``flows`` is the active list and its rows exist."""
+    def table_for(self, flows: Sequence[Flow]) -> Optional[IncidenceTable]:
+        """The table, when ``flows`` is the active list and its rows exist:
+        then :meth:`set_rates` and :meth:`path_congestion` work on columns."""
         table = self.incidence.built_table
         if table is None or flows is not self._active_list:
             return None
@@ -636,10 +637,11 @@ class FabricSimulator:
 
         ``demand`` and ``delivered`` map flow ids to bits/s.  On the active
         list of a columnar fabric this is one column write each, straight
-        from a solve's row-aligned vector when ``delivered`` is a
-        :class:`~repro.network.fluid_fast.RowRates` of the fabric's table.
+        from the row-aligned vector of either one that is a
+        :class:`~repro.network.fluid_fast.RowRates` of the fabric's table (a
+        solve's rates, TCP's demands).
         """
-        table = self._columnar(flows)
+        table = self.table_for(flows)
         if table is None:
             for flow in flows:
                 flow.demand_rate_bps = demand[flow.flow_id]
@@ -654,16 +656,18 @@ class FabricSimulator:
                     (rates[flow.flow_id] for flow in flows), np.float64, len(flows)
                 )
 
-    def path_congestion(self, flows: Sequence[Flow]) -> Tuple[List[float], List[bool]]:
+    def path_congestion(self, flows: Sequence[Flow]) -> Tuple[Sequence[float], Sequence[bool]]:
         """Per flow of ``flows``: the queueing delay summed along its path (as
         in :meth:`Flow.rtt_estimate`) and whether a link on it latched a loss.
 
         Consumes the loss latch of every link the flows cross
-        (:meth:`Link.consume_loss_flag`).  On the active list of a columnar
-        fabric both come from the link columns with one ``bincount`` each,
-        which adds each path's delays in path order like the per-flow sum.
+        (:meth:`Link.consume_loss_flag`).  Returns two lists in the order of
+        ``flows``; on the active list of a columnar fabric, two row-aligned
+        arrays instead (entry ``row`` for the flow in that table row), both
+        from the link columns with one ``bincount`` each, which adds each
+        path's delays in path order like the per-flow sum.
         """
-        table = self._columnar(flows)
+        table = self.table_for(flows)
         if table is None:
             lossy_links: Set[str] = set()
             seen: Set[str] = set()
@@ -677,18 +681,19 @@ class FabricSimulator:
             queueing = [sum(link.queueing_delay() for link in flow.path) for flow in flows]
             lossy = [any(link.link_id in lossy_links for link in flow.path) for flow in flows]
             return queueing, lossy
-        rows = self._active_rows(table)
         links = table.links
         pairs = table.pair_count
         pair_flow = table.pair_flow[:pairs]
         pair_link = table.slot_link[table.pair_link[:pairs]]
         delay = links.queue[pair_link] * 8.0 / links.capacity[pair_link]
         queueing = np.bincount(pair_flow, weights=delay, minlength=table.num_rows)
+        if not links.loss_flag.any():
+            return queueing, np.zeros(table.num_rows, dtype=np.bool_)
         flagged = np.bincount(
             pair_flow, weights=links.loss_flag[pair_link], minlength=table.num_rows
         )
         links.loss_flag[pair_link] = False
-        return queueing[rows].tolist(), (flagged[rows] > 0.0).tolist()
+        return queueing, flagged > 0.0
 
     # -- recompute scheduling --------------------------------------------------------------
     def _recompute(self, now: float) -> None:
@@ -766,6 +771,9 @@ class FabricSimulator:
 
 class TransportModelLike:
     """Protocol documenting what the fabric expects from a transport model."""
+
+    #: ``flow.transport_state`` keys the fabric's table keeps in row columns
+    transport_columns: Tuple[str, ...] = ()
 
     def attach(self, fabric: FabricSimulator) -> None:  # pragma: no cover - protocol
         raise NotImplementedError

@@ -64,10 +64,11 @@ class Flow:
     A flow holds its own values until a fabric's incidence table takes it
     in.  While a table holds it, ``remaining_bytes``, ``current_rate_bps``,
     ``demand_rate_bps`` and ``priority_weight`` live in the table's
-    row-aligned columns (with a copy of the immutable ``multiplicity``) and
-    the flow is a handle onto its row; the table hands the values back when
-    it lets the flow go.  Reading and writing the attributes works the same
-    either way.
+    row-aligned columns (with copies of the immutable ``multiplicity`` and
+    aggregate app limit, and of the ``transport_state`` keys the transport
+    keeps in columns) and the flow is a handle onto its row; the table hands
+    the values back when it lets the flow go.  Reading and writing the
+    attributes and ``transport_state`` works the same either way.
     """
 
     _ids = itertools.count()
@@ -293,6 +294,7 @@ class BoundFlow(Flow):
         cycle pickle cannot rebuild through the column attributes.
         """
         state = {name: getattr(self, name) for name in copyreg._slotnames(Flow)}
+        state["transport_state"] = dict(self.transport_state)
         state["_cols"] = None
         state["_index"] = 0
         return _unbound_flow, (state,)

@@ -32,12 +32,11 @@ since the last call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.network.flow import Flow
-from repro.network.fluid_fast import max_min_shares_incremental, max_min_shares_numpy
+from repro.network.fluid_fast import RowRates, max_min_shares_incremental, max_min_shares_numpy
 from repro.network.incidence import IncidenceCache
-from repro.network.topology import Link
 
 #: Below this many flows the pure-Python solver's lower constant overhead
 #: wins over numpy array setup (measured in benchmarks/; see docs/PERFORMANCE.md).
@@ -63,7 +62,10 @@ def max_min_shares(
         Optional per-flow upper bound (bits/s) keyed by ``flow_id`` — a flow
         never receives more than its cap (it is "bottlenecked elsewhere", and
         the unused share is redistributed, exactly the property equation 3 of
-        the paper is designed to achieve).
+        the paper is designed to achieve).  A
+        :class:`~repro.network.fluid_fast.RowRates` over the cache's table
+        (what TCP hands over once the fabric's table exists) is read as
+        row-aligned columns instead of one lookup per flow.
     weights:
         Optional per-flow weights ``℘_j`` (default 1.0).  At a saturated link
         the remaining capacity is split proportionally to weight.
@@ -169,14 +171,10 @@ def _max_min_shares_python(
         return rates
 
     # Links in incidence order: capacity, and the ids of the flows crossing
-    # each (its bucket) — the cache's maintained dicts when it covers
-    # exactly these flows, a one-shot walk of the paths otherwise.
-    if cache is not None and (flows is cache.trusted_flows or cache.matches(flows)):
-        links_by_id, flows_by_link = cache.incidence_view()
-        buckets = [list(bucket) for bucket in flows_by_link.values()]
-    else:
-        lists_by_link, links_by_id = _build_incidence(active)
-        buckets = [[f.flow_id for f in bucket] for bucket in lists_by_link.values()]
+    # each (its bucket), from the cache's maintained dicts.
+    view = _cache_for(flows, cache)
+    links_by_id, flows_by_link = view.incidence_view()
+    buckets = [list(bucket) for bucket in flows_by_link.values()]
     capacity: List[float] = []
     for link_id, link in links_by_id.items():
         base = (
@@ -187,18 +185,38 @@ def _max_min_shares_python(
         scaled = base * capacity_scale
         capacity.append(scaled if scaled > 0.0 else 0.0)
 
-    # A zero-cap flow freezes at 0 up front, and its weight is never read —
-    # the reference reads weights only of unfrozen flows, so a non-positive
-    # weight raises only on a flow with a positive cap.
+    # Per flow: demand cap, aggregate app limit, priority weight and
+    # multiplicity.  Caps that are a row-aligned vector of the cache's table,
+    # handed over with the flow list the cache is kept in step with, are read
+    # with the table's columns at the flows' rows, one list per column.
+    inf = float("inf")
+    table = view.built_table
+    if (
+        isinstance(demand_caps, RowRates)
+        and demand_caps.table is table
+        and flows is view.trusted_flows
+    ):
+        rows = [flow._index for flow in active]
+        cap_in = demand_caps.rates[rows].tolist()
+        app_in = table.app_limit[rows].tolist()
+        weight_in = table.priority_weight[rows].tolist()
+        mult_in = table.multiplicity[rows].tolist()
+    else:
+        get_cap = demand_caps.get if demand_caps else {}.get
+        cap_in = [get_cap(flow.flow_id, inf) for flow in active]
+        app_in = [flow.aggregate_app_limit_bps for flow in active]
+        weight_in = [flow.priority_weight for flow in active]
+        mult_in = [flow.multiplicity for flow in active]
+
+    # A zero-cap flow freezes at 0 up front, and its weight is never checked
+    # — the reference reads weights only of unfrozen flows, so a
+    # non-positive weight raises only on a flow with a positive cap.
     cap: Dict[int, float] = {}
     weight: Dict[int, float] = {}
     frozen: Dict[int, float] = {}
     unfrozen = set()
-    inf = float("inf")
-    for flow in active:
+    for flow, c, app_limit, w, multiplicity in zip(active, cap_in, app_in, weight_in, mult_in):
         flow_id = flow.flow_id
-        c = demand_caps.get(flow_id, inf) if demand_caps else inf
-        app_limit = flow.aggregate_app_limit_bps
         if app_limit < c:
             c = app_limit
         c = float(c)
@@ -208,11 +226,11 @@ def _max_min_shares_python(
         cap[flow_id] = c
         # Explicit weights are per-session, like priority_weight: an
         # aggregate of N sessions weighs N times its per-session weight.
-        w = float(weights.get(flow_id, flow.priority_weight) if weights else flow.priority_weight)
+        w = float(weights.get(flow_id, w) if weights else w)
         if w <= 0:
             raise ValueError(f"flow {flow_id} has non-positive weight {w}")
-        if flow.multiplicity != 1:
-            w *= flow.multiplicity
+        if multiplicity != 1:
+            w *= multiplicity
         weight[flow_id] = w
         unfrozen.add(flow_id)
 
@@ -349,7 +367,9 @@ def _max_min_shares_reference(
 
     # Remaining capacity per link and the flows crossing it — reuse the
     # fabric's incidence when it covers exactly this flow set.
-    link_flows, links_by_id = _incidence_for(flows, cache)
+    view = _cache_for(flows, cache)
+    link_flows = view.link_flows_map()
+    links_by_id = view.incidence_view()[0]
     link_capacity: Dict[str, float] = {}
     for link_id, link in links_by_id.items():
         base = (
@@ -432,29 +452,13 @@ def _max_min_shares_reference(
     return rates
 
 
-def _build_incidence(
-    flows: Iterable[Flow],
-) -> Tuple[Dict[str, List[Flow]], Dict[str, Link]]:
-    """One-shot ``link_id -> flows`` map and link table (no cache available)."""
-    link_flows: Dict[str, List[Flow]] = {}
-    links_by_id: Dict[str, Link] = {}
-    for flow in flows:
-        for link in flow.path:
-            bucket = link_flows.get(link.link_id)
-            if bucket is None:
-                bucket = link_flows[link.link_id] = []
-                links_by_id[link.link_id] = link
-            bucket.append(flow)
-    return link_flows, links_by_id
-
-
-def _incidence_for(
-    flows: Sequence[Flow], cache: Optional[IncidenceCache]
-) -> Tuple[Mapping[str, List[Flow]], Dict[str, Link]]:
-    """Shared incidence lookup: the cache when current, a fresh build otherwise."""
-    if cache is not None and cache.matches(flows):
-        return cache.link_flows_map(), {l.link_id: l for l in cache.links}
-    return _build_incidence(f for f in flows if f.path)
+def _cache_for(flows: Sequence[Flow], cache: Optional[IncidenceCache]) -> IncidenceCache:
+    """``cache`` when it covers exactly ``flows``, else a throwaway cache of
+    them: both walk the flows and their paths in order, so links, and the
+    flows on each, come in the same order."""
+    if cache is not None and (flows is cache.trusted_flows or cache.matches(flows)):
+        return cache
+    return IncidenceCache(f for f in flows if f.path)
 
 
 def link_utilisation(
@@ -463,7 +467,7 @@ def link_utilisation(
     cache: Optional[IncidenceCache] = None,
 ) -> Dict[str, float]:
     """Total allocated rate per link id under a given rate assignment."""
-    link_flows, _links = _incidence_for(flows, cache)
+    link_flows = _cache_for(flows, cache).link_flows_map()
     get = rates.get
     return {
         link_id: sum(get(f.flow_id, 0.0) for f in bucket)
@@ -478,11 +482,11 @@ def is_feasible(
     cache: Optional[IncidenceCache] = None,
 ) -> bool:
     """True if the assignment does not exceed any link capacity (within tol)."""
-    link_flows, links_by_id = _incidence_for(flows, cache)
+    view = _cache_for(flows, cache)
     get = rates.get
-    for link_id, bucket in link_flows.items():
+    for link_id, bucket in view.link_flows_map().items():
         load = sum(get(f.flow_id, 0.0) for f in bucket)
-        if load > links_by_id[link_id].capacity_bps * (1.0 + tolerance):
+        if load > view.link_of(link_id).capacity_bps * (1.0 + tolerance):
             return False
     return True
 
@@ -500,14 +504,15 @@ def is_max_min_fair(
     demand cap or crosses at least one *saturated* link on which it has the
     largest rate (up to tolerance).
     """
-    link_flows, _links = _incidence_for(flows, cache)
+    view = _cache_for(flows, cache)
+    link_flows = view.link_flows_map()
     get = rates.get
     load = {
         link_id: sum(get(f.flow_id, 0.0) for f in bucket)
         for link_id, bucket in link_flows.items()
     }
     for link_id, total in load.items():
-        if total > _links[link_id].capacity_bps * (1.0 + tolerance):
+        if total > view.link_of(link_id).capacity_bps * (1.0 + tolerance):
             return False
     demand_caps = dict(demand_caps or {})
     for flow in flows:

@@ -38,7 +38,7 @@ bottleneck links, both of which perturb results at machine epsilon only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -266,7 +266,8 @@ class DeltaWaterFiller:
         self._w_row: Optional[np.ndarray] = None
         self._cap_row: Optional[np.ndarray] = None
         self._linkcap_slot: Optional[np.ndarray] = None
-        self._caps_snapshot: Dict[int, float] = {}
+        #: the caps of the last solve: a dict, or a copy of a RowRates vector
+        self._caps_snapshot: Union[Dict[int, float], np.ndarray] = {}
         self._weights_snapshot: Dict[int, float] = {}
         self._layout_version = -1
         self._epoch_seen = -1
@@ -428,19 +429,45 @@ class DeltaWaterFiller:
             dirty_rows.update(int(r) for r in changed)
         self._w_row = cur_w
 
-        if caps != self._caps_snapshot or wdict != self._weights_snapshot:
-            # Demand caps changed (a new SCDA control round published new
-            # allocations): diff per flow, dirty the changed rows.
-            old = self._caps_snapshot
-            new = dict(caps)
-            for fid in old.keys() | new.keys():
-                if old.get(fid) != new.get(fid):
-                    row = row_of.get(fid)
-                    if row is not None:
-                        dirty_rows.add(row)
-                        self._cap_row[row] = self._effective_cap(row_flows[row], caps)
-            self._caps_snapshot = new
+        old = self._caps_snapshot
+        row_caps = self._row_caps(demand_caps, table)
+        if row_caps is not None and isinstance(old, np.ndarray):
+            # Row-aligned caps, as at the previous solve: one comparison.  A
+            # row appended since had no cap then, so it differs.
+            live = table.live[:n_rows]
+            seen = min(old.shape[0], n_rows)
+            differs = live.copy()
+            differs[:seen] &= old[:seen] != row_caps[:seen]
+            changed = np.flatnonzero(differs)
+            if changed.size > self._region_limit(table):
+                # Already more dirty rows than a component may hold (TCP:
+                # nearly every window moved), so the component search would
+                # stop at its first check and fall back.
+                self.fallback_large_region += 1
+                return self._solve_full(
+                    table, demand_caps, weights, capacity_scale, capacity_overrides
+                )
+            dirty_rows.update(changed.tolist())
+            self._cap_row[changed] = self._row_effective_caps(table, row_caps, changed)
+            self._caps_snapshot = row_caps.copy()
             self._weights_snapshot = dict(wdict)
+        else:
+            if isinstance(old, np.ndarray):
+                # Row-aligned caps last time, a dict now: compare by flow id.
+                values = old.tolist()
+                old = {fid: values[row] for fid, row in row_of.items() if row < len(values)}
+            if caps != old or wdict != self._weights_snapshot:
+                # Demand caps changed (a new SCDA control round published new
+                # allocations): diff per flow, dirty the changed rows.
+                new = dict(caps)
+                for fid in old.keys() | new.keys():
+                    if old.get(fid) != new.get(fid):
+                        row = row_of.get(fid)
+                        if row is not None:
+                            dirty_rows.add(row)
+                            self._cap_row[row] = self._effective_cap(row_flows[row], caps)
+                self._caps_snapshot = new if row_caps is None else row_caps.copy()
+                self._weights_snapshot = dict(wdict)
 
         cur_linkcap = table.link_capacities(capacity_scale, capacity_overrides)
         if cur_linkcap.shape[0] != self._linkcap_slot.shape[0]:
@@ -476,6 +503,26 @@ class DeltaWaterFiller:
 
     # -- helpers -------------------------------------------------------------------
     @staticmethod
+    def _row_caps(
+        demand_caps: Optional[Mapping[int, float]], table: IncidenceTable
+    ) -> Optional[np.ndarray]:
+        """The row-aligned vector of caps that are a :class:`RowRates` of ``table``."""
+        if isinstance(demand_caps, RowRates) and demand_caps.table is table:
+            return demand_caps.rates
+        return None
+
+    @staticmethod
+    def _row_effective_caps(
+        table: IncidenceTable, row_caps: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_effective_cap` of the flows at ``rows``, from the columns."""
+        cap = row_caps[rows]
+        app_limit = table.app_limit[rows]
+        cap = np.where(app_limit < cap, app_limit, cap)
+        cap[table.row_stop[rows] == table.row_start[rows]] = 0.0
+        return np.where(cap > 0.0, cap, 0.0)
+
+    @staticmethod
     def _effective_cap(flow: Flow, caps: Mapping[int, float]) -> float:
         cap = caps.get(flow.flow_id, _INF)
         app_limit = flow.aggregate_app_limit_bps
@@ -499,6 +546,11 @@ class DeltaWaterFiller:
         self._layout_version = table.layout_version
         self._epoch_seen = self.cache.epoch
 
+    @staticmethod
+    def _region_limit(table: IncidenceTable) -> int:
+        """Dirty rows past which a solve falls back to a full one."""
+        return max(64, int(MAX_DIRTY_FRACTION * table.live_rows))
+
     def _component_of(
         self,
         table: IncidenceTable,
@@ -511,7 +563,7 @@ class DeltaWaterFiller:
         exceeds the fallback threshold (the BFS aborts as soon as it does, so
         a dense region costs O(threshold), not O(component)).
         """
-        limit = max(64, int(MAX_DIRTY_FRACTION * table.live_rows))
+        limit = self._region_limit(table)
         rows: Set[int] = set()
         slots: Set[int] = set(seed_slots)
         row_frontier: List[int] = [r for r in seed_rows if table.row_flows[r] is not None]
@@ -596,7 +648,6 @@ class DeltaWaterFiller:
         wdict = weights or {}
         n_rows = table.num_rows
         row_flows = table.row_flows
-        pathless = (table.row_stop[:n_rows] == table.row_start[:n_rows]).tolist()
 
         w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
         if wdict:
@@ -613,16 +664,23 @@ class DeltaWaterFiller:
             raise ValueError(
                 f"flow {row_flows[r].flow_id} has non-positive weight {w[r]}"
             )
-        cap = np.fromiter(
-            (
-                0.0
-                if f is None or pathless[r]
-                else self._effective_cap(f, caps)
-                for r, f in enumerate(row_flows)
-            ),
-            np.float64,
-            n_rows,
-        )
+        row_caps = self._row_caps(demand_caps, table)
+        if row_caps is None:
+            pathless = (table.row_stop[:n_rows] == table.row_start[:n_rows]).tolist()
+            cap = np.fromiter(
+                (
+                    0.0
+                    if f is None or pathless[r]
+                    else self._effective_cap(f, caps)
+                    for r, f in enumerate(row_flows)
+                ),
+                np.float64,
+                n_rows,
+            )
+        else:
+            live = np.flatnonzero(table.live[:n_rows])
+            cap = np.zeros(n_rows)
+            cap[live] = self._row_effective_caps(table, row_caps, live)
         link_cap = table.link_capacities(capacity_scale, capacity_overrides)
         rate, rounds = _waterfill_kernel(
             table.pair_flow[: table.pair_count],
@@ -638,7 +696,7 @@ class DeltaWaterFiller:
         self._w_row = w
         self._cap_row = cap
         self._linkcap_slot = link_cap
-        self._caps_snapshot = dict(caps)
+        self._caps_snapshot = dict(caps) if row_caps is None else row_caps.copy()
         self._weights_snapshot = dict(wdict)
         self._scale_snapshot = capacity_scale
         self._cold = False

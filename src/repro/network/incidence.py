@@ -33,7 +33,7 @@ exactly which rows and links are dirty without diffing flow sets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +88,41 @@ class IncidenceArrays:
         return len(self.link_list)
 
 
+class RowState(Mapping):
+    """``flow.transport_state`` of a flow bound to a table with transport
+    columns: those keys read and write the flow's row, any other key a dict.
+
+    The table replaces the view with a plain dict of the current values when
+    it lets the flow go, as it hands back ``remaining_bytes``.
+    """
+
+    __slots__ = ("_flow", "_other")
+
+    def __init__(self, flow: Flow, other: Dict[str, float]) -> None:
+        self._flow = flow
+        self._other = other
+
+    def __getitem__(self, key: str) -> float:
+        flow = self._flow
+        if key in flow._cols.transport_columns:
+            return getattr(flow._cols, key).item(flow._index)
+        return self._other[key]
+
+    def __setitem__(self, key: str, value: float) -> None:
+        flow = self._flow
+        if key in flow._cols.transport_columns:
+            getattr(flow._cols, key)[flow._index] = value
+        else:
+            self._other[key] = value
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self._flow._cols.transport_columns
+        yield from self._other
+
+    def __len__(self) -> int:
+        return len(self._flow._cols.transport_columns) + len(self._other)
+
+
 class IncidenceTable:
     """A persistent, incrementally-maintained link×flow coordinate table.
 
@@ -118,8 +153,13 @@ class IncidenceTable:
     (see :class:`~repro.network.flow.BoundFlow`), so reading or writing
     ``flow.remaining_bytes`` reads or writes ``remaining[row]`` and the
     fabric advances every flow with array operations.  Removing a flow hands
-    its values back to the flow.  Dead rows and the scratch row keep weight
-    and multiplicity 1 and are never read as live state.  Per-slot
+    its values back to the flow.  ``multiplicity`` and ``app_limit`` (the
+    aggregate application limit) are copies of values that never change
+    while a flow holds its row.  A transport may add columns of its own
+    (``transport_columns``): those keys of ``flow.transport_state`` then
+    live in the row too, and the flow's ``transport_state`` is a
+    :class:`RowState` view onto it.  Dead rows and the scratch row keep
+    weight and multiplicity 1 and are never read as live state.  Per-slot
     ``slot_link`` maps each slot to its link's entry in the topology's
     :class:`~repro.network.topology.LinkColumns` (entry 0, the sentinel, for
     the scratch and retired slots), so link capacities are gathered, not
@@ -136,12 +176,21 @@ class IncidenceTable:
         "demand_rate": 0.0,
         "priority_weight": 1.0,
         "multiplicity": 1.0,
+        "app_limit": float("inf"),
     }
 
-    def __init__(self, rows: int = 64, pairs: int = 64) -> None:
-        """``rows``/``pairs``: initial room (the arrays grow as needed)."""
+    def __init__(
+        self, rows: int = 64, pairs: int = 64, transport_columns: Sequence[str] = ()
+    ) -> None:
+        """``rows``/``pairs``: initial room (the arrays grow as needed);
+        ``transport_columns``: the ``flow.transport_state`` keys kept in rows."""
         rows = max(rows, 64)
-        for name, value in self.ROW_COLUMNS.items():
+        self.transport_columns = tuple(transport_columns)
+        #: every row column -> the value of the scratch row and of new room
+        self.row_columns = {
+            **self.ROW_COLUMNS, **{name: 0.0 for name in self.transport_columns}
+        }
+        for name, value in self.row_columns.items():
             setattr(self, name, np.full(rows, value, dtype=np.float64))
         #: row -> whether a live flow holds the row
         self.live = np.zeros(rows, dtype=np.bool_)
@@ -199,7 +248,7 @@ class IncidenceTable:
 
     # -- mutation ----------------------------------------------------------------
     def _ensure_row_capacity(self, need: int) -> None:
-        for name, value in self.ROW_COLUMNS.items():
+        for name, value in self.row_columns.items():
             setattr(self, name, grown(getattr(self, name), need, value))
         self.live = grown(self.live, need, False)
         self.row_start = grown(self.row_start, need, 0)
@@ -225,12 +274,25 @@ class IncidenceTable:
         self.demand_rate[row] = flow.demand_rate_bps
         self.priority_weight[row] = flow.priority_weight
         self.multiplicity[row] = flow.multiplicity
+        self.app_limit[row] = flow.aggregate_app_limit_bps
+        state = flow.transport_state
+        if type(state) is RowState:  # another table's row: read it out first
+            state = dict(state)
+        if self.transport_columns:
+            # A flow bound before its transport's start hook reads 0.0 until
+            # the hook writes its values (through the view, into the row).
+            for name in self.transport_columns:
+                getattr(self, name)[row] = state.pop(name, 0.0)
+            state = RowState(flow, state)
+        flow.transport_state = state
         self.live[row] = True
         bind_handle(flow, BoundFlow, self, row)
 
     def _unbind(self, flow: Flow, row: int) -> None:
         """Hand ``row``'s state back to ``flow`` (unless another table took it)."""
         if flow._cols is self:
+            if type(flow.transport_state) is RowState:
+                flow.transport_state = dict(flow.transport_state)
             remaining = self.remaining.item(row)
             current = self.current_rate.item(row)
             demand = self.demand_rate.item(row)
@@ -348,7 +410,7 @@ class IncidenceTable:
                 flow._index = len(new_row_flows)
             new_row_flows.append(flow)
             kept_rows.append(row)
-        for name in (*self.ROW_COLUMNS, "live"):
+        for name in (*self.row_columns, "live"):
             setattr(self, name, getattr(self, name)[kept_rows])
         # Renumber slots the same way.
         slot_map = np.zeros(len(self.link_slots), dtype=np.intp)
@@ -461,7 +523,11 @@ class IncidenceCache:
     the fabric removes the flow, updates the path and re-adds it.
     """
 
-    def __init__(self, flows: Iterable[Flow] = ()) -> None:
+    def __init__(
+        self, flows: Iterable[Flow] = (), transport_columns: Sequence[str] = ()
+    ) -> None:
+        #: ``flow.transport_state`` keys the :meth:`table` keeps in row columns
+        self.transport_columns = tuple(transport_columns)
         #: flow_id -> Flow, insertion ordered (the canonical flow order).
         self._flows: Dict[int, Flow] = {}
         #: flow_id -> snapshot (copy) of the path at add time.
@@ -664,7 +730,9 @@ class IncidenceCache:
         if self._table is None:
             paths = self._paths
             table = IncidenceTable(
-                rows=len(self._flows) + 1, pairs=sum(len(p) for p in paths.values())
+                rows=len(self._flows) + 1,
+                pairs=sum(len(p) for p in paths.values()),
+                transport_columns=self.transport_columns,
             )
             for flow_id, flow in self._flows.items():
                 table.add(flow, self._paths[flow_id])

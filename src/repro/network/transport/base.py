@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.network.flow import Flow
 
@@ -23,6 +23,12 @@ class TransportModel:
     """
 
     name = "base"
+
+    #: Keys of ``flow.transport_state`` that the fabric's incidence table
+    #: keeps in row columns while it holds the flow (see
+    #: :class:`~repro.network.incidence.IncidenceTable`), so that
+    #: :meth:`update_rates` can evolve them with array operations.
+    transport_columns: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.fabric = None  # type: Optional[object]

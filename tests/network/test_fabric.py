@@ -5,6 +5,8 @@ import pytest
 
 from repro.network.fabric import FabricConfig, FabricSimulator
 from repro.network.flow import BoundFlow, Flow, FlowKind, FlowState
+from repro.network.fluid import AUTO_NUMPY_MIN_FLOWS, _max_min_shares_reference
+from repro.network.fluid_fast import max_min_shares_numpy
 from repro.network.leafspine import build_leaf_spine
 from repro.network.topology import BoundLink, Link, Topology
 from repro.network.transport.ideal import IdealMaxMinTransport
@@ -363,15 +365,21 @@ def _cross_leaf_path(topo, src, dst, spine):
     return [topo.find_link(a, b) for a, b in zip(hops, hops[1:])]
 
 
-def _columnar_run(num_flows, transport, prebuilt, buffer_bytes=None, until=0.3):
+def _columnar_run(num_flows, transport, prebuilt, buffer_bytes=None, until=0.3, fail_at=None):
     """A leaf-spine run of ``num_flows`` mostly long-lived flows (some short,
     some aggregates), with three flows rerouted a third of the way in and
     every flow from the first host aborted once its uplink holds a backlog
     after half-time, or at two thirds at the latest (the uplink then
-    drains)."""
+    drains).  With ``fail_at``, the first leaf's uplink to the second spine
+    fails then, and the flows crossing it are rerouted over the first."""
     topo = build_leaf_spine(
         num_spines=2, num_leaves=2, hosts_per_leaf=3, buffer_bytes=buffer_bytes
     )
+    # The second spine's links are slower, so moving a flow from one spine
+    # to the other changes its base RTT.
+    for link in topo.links:
+        if "spine-1" in (link.src.node_id, link.dst.node_id):
+            link.delay_s = 0.003
     sim = Simulator()
     fabric = FabricSimulator(sim, topo, transport)
     reference = ReferenceAdvance(fabric)
@@ -409,6 +417,9 @@ def _columnar_run(num_flows, transport, prebuilt, buffer_bytes=None, until=0.3):
 
     sim.call_at(until / 3, reroute)
     sim.call_at(until / 2, abort_first_host)
+    if fail_at is not None:
+        spine_link = topo.find_link(topo.node("leaf-0"), topo.node("spine-1"))
+        sim.call_at(fail_at, lambda: fabric.fail_link(spine_link))
     sim.run(until=until)
     return fabric, reference, orders
 
@@ -469,6 +480,146 @@ class TestColumnarAdvance:
         assert fabric.incidence.built_table is not None
         assert 64 in reference.flow_counts
         assert uplink.queue_bytes < backlog and reference.drained > 0
+
+
+def _reference_window(state, flow, queue_delay, lost, now, cfg):
+    """One flow's TCP update on a copy of its ``state``: (new state, demand)."""
+    state = dict(state)
+    floor = cfg.min_window_segments * cfg.mss_bytes
+    dt = max(0.0, now - state["updated_at"])
+    state["updated_at"] = now
+    rtt = max(flow.base_rtt_s + queue_delay, 1e-4)
+    cwnd, ssthresh = state["cwnd"], state["ssthresh"]
+    if lost:
+        ssthresh = max(cwnd * cfg.loss_backoff, floor)
+        cwnd = max(ssthresh, floor)
+        state["losses"] += 1.0
+    elif dt > 0.0:
+        rtts = dt / rtt
+        if cwnd < ssthresh:
+            cwnd = min(cwnd * (2.0 ** rtts), ssthresh)
+            if cwnd >= ssthresh:
+                cwnd = min(cwnd + cfg.mss_bytes * rtts, cfg.max_window_bytes)
+        else:
+            cwnd = min(cwnd + cfg.mss_bytes * rtts, cfg.max_window_bytes)
+    state["cwnd"] = min(max(cwnd, floor), cfg.max_window_bytes)
+    state["ssthresh"] = ssthresh
+    demand = state["cwnd"] * 8.0 / rtt
+    if flow.multiplicity != 1:
+        demand *= flow.multiplicity
+    return state, min(demand, flow.aggregate_app_limit_bps)
+
+
+class ReferenceWindows:
+    """Checks every TCP update and reroute against a detached per-flow reference.
+
+    Before each update every flow's TCP state is copied, with its path's
+    queueing delay and loss latch, and evolved one flow at a time by
+    :func:`_reference_window`; the demands are then solved as a dict by the
+    solver the automatic dispatch picks for that many flows.  Afterwards the
+    fabric must hold exactly the same window, threshold, loss count,
+    last-update time, demand and delivered rate for every flow.  Reroute
+    hooks are checked the same way.
+    """
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.config = transport.config
+        self.columnar = self.per_flow = self.lossy = 0
+        #: (reason, whether the flow was bound to a table) per reroute
+        self.reroutes = []
+        #: flow_id -> TCP state after the flow's last update or reroute
+        self.last = {}
+        #: flow_id -> every flow an update was handed
+        self.flows = {}
+        self._update = transport.update_rates
+        self._reroute = transport.on_flow_rerouted
+        transport.update_rates = self._checked_update
+        transport.on_flow_rerouted = self._checked_reroute
+
+    def _checked_update(self, flows, now):
+        fabric = self.transport.fabric
+        expected, demands = {}, {}
+        for flow in flows:
+            queue_delay = sum(link.queueing_delay() for link in flow.path)
+            lost = any(link._loss_in_interval for link in flow.path)
+            self.lossy += lost
+            expected[flow.flow_id], demands[flow.flow_id] = _reference_window(
+                flow.transport_state, flow, queue_delay, lost, now, self.config
+            )
+        solve = (
+            max_min_shares_numpy if len(flows) >= AUTO_NUMPY_MIN_FLOWS
+            else _max_min_shares_reference
+        )
+        delivered = solve(flows, demand_caps=demands, cache=fabric.incidence)
+        if fabric.table_for(flows) is None:
+            self.per_flow += 1
+        else:
+            self.columnar += 1
+        self._update(flows, now)
+        for flow in flows:
+            assert dict(flow.transport_state) == expected[flow.flow_id]
+            assert flow.demand_rate_bps == demands[flow.flow_id]
+            assert flow.current_rate_bps == delivered[flow.flow_id]
+        self.last.update(expected)
+        self.flows.update((flow.flow_id, flow) for flow in flows)
+
+    def _checked_reroute(self, flow, now, reason="policy"):
+        cfg = self.config
+        state = dict(flow.transport_state)
+        state["base_rtt"] = flow.base_rtt_s
+        if reason == "failure":
+            floor = cfg.min_window_segments * cfg.mss_bytes
+            state["ssthresh"] = max(state["cwnd"] * cfg.loss_backoff, floor)
+            state["cwnd"] = cfg.initial_window_segments * cfg.mss_bytes
+            state["losses"] += 1.0
+            state["updated_at"] = now
+        self.reroutes.append((reason, isinstance(flow, BoundFlow)))
+        self._reroute(flow, now, reason)
+        assert dict(flow.transport_state) == state
+        self.last[flow.flow_id] = state
+
+
+class TestColumnarTcp:
+    """TCP's window loop pinned against a detached per-flow reference, with
+    aggregates, a policy reroute and a failure reroute, with and without the
+    incidence table in place.  Small buffers make the links lossy and end
+    slow start early; the default buffers keep most flows in slow start."""
+
+    @pytest.mark.parametrize("buffer_bytes", [30_000.0, None])
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    @pytest.mark.parametrize("num_flows", [1, 63, 64, 200])
+    def test_windows_match_per_flow_reference(self, num_flows, prebuilt, buffer_bytes):
+        transport = TcpTransport()
+        windows = ReferenceWindows(transport)
+        fabric, reference, _ = _columnar_run(
+            num_flows, transport, prebuilt, buffer_bytes=buffer_bytes, until=0.5, fail_at=0.2
+        )
+        assert num_flows in reference.flow_counts
+        columnar = prebuilt or num_flows >= 64
+        assert (fabric.incidence.built_table is not None) == columnar
+        assert windows.columnar > 0 if columnar else windows.columnar == 0
+        assert windows.per_flow > 0 or prebuilt
+        reasons = {reason for reason, _ in windows.reroutes}
+        assert reasons == {"policy", "failure"}
+        # Every reroute of a bound flow is a reroute on the table.
+        assert all(bound == columnar for _, bound in windows.reroutes)
+        flows = list(windows.flows.values())
+        if num_flows >= 63 and buffer_bytes is not None:
+            assert windows.lossy > 0
+            assert any(f.multiplicity > 1 and TcpTransport.losses_of(f) for f in flows)
+
+        # Live values through window_of/losses_of, on bound, unbound and
+        # finished or aborted flows (which the table has let go).
+        gone = [flow for flow in flows if flow.state is not FlowState.ACTIVE]
+        assert gone and all(
+            type(flow) is Flow and type(flow.transport_state) is dict for flow in gone
+        )
+        assert all(isinstance(flow, BoundFlow) == columnar for flow in fabric.active_flows)
+        for flow in flows:
+            state = windows.last[flow.flow_id]
+            assert TcpTransport.window_of(flow) == state["cwnd"]
+            assert TcpTransport.losses_of(flow) == int(state["losses"])
 
 
 class TestColumnsLifecycle:

@@ -24,6 +24,7 @@ from repro.network.fluid import (
     is_max_min_fair,
     max_min_shares,
 )
+from repro.network.fluid_fast import RowRates
 from repro.network.incidence import IncidenceCache
 from repro.network.routing import Router
 from repro.network.topology import Topology
@@ -327,6 +328,47 @@ def _solver_inputs(flows, specs, links, scale, overrides):
     )
 
 
+def _fabric_problem(problem, data):
+    """The problem's flows started on a fabric, some then aborted or
+    rerouted as drawn: (fabric, solver inputs of the flows left)."""
+    capacities, specs, scale, overrides = problem
+    topo, hub, links = _star(capacities)
+    fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
+    started = [
+        fabric.start_flow(
+            links[spec["path"][0]].src,
+            hub,
+            1e9,
+            priority_weight=spec["priority_weight"],
+            multiplicity=spec["multiplicity"],
+            app_limit_bps=spec["app_limit_bps"],
+            path=[links[i] for i in spec["path"]],
+        )
+        for spec in specs
+    ]
+    kept = []
+    for flow, spec in zip(started, specs):
+        action = data.draw(st.sampled_from(("keep", "keep", "abort", "reroute")))
+        if action == "abort":
+            fabric.abort_flow(flow)
+            continue
+        if action == "reroute":
+            other = data.draw(st.sampled_from(specs))
+            fabric.reroute_flow(flow, [links[i] for i in other["path"]])
+        kept.append((flow, spec))
+    kwargs = _solver_inputs([f for f, _ in kept], [s for _, s in kept], links, scale, overrides)
+    return fabric, kwargs
+
+
+class ColumnsOnly(RowRates):
+    """Row-aligned caps that fail any per-flow lookup."""
+
+    __slots__ = ()
+
+    def __getitem__(self, flow_id):
+        raise AssertionError("caps read one flow at a time")
+
+
 def assert_same_bits(flows, cache, kwargs):
     expected = _max_min_shares_reference(flows, cache=cache, **kwargs)
     got = _max_min_shares_python(flows, cache=cache, **kwargs)
@@ -360,37 +402,30 @@ class TestExactAgainstReference:
     def test_same_dict_on_fabric_active_list(self, problem, data):
         """On the fabric's trusted active list, after departures and reroutes
         have moved flows to the back of their links' buckets."""
-        capacities, specs, scale, overrides = problem
-        topo, hub, links = _star(capacities)
-        fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
-        started = [
-            fabric.start_flow(
-                links[spec["path"][0]].src,
-                hub,
-                1e9,
-                priority_weight=spec["priority_weight"],
-                multiplicity=spec["multiplicity"],
-                app_limit_bps=spec["app_limit_bps"],
-                path=[links[i] for i in spec["path"]],
-            )
-            for spec in specs
-        ]
-        kept = []
-        for flow, spec in zip(started, specs):
-            action = data.draw(st.sampled_from(("keep", "keep", "abort", "reroute")))
-            if action == "abort":
-                fabric.abort_flow(flow)
-                continue
-            if action == "reroute":
-                other = data.draw(st.sampled_from(specs))
-                fabric.reroute_flow(flow, [links[i] for i in other["path"]])
-            kept.append((flow, spec))
+        fabric, kwargs = _fabric_problem(problem, data)
         flows = fabric.active_flows
         assert flows is fabric.incidence.trusted_flows
-        kwargs = _solver_inputs(
-            [f for f, _ in kept], [s for _, s in kept], links, scale, overrides
-        )
         assert_same_bits(flows, fabric.incidence, kwargs)
+
+    @given(problem=filler_problems(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_caps_give_the_same_dict(self, problem, data):
+        """Caps handed over as a RowRates of the fabric's table, with its
+        trusted active list, are read from the table's columns: the same
+        dict, bit for bit, as the dict path and the reference."""
+        fabric, kwargs = _fabric_problem(problem, data)
+        table = fabric.incidence.table()
+        flows = fabric.active_flows
+        assert flows is fabric.incidence.trusted_flows
+        assert_same_bits(flows, fabric.incidence, kwargs)
+        vector = np.zeros(table.num_rows)
+        for flow in flows:
+            vector[flow._index] = kwargs["demand_caps"].get(flow.flow_id, math.inf)
+        expected = _max_min_shares_python(flows, cache=fabric.incidence, **kwargs)
+        kwargs["demand_caps"] = ColumnsOnly(table, vector)
+        got = _max_min_shares_python(flows, cache=fabric.incidence, **kwargs)
+        assert list(got) == list(expected)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
 
     def test_tied_links_sharing_a_flow(self):
         """Two links tie at one fair share and share a flow.  Freezing that

@@ -14,7 +14,7 @@ import pytest
 
 from repro.network.flow import Flow
 from repro.network.fluid import max_min_shares
-from repro.network.fluid_fast import MAX_DIRTY_FRACTION, DeltaWaterFiller
+from repro.network.fluid_fast import MAX_DIRTY_FRACTION, DeltaWaterFiller, RowRates
 from repro.network.incidence import IncidenceCache
 from repro.network.routing import Router
 from repro.network.topology import Topology
@@ -209,6 +209,135 @@ class TestThreeWayChurnEquivalence:
         )
         assert first == again
         assert scenario.delta.solves_noop >= 1
+
+
+class TwinIslands:
+    """The same flows twice, each copy in its own cache with its own filler.
+
+    Flows run over islands of one link each, so a few changed caps dirty a
+    few islands and solve incrementally while many fall back.  Every flow
+    always has a cap (inf for none), so a dict of caps and a row-aligned
+    vector of them say the same thing.
+    """
+
+    COUNTERS = ("solves_full", "solves_incremental", "solves_noop", "fallback_large_region")
+
+    def __init__(self, seed, islands=12, per_island=8):
+        self.rng = np.random.default_rng(seed)
+        topo = Topology("islands")
+        self.pairs = []
+        for i in range(islands):
+            a = topo.add_switch(f"a{i}", level=1)
+            b = topo.add_switch(f"b{i}", level=1)
+            topo.add_duplex_link(a, b, float(self.rng.uniform(10 * MBPS, 200 * MBPS)), 0.001)
+            self.pairs.append((a, b))
+        self.router = Router(topo)
+        self.caps = {}
+        self.sides = []
+        for _ in range(2):
+            cache = IncidenceCache()
+            DeltaWaterFiller.attach(cache)
+            cache.table()
+            self.sides.append(([], cache))
+        self._ids = iter(range(10**6))
+        for _ in range(islands * per_island):
+            self.add()
+        self.add(pathless=True)  # gets nothing, whatever its cap
+
+    def draw_cap(self):
+        r = self.rng.random()
+        if r < 0.1:
+            return 0.0
+        if r < 0.2:
+            return float("inf")
+        return float(self.rng.uniform(1 * MBPS, 100 * MBPS))
+
+    def add(self, pathless=False):
+        rng = self.rng
+        a, b = self.pairs[int(rng.integers(len(self.pairs)))]
+        path = [] if pathless else self.router.path(a, b)
+        kw = dict(
+            priority_weight=float(rng.choice([1.0, 0.5, 2.0])),
+            multiplicity=int(rng.choice([1, 1, 1, 40])),
+            app_limit_bps=float(rng.choice([float("inf")] * 3 + [20 * MBPS])),
+            flow_id=next(self._ids),
+        )
+        for flows, cache in self.sides:
+            flow = Flow(a, b, 1e9, path, **kw)
+            flows.append(flow)
+            cache.add_flow(flow)
+        self.caps[kw["flow_id"]] = self.draw_cap()
+
+    def remove(self):
+        index = int(self.rng.integers(len(self.sides[0][0])))
+        for flows, cache in self.sides:
+            flow = flows.pop(index)
+            cache.remove_flow(flow)
+        del self.caps[flow.flow_id]
+
+    def solve(self, rows=True):
+        """Solve the dict side with dict caps and the other with a RowRates
+        (or with the dict too); both answer the same, bit for bit."""
+        (dict_flows, dict_cache), (row_flows, row_cache) = self.sides
+        expected = max_min_shares(
+            dict_flows, demand_caps=dict(self.caps), solver="incremental", cache=dict_cache
+        )
+        caps = dict(self.caps)
+        if rows:
+            table = row_cache.table()
+            vector = np.zeros(table.num_rows)
+            for flow in row_flows:
+                vector[flow._index] = self.caps[flow.flow_id]
+            caps = RowRates(table, vector)
+        got = max_min_shares(row_flows, demand_caps=caps, solver="incremental", cache=row_cache)
+        assert [expected[f.flow_id].hex() for f in dict_flows] == [
+            got[f.flow_id].hex() for f in row_flows
+        ]
+        counts = [
+            [getattr(cache.delta, name) for name in self.COUNTERS] for _, cache in self.sides
+        ]
+        assert counts[0] == counts[1]
+        return dict(zip(self.COUNTERS, counts[0]))
+
+
+class TestRowCaps:
+    """Caps handed to the delta filler as a RowRates give the dict path's
+    rates and the dict path's solve counters."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_caps_match_dict_caps_over_churn(self, seed):
+        twins = TwinIslands(seed)
+        rng = twins.rng
+        searches = []
+        for _, cache in twins.sides:
+            searches.append([])
+            search = cache.delta._component_of
+
+            def counted(*args, _search=search, _calls=searches[-1]):
+                _calls.append(1)
+                return _search(*args)
+
+            cache.delta._component_of = counted
+        twins.solve()
+        for step in range(36):
+            if step % 4 == 1:
+                twins.add()
+            elif step % 4 == 3:
+                twins.remove()
+            mode = step % 3
+            if mode == 0:  # every cap changes
+                for flow_id in twins.caps:
+                    twins.caps[flow_id] = float(rng.uniform(1 * MBPS, 100 * MBPS))
+            elif mode == 1:  # a few change
+                for flow_id in rng.choice(sorted(twins.caps), size=2, replace=False):
+                    twins.caps[int(flow_id)] = twins.draw_cap()
+            # Now and then the row side gets a dict: it must switch both ways.
+            twins.solve(rows=step % 7 != 5)
+        counts = twins.solve()
+        assert all(counts[name] > 0 for name in TwinIslands.COUNTERS)
+        # With every row's cap changed the row side skips the component
+        # search it knows must fail; the count of fallbacks stays the same.
+        assert len(searches[1]) < len(searches[0])
 
 
 class TestFallbacks:
