@@ -129,11 +129,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                              "backends (process submissions, cluster "
                              "HTTP requests); amortises per-job overhead "
                              "without changing results")
-    parser.add_argument("--pool", choices=("keep", "fresh"), default=None,
-                        help="worker-pool lifecycle of pooled executors: "
-                             "'keep' retains idle workers warm across runs "
-                             "in this process, 'fresh' spawns and tears down "
-                             "per run (default: the backend's setting)")
     parser.add_argument("--hosts", default=None, metavar="H1:P1,H2:P2",
                         help="cluster backend worker endpoints "
                              "(alternative: REPRO_CLUSTER_HOSTS)")
@@ -198,19 +193,18 @@ def _apply_cluster_env(args: argparse.Namespace) -> None:
 def _cli_executor(args: argparse.Namespace):
     """The ``executor`` argument for run_jobs-style calls.
 
-    Applies the cluster endpoint flags and, when ``--batch-size`` or
-    ``--pool`` is given, resolves the key into a configured instance (the
-    library call paths — replication, figures — take an instance without
-    needing new parameters).
+    Applies the cluster endpoint flags and, when ``--batch-size`` is given,
+    resolves the key into a configured instance (the library call paths —
+    replication, figures — take an instance without needing new
+    parameters).
     """
     _apply_cluster_env(args)
     batch_size = getattr(args, "batch_size", None)
-    pool = getattr(args, "pool", None)
-    if batch_size or pool:
+    if batch_size:
         from repro.exec.executors import resolve_executor
 
         return resolve_executor(
-            args.executor, max_workers=args.jobs, batch_size=batch_size, pool=pool
+            args.executor, max_workers=args.jobs, batch_size=batch_size
         )
     return args.executor
 
@@ -692,7 +686,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.jobs,
         batch_size=args.batch_size,
         verbose=args.verbose,
-        pool=args.pool,
     )
     print(
         f"repro serve listening on {server.host}:{server.port} "
@@ -703,8 +696,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
-    finally:
-        server.backend.close()
     return 0
 
 
@@ -916,11 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "cluster, chaos:<inner>)")
     serve.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                        help="worker count / in-flight window of the backend")
-    serve.add_argument("--pool", choices=("keep", "fresh"), default="keep",
-                       help="worker-pool lifecycle of the serve backend: "
-                            "'keep' (default) holds pooled workers warm "
-                            "across submitted batches, 'fresh' respawns "
-                            "per batch")
     serve.add_argument("--batch-size", type=_positive_int, default=None,
                        metavar="N", help="jobs per dispatch round-trip")
     serve.add_argument("--hosts", default=None, metavar="H1:P1,H2:P2",

@@ -32,9 +32,10 @@ field).  See ``docs/EXECUTION.md``.
 Results cross every dispatch boundary — the process pipe and the cluster
 HTTP body alike — as the plain
 :meth:`~repro.metrics.comparison.SchemeResult.to_dict` form the serial
-backend produces.  The one dispatch-path performance knob (see
-``docs/PERFORMANCE.md``) is ``pool="keep"``: pooled backends retain warm
-workers across ``run_jobs`` calls, without changing a single result byte.
+backend produces.  The process backend has one worker lifecycle: each batch
+forks its workers from a forkserver that has already imported the
+simulator, and shuts them down when the batch ends (see
+``docs/EXECUTION.md``).
 """
 
 from repro.exec.chaos import ChaosConfig, ChaosError, ChaosExecutor

@@ -221,24 +221,6 @@ class ChaosExecutor(Executor):
     def supports_timeout(self) -> bool:  # type: ignore[override]
         return self.inner.supports_timeout
 
-    # The pool lifecycle belongs to the *inner* backend (the execute() copy
-    # shares its in-place pool state), so the knob delegates:
-    # resolve_executor("chaos:process", pool="keep") warms the real pool.
-    @property
-    def pool(self) -> str:  # type: ignore[override]
-        return self.inner.pool
-
-    @pool.setter
-    def pool(self, value: str) -> None:
-        self.inner.pool = value
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def stats(self):
-        inner_stats = getattr(self.inner, "stats", None)
-        return inner_stats() if callable(inner_stats) else {}
-
     def effective_workers(self, n_jobs: int) -> int:
         return self.inner.effective_workers(n_jobs)
 

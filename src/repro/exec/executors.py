@@ -26,10 +26,11 @@ Fault tolerance (see ``docs/EXECUTION.md`` § Failure semantics):
 
 * every backend re-attempts transiently failed jobs under a
   :class:`~repro.exec.retry.RetryPolicy` with deterministic per-job backoff;
-* the process backend manages its own worker pool: a killed/OOMed worker is
-  detected, its in-flight job rescheduled and a replacement spawned, and a
-  job that exceeds ``policy.timeout_s`` gets its worker killed
-  (hung-worker detection) instead of stalling the batch;
+* the process backend manages its own worker pool, forked for each batch
+  from one preloaded forkserver: a killed/OOMed worker is detected, its
+  in-flight job rescheduled and a replacement started, and a job that
+  exceeds ``policy.timeout_s`` gets its worker killed (hung-worker
+  detection) instead of stalling the batch;
 * :func:`run_jobs` degrades gracefully — when a backend fails at the *batch*
   level it falls back ``process → serial``, recording the downgrade
   in the :class:`ExecutionReport`, and re-runs only the unfinished jobs
@@ -40,8 +41,10 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 import warnings
@@ -57,15 +60,7 @@ from repro.exec.retry import (
 )
 from repro.exec.store import ResultStore
 from repro.metrics.comparison import SchemeResult
-from repro.registry import EXECUTORS, RegistryError
-
-#: Lifetime of an idle warm-pool worker before it is reaped (see
-#: :class:`ProcessExecutor`); generous because a warm worker's whole point is
-#: surviving the gap between consecutive ``run_jobs`` calls.
-DEFAULT_IDLE_TIMEOUT_S = 300.0
-
-#: Valid values of the ``pool=`` lifecycle knob of pooled backends.
-POOL_MODES = ("fresh", "keep")
+from repro.registry import BUILTIN_PLUGIN_MODULES, EXECUTORS, RegistryError
 
 #: ``progress(event, job, detail)`` with event one of ``submitted``,
 #: ``cached``, ``finished``, ``failed``, ``retry``, ``degraded``.  ``detail``
@@ -89,8 +84,7 @@ def execute_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     This is the function worker processes import and call; it must stay
     module-level (picklable by reference) and must take/return only plain
-    JSON-safe dicts so a spawn-started interpreter can execute it without
-    any parent state.
+    JSON-safe dicts so a worker can execute it without any parent state.
 
     A ``"__chaos__"`` envelope (attached by
     :class:`~repro.exec.chaos.ChaosExecutor`, never part of the job's
@@ -391,32 +385,11 @@ class Executor:
     #: the chaos wrapper to attach its injection envelope.  Runs in the
     #: caller's process — only its *output* crosses to workers.
     payload_transform: Optional[Callable[[Dict[str, Any], int], Dict[str, Any]]] = None
-    #: worker-pool lifecycle of pooled backends: ``"fresh"`` tears workers
-    #: down after every ``execute`` call (the historical behaviour),
-    #: ``"keep"`` retains idle workers across calls (warm pool; see
-    #: :class:`ProcessExecutor`).  Backends without persistent workers
-    #: ignore it.
-    pool = "fresh"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-
-    def close(self) -> None:
-        """Release any persistent resources (warm workers).  Idempotent.
-
-        Backends without persistent state inherit this no-op; the process
-        backend shuts its warm pool down here.  Executors are context
-        managers (``with ProcessExecutor(pool="keep") as ex: ...``) closing
-        on exit.
-        """
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def effective_workers(self, n_jobs: int) -> int:
         """The worker count actually used for ``n_jobs`` jobs."""
@@ -512,6 +485,66 @@ class SerialExecutor(Executor):
 # The crash-tolerant process pool
 # --------------------------------------------------------------------------------------
 
+#: What the forkserver imports before it forks any worker: the job runner,
+#: every built-in catalog (this module among them) and ``numpy.random``, which
+#: numpy imports lazily at a job's first draw.  A worker's first job imports
+#: nothing new.
+_PRELOAD = ("repro.experiments.runner", *BUILTIN_PLUGIN_MODULES, "numpy.random")
+
+_forkserver_lock = threading.Lock()
+_forkserver_hooked = False
+
+
+def _forkserver_context():
+    """The multiprocessing context every process worker starts from.
+
+    The one place that decides how workers start: they fork from a
+    ``forkserver``, a fresh interpreter started at the first batch that
+    imports :data:`_PRELOAD` and then only forks, so a worker starts with the
+    simulator already imported.  (How long workers live is decided by
+    :meth:`ProcessExecutor.execute`: one batch.)
+
+    * The server is launched with the directory ``repro`` was imported from
+      on its ``PYTHONPATH``, and the caller's environment is restored
+      afterwards.  ``multiprocessing.forkserver.main`` ignores the parent's
+      ``sys.path``, so where the package is importable only through a
+      runtime ``sys.path`` entry the preload would fail silently and every
+      worker would import the simulator again.
+    * Every worker start calls this, so a server that died is relaunched
+      here with that path, never by ``Process.start``'s own
+      ``ensure_running`` without it.
+    * An exit hook stops and reaps the server.  It is a
+      ``multiprocessing.util.Finalize`` with a negative ``exitpriority``, so
+      it runs after multiprocessing's exit handler has terminated daemonic
+      workers (the server only exits once every worker it forked has), and
+      above -100, so before that handler removes the temporary directory
+      holding the server's socket.
+    * Where ``forkserver`` does not exist this raises ``ValueError``, which
+      fails the batch, and :func:`run_jobs` falls back to serial.
+    """
+    global _forkserver_hooked
+    context = multiprocessing.get_context("forkserver")
+    from multiprocessing import forkserver, util
+
+    import repro
+
+    with _forkserver_lock:
+        if not _forkserver_hooked:
+            context.set_forkserver_preload(list(_PRELOAD))
+            util.Finalize(None, forkserver._forkserver._stop, exitpriority=-50)
+            _forkserver_hooked = True
+        saved = os.environ.get("PYTHONPATH")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved) if p)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
+
 
 def _process_worker_main(conn) -> None:
     """Loop of one worker process: receive job chunks, send back outcomes.
@@ -521,20 +554,18 @@ def _process_worker_main(conn) -> None:
     * parent → worker: ``(task_id, [payload_dict, ...])`` or ``None`` (shut
       down);
     * worker → parent: ``("started", task_id)`` the moment work begins —
-      the parent starts the chunk's timeout clock on this, so worker spawn
+      the parent starts the chunk's timeout clock on this, so worker start-up
       and import time never count against the jobs — then
       ``("done", task_id, ok, payload)`` where ``ok`` carries the
       per-job outcome list of :func:`execute_job_chunk` and ``not ok`` a
       single ``{error, exc_type, traceback}`` dict for a failure that took
       the whole chunk (``KeyboardInterrupt``/``SystemExit``).
 
-    Must stay module-level: spawn pickles it by reference and the child
-    imports this module fresh.
+    Must stay module-level: it is pickled by reference.
     """
     try:
-        # Pay the heavy simulator import once at spawn, not inside the first
-        # job's timing window — this is most of what makes a *warm* worker
-        # warm.
+        # A no-op after the forkserver's preload; should that have failed,
+        # the import is paid here, outside the first job's timeout window.
         import repro.experiments.runner  # noqa: F401
     except Exception:  # noqa: BLE001 - surfaces per-job if genuinely broken
         pass
@@ -588,9 +619,10 @@ class _InFlight:
 
 
 class _PoolWorker:
-    """One spawn-started worker process plus its parent-side pipe."""
+    """One worker process, forked from the forkserver, plus its pipe."""
 
-    def __init__(self, context) -> None:
+    def __init__(self) -> None:
+        context = _forkserver_context()
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_process_worker_main, args=(child_conn,), daemon=True
@@ -599,7 +631,6 @@ class _PoolWorker:
         child_conn.close()
         self.task: Optional[_InFlight] = None
         self.doomed = False  # terminated on purpose; never dispatch to it again
-        self.idle_since = time.monotonic()  # last moment this worker went idle
 
     def dispatch(
         self, task_id: int, indexes: Sequence[int], payloads: List[Dict[str, Any]]
@@ -635,39 +666,28 @@ class _PoolWorker:
 
 
 class ProcessExecutor(Executor):
-    """Run jobs on a self-managed, crash-tolerant spawn process pool.
+    """Run jobs on a self-managed, crash-tolerant process pool.
 
-    Spawn (not fork) is used on every platform: workers import the package
-    fresh and receive the job as a plain dict, so no live simulator state —
-    and none of the parent's global counters — ever crosses the boundary.
+    Each ``execute`` call forks its workers from one process-wide
+    ``forkserver`` and shuts them down when the batch ends; nothing lives
+    between batches (start-up details: :func:`_forkserver_context`).  The
+    server is as clean a starting point as a spawned interpreter: it is a
+    fresh interpreter that imports the package and never runs a job, and
+    each job crosses to a worker as a plain dict, so no live simulator state
+    — and none of the parent's global counters — ever crosses the boundary.
+    Workers see the environment the server started with, not the caller's
+    current one; nothing in the package reads the environment inside a job.
 
     Unlike ``concurrent.futures.ProcessPoolExecutor`` (whose pool breaks for
     good when any worker dies), this pool tracks which job each worker is
     running, so a killed/OOMed worker is *recovered from*: the dead worker
     is reaped, its in-flight job is rescheduled (a retryable
-    ``WorkerCrashError``), and a replacement is spawned.  With
+    ``WorkerCrashError``), and a replacement is started.  With
     ``policy.timeout_s`` set, a job that overruns its budget gets its worker
     killed the same way (hung-worker detection) instead of stalling the
     batch forever.  After ``max_respawns`` replacements the pool declares
     itself degraded (:class:`~repro.exec.retry.ExecutorDegradedError`) so
     :func:`run_jobs` can fall back to a simpler backend.
-
-    Warm pools (``pool="keep"``): with the default ``pool="fresh"`` every
-    ``execute`` call spawns its workers and tears them down afterwards —
-    correct, but the spawn+import cost (a fresh interpreter importing the
-    whole simulator) is paid per call and dominates short batches.
-    ``pool="keep"`` retains idle, healthy workers on the executor instance
-    across calls: consecutive ``run_jobs`` calls on the same executor reuse
-    them with zero respawns.  The retained pool is mutated strictly in
-    place, so the shallow copies taken by :func:`resolve_executor` overrides
-    and the chaos wrapper all share (and warm) the same workers.  Lifecycle:
-    :meth:`close` (or the inherited context manager) shuts the pool down;
-    workers idle longer than ``idle_timeout_s`` are reaped at the start of
-    the next call; any batch that ends in an error tears the pool down
-    wholesale — only a cleanly finished batch leaves warm workers behind.
-    Every fault-tolerance invariant is lifecycle-independent: warm workers
-    still count against the same respawn budget, timeout kills still retire
-    the worker, and results are bit-identical either way.
     """
 
     name = "process"
@@ -677,79 +697,14 @@ class ProcessExecutor(Executor):
         self,
         max_workers: Optional[int] = None,
         max_respawns: Optional[int] = None,
-        pool: str = "fresh",
-        idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
     ) -> None:
         super().__init__(max_workers)
         if max_respawns is not None and max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
-        if pool not in POOL_MODES:
-            raise ValueError(f"pool must be one of {POOL_MODES}, got {pool!r}")
-        if idle_timeout_s <= 0:
-            raise ValueError(f"idle_timeout_s must be > 0, got {idle_timeout_s}")
         self.max_respawns = max_respawns
-        self.pool = pool
-        self.idle_timeout_s = float(idle_timeout_s)
-        #: the retained worker pool — mutated in place only (never rebound),
-        #: so shallow copies of this executor share one pool
-        self._pool_workers: List[_PoolWorker] = []
-        #: lifetime counters, shared across copies the same way
-        self._pool_counters: Dict[str, int] = {
-            "spawned": 0,
-            "respawned": 0,
-            "reused": 0,
-            "idle_reaped": 0,
-            "task_id": 0,
-        }
-        #: only the original instance finalizes the pool on collection;
-        #: shallow copies (resolve_executor overrides, the chaos wrapper's
-        #: per-call runner) share the pool and must not destroy it when
-        #: they go out of scope.
-        self._owns_pool = True
-
-    def __copy__(self) -> "ProcessExecutor":
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        clone._owns_pool = False
-        return clone
 
     def fallback_backend(self) -> Optional[Executor]:
         return SerialExecutor()
-
-    # -- pool lifecycle ----------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Lifetime pool counters plus the current warm-pool size."""
-        return {
-            **{k: v for k, v in self._pool_counters.items() if k != "task_id"},
-            "pool_size": len(self._pool_workers),
-        }
-
-    def close(self) -> None:
-        """Shut down every retained worker (idle politely, busy by kill)."""
-        while self._pool_workers:
-            worker = self._pool_workers.pop()
-            worker.shutdown(kill=worker.task is not None or worker.doomed)
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown guard
-        try:
-            if getattr(self, "_owns_pool", False):
-                self.close()
-        except Exception:  # noqa: BLE001 - never raise from a finalizer
-            pass
-
-    def _prune_pool(self) -> None:
-        """Entry housekeeping: drop dead idle workers, reap idle timeouts."""
-        now = time.monotonic()
-        for worker in list(self._pool_workers):
-            if worker.doomed or not worker.alive():
-                # Died (or was killed) between batches: nothing was in
-                # flight, so this costs nothing against any respawn budget.
-                self._pool_workers.remove(worker)
-                worker.shutdown(kill=True)
-            elif now - worker.idle_since >= self.idle_timeout_s:
-                self._pool_workers.remove(worker)
-                worker.shutdown()
-                self._pool_counters["idle_reaped"] += 1
 
     def execute(
         self,
@@ -760,31 +715,23 @@ class ProcessExecutor(Executor):
     ) -> List[JobOutcome]:
         if not jobs:
             return []
-        policy = policy or NO_RETRY
-        state = _BatchState(jobs, policy, progress, on_outcome)
-        context = multiprocessing.get_context("spawn")
+        state = _BatchState(jobs, policy or NO_RETRY, progress, on_outcome)
         n_workers = self.effective_workers(len(jobs))
         respawn_budget = (
             self.max_respawns
             if self.max_respawns is not None
             else max(4, 2 * len(jobs))
         )
-        keep = self.pool == "keep"
-        workers = self._pool_workers
-        self._prune_pool()
-        self._pool_counters["reused"] += len(workers)
-        # Warm workers count toward the initial allotment (clamped to this
-        # call's target size), so the replacement arithmetic below charges
-        # the respawn budget identically for warm and cold pools.
-        spawn_state = {"initial": min(len(workers), n_workers), "spawned": 0}
-        completed = False
+        workers: List[_PoolWorker] = []
+        started = 0
+        task_ids = itertools.count(1)
         try:
             while not state.finished():
                 state.release_due_retries()
-                self._reap_and_respawn(
-                    workers, context, n_workers, state, spawn_state, respawn_budget
+                started = self._reap_and_respawn(
+                    workers, n_workers, state, started, respawn_budget
                 )
-                self._dispatch_ready(workers, state)
+                self._dispatch_ready(workers, state, task_ids)
                 busy = [w for w in workers if w.task is not None]
                 if not busy:
                     delay = state.seconds_until_next_retry()
@@ -795,35 +742,25 @@ class ProcessExecutor(Executor):
                     time.sleep(delay)
                     continue
                 self._wait_and_collect(busy, state)
-            results = state.results()
-            completed = True
-            return results
+            return state.results()
         finally:
-            if keep and completed:
-                # Retain only healthy, idle workers; anything busy, doomed
-                # or dead is retired so the next call starts from a clean
-                # warm pool.
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.task is not None or worker.doomed or not worker.alive():
-                        workers.remove(worker)
-                        worker.shutdown(kill=True)
-                    else:
-                        worker.idle_since = now
-            else:
-                self.close()
+            for worker in workers:
+                worker.shutdown(kill=worker.task is not None or worker.doomed)
 
     # -- scheduler pieces --------------------------------------------------------------
     def _reap_and_respawn(
         self,
         workers: List[_PoolWorker],
-        context,
         n_workers: int,
         state: _BatchState,
-        spawn_state: Dict[str, int],
+        started: int,
         respawn_budget: int,
-    ) -> None:
-        """Remove dead workers (failing their jobs) and top the pool back up."""
+    ) -> int:
+        """Remove dead workers (failing their jobs) and top the pool back up.
+
+        ``started`` counts the workers this batch has started so far; the
+        updated count is returned.
+        """
         for worker in list(workers):
             if worker.doomed:
                 # Terminated for a timeout: its signal may not have landed
@@ -847,33 +784,31 @@ class ProcessExecutor(Executor):
         )
         want = min(n_workers, outstanding)
         while len(workers) < want:
-            # Everything beyond the initial allotment (warm pool + first
-            # cold spawns up to the target size) is a *replacement* — a
-            # worker respawned after a crash, kill or timeout.
-            replacements = max(
-                0, spawn_state["initial"] + spawn_state["spawned"] + 1 - n_workers
-            )
-            if replacements > respawn_budget:
+            # Every start beyond the first n_workers is a *replacement* — a
+            # worker started after a crash, kill or timeout.
+            if started + 1 - n_workers > respawn_budget:
                 raise ExecutorDegradedError(
                     f"process pool exceeded its respawn budget "
                     f"({respawn_budget} replacement workers after crashes/timeouts); "
                     f"giving up on the process backend"
                 )
-            workers.append(_PoolWorker(context))
-            spawn_state["spawned"] += 1
-            self._pool_counters["spawned"] += 1
-            if replacements > 0:
-                self._pool_counters["respawned"] += 1
+            workers.append(_PoolWorker())
+            started += 1
+        return started
 
-    def _dispatch_ready(self, workers: List[_PoolWorker], state: _BatchState) -> None:
+    def _dispatch_ready(
+        self,
+        workers: List[_PoolWorker],
+        state: _BatchState,
+        task_ids: itertools.count,
+    ) -> None:
         batch_size = max(1, int(self.batch_size))
         for worker in workers:
             if worker.task is not None or worker.doomed or not state.ready:
                 continue
             chunk, attempts = state.next_chunk(batch_size)
             payloads = self._chunk_payloads(state, chunk, attempts)
-            self._pool_counters["task_id"] += 1
-            if not worker.dispatch(self._pool_counters["task_id"], chunk, payloads):
+            if not worker.dispatch(next(task_ids), chunk, payloads):
                 # The pipe broke before the chunk left: roll the attempts
                 # back; the next reap pass retires this worker and respawns.
                 for index in chunk:
@@ -925,7 +860,6 @@ class ProcessExecutor(Executor):
                     continue  # stale reply from a pre-timeout attempt
                 elapsed = time.monotonic() - (task.started_at or task.sent_at)
                 worker.task = None
-                worker.idle_since = time.monotonic()
                 if ok:
                     for index, outcome in zip(task.indexes, payload):
                         state.apply_outcome(index, outcome, elapsed_s=elapsed)
@@ -990,8 +924,8 @@ EXECUTORS.register(
     "process",
     ProcessExecutor,
     aliases=("processes", "multiprocessing"),
-    description="crash-tolerant spawn process pool; recovers killed workers, "
-    "enforces per-job timeouts",
+    description="crash-tolerant process pool forked from a preloaded "
+    "forkserver; recovers killed workers, enforces per-job timeouts",
 )
 
 
@@ -1059,37 +993,26 @@ def resolve_executor(
     executor: Union[str, Executor],
     max_workers: Optional[int] = None,
     batch_size: Optional[int] = None,
-    pool: Optional[str] = None,
 ) -> Executor:
     """An :class:`Executor` instance from a registry key (or pass through).
 
     ``"<wrapper>:<inner>"`` keys resolve the wrapper entry and pass the
     inner key through (``"chaos:process"`` builds a
     :class:`~repro.exec.chaos.ChaosExecutor` around the process backend).
-    A passed-in instance is treated as read-only: a ``max_workers``,
-    ``batch_size`` or ``pool`` override applies to a shallow copy,
-    never to the caller's object.  (A copy shares the original's warm pool —
-    pool state is mutated in place, see :class:`ProcessExecutor` — so
-    overriding, say, ``batch_size`` between calls does not cost the warm
-    workers.)
-
-    ``pool`` selects the worker-pool lifecycle (``"fresh"``/``"keep"``); it
-    is an advisory attribute set that backends without pools simply ignore.
+    A passed-in instance is treated as read-only: a ``max_workers`` or
+    ``batch_size`` override applies to a shallow copy, never to the
+    caller's object.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if pool is not None and pool not in POOL_MODES:
-        raise ValueError(f"pool must be one of {POOL_MODES}, got {pool!r}")
     if isinstance(executor, Executor):
         overrides: Dict[str, Any] = {}
         if max_workers is not None and max_workers != executor.max_workers:
             overrides["max_workers"] = max_workers
         if batch_size is not None and batch_size != executor.batch_size:
             overrides["batch_size"] = batch_size
-        if pool is not None and pool != executor.pool:
-            overrides["pool"] = pool
         if overrides:
             executor = copy.copy(executor)
             for name, value in overrides.items():
@@ -1115,8 +1038,6 @@ def resolve_executor(
         )
     if batch_size is not None:
         built.batch_size = batch_size
-    if pool is not None:
-        built.pool = pool
     return built
 
 
@@ -1131,7 +1052,6 @@ def run_jobs(
     fallback: bool = True,
     store_fsync: Optional[bool] = None,
     batch_size: Optional[int] = None,
-    pool: Optional[str] = None,
 ) -> ExecutionReport:
     """Run a job list on a backend, with caching, retries and degradation.
 
@@ -1160,7 +1080,7 @@ def run_jobs(
         with deterministic backoff and the per-job timeout.  ``None``: one
         attempt, no timeout (the historical behaviour).
     fallback:
-        When the backend fails at the *batch* level (cannot spawn workers,
+        When the backend fails at the *batch* level (cannot start workers,
         pool degraded beyond its respawn budget, an unexpected scheduler
         error), degrade along ``process → serial`` and re-run only
         the jobs without a finished outcome.  Each downgrade is recorded in
@@ -1174,23 +1094,12 @@ def run_jobs(
     batch_size:
         Ship N jobs per dispatch round-trip on chunked backends (process
         submissions, cluster HTTP requests) to amortise per-job
-        spawn, pickle and network overhead.  Jobs keep per-job outcomes and
+        submit, pickle and network overhead.  Jobs keep per-job outcomes and
         retries; results are unchanged.  Default (``None``): the backend's
         own setting (1 unless configured otherwise).
-    pool:
-        Worker-pool lifecycle of pooled backends: ``"keep"`` retains idle
-        workers on the executor instance across calls (warm pool — pass an
-        executor *instance* to benefit across ``run_jobs`` calls),
-        ``"fresh"`` tears them down per call.  Default (``None``): the
-        backend's own setting.
     """
     jobs = list(jobs)
-    backend = resolve_executor(
-        executor,
-        max_workers=max_workers,
-        batch_size=batch_size,
-        pool=pool,
-    )
+    backend = resolve_executor(executor, max_workers=max_workers, batch_size=batch_size)
     if isinstance(store, (str, os.PathLike)):
         result_store: Optional[ResultStore] = ResultStore(
             store, fsync=bool(store_fsync)

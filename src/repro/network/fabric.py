@@ -340,10 +340,16 @@ class FabricSimulator:
         hook: ``"policy"`` reroutes (Hedera moving an elephant) keep the
         transport state, while ``"failure"`` reroutes (the old path lost a
         link) let loss-based transports model the disruption, e.g. TCP
-        restarting in slow start.
+        restarting in slow start.  A path over a failed link is refused
+        with ``ValueError`` before anything changes.
         """
         if flow.state is not FlowState.ACTIVE:
             raise RuntimeError(f"cannot reroute non-active flow {flow.flow_id}")
+        down = [link.link_id for link in new_path if not link.up]
+        if down:
+            raise ValueError(
+                f"cannot reroute flow {flow.flow_id} over failed link(s) {down}"
+            )
         now = self.sim.now
         self._advance_to(now)
         self.incidence.remove_flow(flow)

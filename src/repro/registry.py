@@ -44,6 +44,7 @@ CLI (``--topology my-fabric``) all pick it up.  See ``docs/SCENARIOS.md``.
 from __future__ import annotations
 
 import difflib
+import importlib
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -252,21 +253,30 @@ class Registry:
         return f"Registry({self.kind!r}, {self.names()!r})"
 
 
+#: The modules that register every built-in entry, in import order.  The
+#: process backend's forkserver preloads the same list (see
+#: :mod:`repro.exec.executors`).
+BUILTIN_PLUGIN_MODULES = (
+    "repro.network.catalog",  # topologies
+    "repro.workloads.catalog",  # workloads
+    "repro.cluster.catalog",  # placements
+    "repro.baselines.catalog",  # schemes
+    "repro.exec.executors",  # executors
+    "repro.exec.chaos",  # chaos wrapper executor
+    "repro.exec.cluster",  # HTTP cluster executor
+    "repro.dynamics.catalog",  # dynamics events
+    "repro.analysis.catalog",  # analyses
+)
+
+
 def load_builtin_plugins() -> None:
     """Import the per-domain catalog modules, registering every built-in.
 
     Idempotent: each catalog module registers on first import only.  Called
     automatically the first time any of the registries is read.
     """
-    import repro.network.catalog  # noqa: F401  (topologies)
-    import repro.workloads.catalog  # noqa: F401  (workloads)
-    import repro.cluster.catalog  # noqa: F401  (placements)
-    import repro.baselines.catalog  # noqa: F401  (schemes)
-    import repro.exec.executors  # noqa: F401  (executors)
-    import repro.exec.chaos  # noqa: F401  (chaos wrapper executor)
-    import repro.exec.cluster  # noqa: F401  (HTTP cluster executor)
-    import repro.dynamics.catalog  # noqa: F401  (dynamics events)
-    import repro.analysis.catalog  # noqa: F401  (analyses)
+    for module in BUILTIN_PLUGIN_MODULES:
+        importlib.import_module(module)
 
 
 #: Fabric builders — ``tree``, ``fattree``, ``vl2``, ``leafspine``, ...

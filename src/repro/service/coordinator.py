@@ -130,12 +130,6 @@ class CoordinatorServer(HTTPDaemon):
         ``process``, ``cluster``, ``chaos:...``).
     max_workers / batch_size:
         Forwarded to :func:`~repro.exec.executors.run_jobs`.
-    pool:
-        Worker-pool lifecycle of the backend.  An always-on daemon is
-        exactly where warm pools pay off — every submitted batch reuses the
-        same workers — so the default here is ``"keep"`` (unlike the
-        library default of ``"fresh"``); the retained workers are shut down
-        by :meth:`stop`.
     """
 
     def __init__(
@@ -147,7 +141,6 @@ class CoordinatorServer(HTTPDaemon):
         max_workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         verbose: bool = False,
-        pool: str = "keep",
     ) -> None:
         self.httpd = _CoordinatorHTTPServer((host, port), _CoordinatorHandler)
         self.httpd.coordinator = self
@@ -158,21 +151,15 @@ class CoordinatorServer(HTTPDaemon):
         self.max_workers = max_workers
         self.batch_size = batch_size
         self.verbose = bool(verbose)
-        # One executor instance for the daemon's lifetime: with pool="keep"
-        # the process backend's workers stay warm across POST /jobs batches
-        # instead of respawning (and re-importing the simulator) per batch.
+        # One executor instance for the daemon's lifetime, resolved (and
+        # validated) at start-up rather than per POST /jobs batch.
         self.backend = resolve_executor(
-            executor, max_workers=max_workers, batch_size=batch_size, pool=pool
+            executor, max_workers=max_workers, batch_size=batch_size
         )
         self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters = {"batches": 0, "computed": 0, "cached": 0, "failed": 0}
         self._thread: Optional[threading.Thread] = None
-
-    def stop(self) -> None:
-        """Stop serving and release the backend's warm workers."""
-        super().stop()
-        self.backend.close()
 
     # -- request logic -----------------------------------------------------------------
     def identity(self) -> Dict[str, Any]:
@@ -185,14 +172,11 @@ class CoordinatorServer(HTTPDaemon):
     def stats(self) -> Dict[str, Any]:
         with self._stats_lock:
             counters = dict(self._counters)
-        pool_stats = getattr(self.backend, "stats", None)
         return {
             **self.identity(),
             **counters,
             "store_entries": len(self.store),
             "kernel": self._kernel_stats(),
-            # The warm-pool lifetime counters, when the backend has a pool.
-            "pool": pool_stats() if callable(pool_stats) else {},
         }
 
     def _kernel_stats(self) -> Dict[str, float]:

@@ -191,6 +191,31 @@ class TestTransportRerouteHook:
         assert flow.transport_state["cwnd"] == pytest.approx(initial)
         assert flow.transport_state["ssthresh"] >= initial
 
+    @pytest.mark.parametrize("reason", ["policy", "failure"])
+    def test_reroute_over_a_failed_link_is_refused(self, reason):
+        transport = TcpTransport()
+        sim, topo, fabric = leafspine_stack(transport)
+        src, dst = topo.node("bs-0-0"), topo.node("bs-1-0")
+
+        def via(spine):
+            hops = [src, topo.node("leaf-0"), topo.node(spine), topo.node("leaf-1"), dst]
+            return [topo.find_link(a, b) for a, b in zip(hops, hops[1:])]
+
+        flow = fabric.start_flow(src, dst, 500e6, path=via("spine-0"))
+        sim.run(until=0.5)
+        down = topo.find_link(topo.node("leaf-0"), topo.node("spine-1"))
+        fabric.fail_link(down)
+        path, rate = list(flow.path), flow.current_rate_bps
+        carried = down.bytes_carried
+
+        with pytest.raises(ValueError, match="failed link"):
+            fabric.reroute_flow(flow, via("spine-1"), reason=reason)
+        assert flow.path == path
+        assert flow.current_rate_bps == rate
+        sim.run(until=1.0)
+        assert flow.path == path
+        assert down.bytes_carried == carried
+
     def test_policy_reroute_keeps_the_window(self):
         transport = TcpTransport()
         sim, topo, fabric = leafspine_stack(transport)

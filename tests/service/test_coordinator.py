@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec.executors import run_jobs
 from repro.exec.planner import plan_replications
 from repro.exec.store import ResultStore
 from repro.experiments.spec import ScenarioSpec
@@ -136,46 +137,30 @@ class TestQueries:
         assert stats["batches"] == 1
         assert stats["store_entries"] == len(jobs)
 
-    def test_stats_expose_pool_section(self, coordinator):
-        # Serial backend: the section exists but is quiet (no pool) — the
-        # daemon's stats shape is stable regardless of the configured
-        # backend.
-        jobs = tiny_jobs(seeds=1)
-        protocol.http_json(
-            "POST", url(coordinator, protocol.JOBS_PATH),
-            {"jobs": [job.to_dict() for job in jobs]},
-        )
-        stats = protocol.http_json("GET", url(coordinator, protocol.STATS_PATH))
-        assert stats["pool"] == {}
-
-    def test_process_backend_daemon_keeps_a_warm_pool(self, tmp_path):
-        # The serve daemon's whole point of pool="keep": two submissions on
-        # a process backend reuse the same workers (zero respawns) and the
-        # computed counter accumulates across batches; stop() releases the
-        # pool.
+    def test_process_backend_daemon_batches_equal_serial(self, tmp_path):
+        # Consecutive submissions on the process backend: each batch forks
+        # its own workers, the computed counter accumulates across batches,
+        # and the store they build equals a serial run of the same jobs.
         server = CoordinatorServer(
             port=0, store_path=tmp_path / "store.jsonl",
             executor="process", max_workers=2,
         )
+        first = tiny_jobs(seeds=1)
+        second = tiny_jobs(seeds=2)  # superset: one batch of new keys
         with server:
-            first = tiny_jobs(seeds=1)
-            second = tiny_jobs(seeds=2)  # superset: one batch of new keys
-            protocol.http_json(
-                "POST", url(server, protocol.JOBS_PATH),
-                {"jobs": [job.to_dict() for job in first]},
-            )
-            protocol.http_json(
-                "POST", url(server, protocol.JOBS_PATH),
-                {"jobs": [job.to_dict() for job in second]},
-            )
+            for jobs in (first, second):
+                answer = protocol.http_json(
+                    "POST", url(server, protocol.JOBS_PATH),
+                    {"jobs": [job.to_dict() for job in jobs]},
+                )
+                assert answer["summary"]["failed"] == 0
             stats = protocol.http_json("GET", url(server, protocol.STATS_PATH))
-            assert stats["pool"]["pool_size"] > 0
-            assert stats["pool"]["respawned"] == 0
-            assert stats["pool"]["reused"] > 0
-            assert stats["computed"] == len(set(
-                job.key for job in first + second
-            ))
-        assert server.backend.stats()["pool_size"] == 0  # stop() closed it
+            assert stats["batches"] == 2
+            assert stats["computed"] == len(second)
+        run_jobs(second, executor="serial", store=str(tmp_path / "serial.jsonl"))
+        served = ResultStore(tmp_path / "store.jsonl").results_by_key()
+        serial = ResultStore(tmp_path / "serial.jsonl").results_by_key()
+        assert served and served == serial
 
     def test_stats_aggregates_kernel_counters(self, coordinator):
         """``/stats`` sums the per-run ``kernel_*`` extras across the store."""

@@ -292,6 +292,20 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "scenario.json"],
+        ["sweep", "load", "--points", "10"],
+        ["figure", "fig07"],
+        ["serve"],
+    ])
+    def test_pool_option_is_gone(self, command, capsys):
+        # The process backend has one worker lifecycle, so no subcommand
+        # takes --pool any more.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--pool", "keep"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --pool" in capsys.readouterr().err
+
     def test_arrival_rate_rejected_for_load_axis(self, capsys):
         code = main(["sweep", "load", "--points", "10", "--arrival-rate", "20"])
         assert code == 2
