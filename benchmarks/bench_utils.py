@@ -21,9 +21,28 @@ if str(_SRC) not in sys.path:
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
+#: perfbench's directory, for its CPU-speed sampler (``perfbench/speed.py``)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 #: Scaled-down per-figure scenario settings (seconds of workload, seed).
 FIGURE_SIM_TIME_S = 12.0
 FIGURE_SEED = 2013  # the paper's publication year, for flavour
+
+
+def speed_sampler():
+    """A fresh perfbench ``SpeedSampler`` (see ``perfbench/speed.py``).
+
+    Used as a context manager around timed work; ``sampler.rescale(wall,
+    start, end)`` turns a wall time between two ``time.perf_counter``
+    readings into the time it would have taken at the reference CPU speed,
+    so a wall-clock gate compares work rather than how fast the shared
+    machine ran at the moment.
+    """
+    if str(_PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(_PERFBENCH))
+    from speed import SpeedSampler
+
+    return SpeedSampler()
 
 
 def save_result(results_dir: Path, name: str, payload: dict) -> None:

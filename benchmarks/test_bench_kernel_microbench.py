@@ -10,14 +10,22 @@ performance regressions that would make the figure suite impractically slow.
 reference→numpy speedups to ``benchmarks/results/kernel_waterfiller.json``
 (the numbers quoted in docs/PERFORMANCE.md), next to the production
 ``solver="python"`` filler's time, and asserts the vectorized solver's
-headline win at 1000 flows.
+headline win at 1000 flows.  ``test_bench_scalar_kernel_crossover`` times
+the delta filler's two kernels against problem size and records where the
+array kernel starts to win: the ``SCALAR_MAX_PAIRS`` crossover.
 """
 
+import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from bench_utils import save_result, scenario_pareto_poisson
+
+#: The production filler's bit-for-bit oracle lives in the test tree.
+_TESTS_NETWORK = Path(__file__).resolve().parent.parent / "tests" / "network"
 
 MBPS = 1e6
 
@@ -186,15 +194,19 @@ def test_bench_water_filler_speedup(results_dir, request):
     """Record reference→numpy speedups; the 1000-flow case must be ≥ 5×.
 
     ``speedup`` divides the time of the plain progressive filling
-    (``fluid._max_min_shares_reference``, which ``solver="python"`` ran
-    until the memoized filler replaced it) by numpy's, so the gate keeps
-    timing the same code.  ``python_ms`` records the production
+    (``max_min_shares_reference`` in ``tests/network/maxmin_reference.py``,
+    which ``solver="python"`` ran until the memoized filler replaced it) by
+    numpy's, so the gate keeps timing the same code.  ``python_ms`` records the production
     ``solver="python"`` filler, which must be no slower than the reference
     at any size.  The hard thresholds only apply to real benchmark runs:
     under ``--benchmark-disable`` (the CI smoke run, shared noisy runners)
     the times are still recorded but not asserted.
     """
-    from repro.network.fluid import _max_min_shares_reference, max_min_shares
+    from repro.network.fluid import max_min_shares
+
+    if str(_TESTS_NETWORK) not in sys.path:
+        sys.path.insert(0, str(_TESTS_NETWORK))
+    from maxmin_reference import max_min_shares_reference
 
     def best_of(fn, repeats=5):
         best = float("inf")
@@ -209,7 +221,7 @@ def test_bench_water_filler_speedup(results_dir, request):
         flows, cache = _waterfill_scenario(num_flows)
         # Every filler gets the warmed incidence cache (the production
         # configuration), so the ratio isolates the solver speedup.
-        t_reference = best_of(lambda: _max_min_shares_reference(flows, cache=cache))
+        t_reference = best_of(lambda: max_min_shares_reference(flows, cache=cache))
         t_python = best_of(
             lambda: max_min_shares(flows, solver="python", cache=cache)
         )
@@ -229,6 +241,132 @@ def test_bench_water_filler_speedup(results_dir, request):
     for num_flows in WATERFILL_SIZES:
         row = payload[str(num_flows)]
         assert row["python_ms"] <= row["reference_ms"], (num_flows, row)
+
+
+#: Pair counts at which the two kernels of the delta filler are timed.
+CROSSOVER_PAIRS = (32, 64, 128, 192, 256, 384, 512, 768, 1024)
+
+
+def _crossover_problems(pairs, seed=3):
+    """Two water-filling problems of about ``pairs`` incidence pairs, as the
+    delta filler sees them, in COO form (pair order, scratch row and slot 0).
+
+    ``racks``: the components of ``fattree-churn``, rack-local flows over
+    host links (two links each, no caps, every tenth an aggregate of 500
+    sessions), which take many rounds.  ``tree``: client flows over the
+    paper's tree with demand caps of 0.2–20 Mb/s, below most fair shares,
+    so they freeze at their caps in one or two rounds.
+    """
+    import numpy as np
+
+    from repro.network.incidence import IncidenceCache
+
+    rng = np.random.default_rng([seed, pairs])
+    problems = {}
+
+    flows = max(pairs // 2, 1)
+    hosts = max(int(flows * 0.8), 2)
+    pair_flow = [0]
+    pair_link = [0]
+    for f in range(1, flows + 1):
+        i = int(rng.integers(hosts))
+        j = (i + 1 + int(rng.integers(hosts - 1))) % hosts
+        pair_flow += [f, f]
+        pair_link += [1 + i, 1 + hosts + j]
+    w = np.ones(flows + 1)
+    w[1::10] = 500.0
+    cap = np.full(flows + 1, np.inf)
+    cap[0] = 0.0
+    link_cap = np.full(2 * hosts + 1, 1e10)
+    link_cap[0] = np.inf
+    problems["racks"] = (pair_flow, pair_link, w, cap, link_cap)
+
+    tree_flows, _cache = _waterfill_scenario(max(pairs // 5, 1), seed=seed)
+    arrays = IncidenceCache(tree_flows).arrays()
+    n = arrays.num_flows
+    w = np.ones(n)
+    cap = rng.uniform(0.2e6, 20e6, size=n)
+    link_cap = np.array([link.capacity_bps for link in arrays.link_list])
+    problems["tree"] = (
+        arrays.pair_flow.tolist(), arrays.pair_link.tolist(), w, cap, link_cap
+    )
+    return problems
+
+
+def test_bench_scalar_kernel_crossover(results_dir, request):
+    """Where the array kernel starts to beat the scalar one.
+
+    Times both kernels of the delta water-filler (best of several runs, on
+    the inputs each takes: Python lists for the scalar kernel, arrays for the
+    array one) on problems of growing size, and records the times and the
+    smallest size from which the array kernel won, per problem shape, into
+    ``kernel_waterfiller.json`` under ``scalar_crossover``.  The scalar
+    kernel's cost grows with pairs times rounds and the array kernel's with
+    rounds, so the crossover moves with the shape; ``SCALAR_MAX_PAIRS`` sits
+    between the sizes the benchmark's workloads solve.  In timed runs the
+    scalar kernel must win on rack components of 64 and 128 pairs (the size
+    of ``fattree-churn``'s, ~74) and the array kernel on both shapes at
+    1,024 pairs (the size of ``paper-pareto-rand-tcp``'s full solves, ~974).
+    """
+    import numpy as np
+
+    from repro.network.fluid_fast import SCALAR_MAX_PAIRS, _waterfill_kernel, _waterfill_scalar
+
+    def best_of(fn, repeats=7):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    rows = {"racks": {}, "tree": {}}
+    for pairs in CROSSOVER_PAIRS:
+        for shape, (pair_flow, pair_link, w, cap, link_cap) in _crossover_problems(
+            pairs
+        ).items():
+            lists = (pair_flow, pair_link, w.tolist(), cap.tolist(), link_cap.tolist())
+            arrays = (
+                np.asarray(pair_flow, dtype=np.intp),
+                np.asarray(pair_link, dtype=np.intp),
+                w,
+                cap,
+                link_cap,
+            )
+            scalar_rate, scalar_rounds = _waterfill_scalar(*lists)
+            array_rate, array_rounds = _waterfill_kernel(*arrays)
+            assert np.asarray(scalar_rate).tobytes() == array_rate.tobytes()
+            assert scalar_rounds == array_rounds
+            rows[shape][str(pairs)] = {
+                "pairs": len(pair_flow),
+                "rounds": array_rounds,
+                "scalar_us": best_of(lambda: _waterfill_scalar(*lists)) * 1e6,
+                "array_us": best_of(lambda: _waterfill_kernel(*arrays)) * 1e6,
+            }
+    section = {"scalar_max_pairs": SCALAR_MAX_PAIRS}
+    for shape, by_pairs in rows.items():
+        array_wins = [
+            int(pairs) for pairs, row in by_pairs.items() if row["array_us"] < row["scalar_us"]
+        ]
+        section[shape] = {
+            "by_pairs": by_pairs,
+            "array_wins_from_pairs": min(array_wins) if array_wins else None,
+        }
+
+    merged = {}
+    existing = results_dir / "kernel_waterfiller.json"
+    if existing.exists():
+        merged = json.loads(existing.read_text())
+    merged["scalar_crossover"] = section
+    save_result(results_dir, "kernel_waterfiller", merged)
+    if request.config.getoption("benchmark_disable", default=False):
+        pytest.skip("timing assertion skipped under --benchmark-disable")
+    for pairs in ("64", "128"):
+        row = rows["racks"][pairs]
+        assert row["scalar_us"] < row["array_us"], ("racks", pairs, row)
+    for shape in rows:
+        row = rows[shape]["1024"]
+        assert row["array_us"] < row["scalar_us"], (shape, row)
 
 
 def _churn_once(flows, cache, make_flow, rng):
@@ -294,8 +432,6 @@ def test_bench_incremental_churn_speedup(results_dir, request):
     Results merge into ``kernel_waterfiller.json`` next to the python→numpy
     speedups under the ``incremental_churn`` key.
     """
-    import json
-
     from repro.network.fluid import max_min_shares
 
     smoke = request.config.getoption("benchmark_disable", default=False)

@@ -132,7 +132,7 @@ def replicated_results_from_entries(
         group = sorted(by_scheme[scheme_key], key=lambda e: (e.replicate, e.key))
         ensembles[scheme_key] = ReplicatedResult(
             scheme=group[0].result.scheme,
-            seeds=[entry.job.seed for entry in group],
+            seeds=[entry.seed for entry in group],
             results=[entry.result for entry in group],
         )
     return ensembles

@@ -54,23 +54,53 @@ class StoredEntry:
 
     The query API (:meth:`ResultStore.query`) hands these out instead of raw
     dicts so analyses can reach typed views (``entry.job.spec.topology``,
-    ``entry.result.mean_fct_s()``) without re-parsing anything.
+    ``entry.result.mean_fct_s()``) without re-parsing anything.  The typed
+    :attr:`job` is built on first use: its scenario spec validates against
+    the registries, which a process reading a store written with plugins it
+    never registered cannot satisfy.  Sorting, grouping and filtering by
+    ensemble, replicate, scheme, tags and seed read the stored job dict.
     """
 
     key: str
-    job: ExperimentJob
+    #: the job as stored (``ExperimentJob.to_dict`` output)
+    job_data: Dict[str, Any]
     result: SchemeResult
     meta: Dict[str, Any]
 
     @property
+    def job(self) -> ExperimentJob:
+        """The typed job (built, and its spec validated, on first use)."""
+        job = self.__dict__.get("_job")
+        if job is None:
+            job = ExperimentJob.from_dict(self.job_data)
+            # Frozen dataclass: stash it without making it a field.
+            object.__setattr__(self, "_job", job)
+        return job
+
+    @property
     def tags(self) -> Dict[str, Any]:
         """The job's presentation tags (ensemble, replicate, role, ...)."""
-        return self.job.tags
+        return {
+            name: value
+            for name, value in self.job_data.get("tags", {}).items()
+            if not str(name).startswith("__")
+        }
 
     @property
     def scheme_name(self) -> str:
         """The job's scheme key (or inline scheme name)."""
-        return self.job.scheme_name
+        scheme = self.job_data["scheme"]
+        if isinstance(scheme, str):
+            return scheme
+        return str(scheme.get("name", "<scheme>"))
+
+    @property
+    def seed(self) -> int:
+        """The job's master seed."""
+        seed = self.job_data.get("seed")
+        if seed is None:
+            seed = self.job_data["spec"].get("seed")
+        return self.job.seed if seed is None else int(seed)
 
     @property
     def ensemble(self) -> str:
@@ -81,7 +111,11 @@ class StoredEntry:
         sweep points) falls back to the scenario's name, so grouping by
         ensemble is total.
         """
-        return str(self.tags.get("ensemble", self.job.spec.name))
+        tags = self.tags
+        if "ensemble" in tags:
+            return str(tags["ensemble"])
+        name = self.job_data["spec"].get("name")
+        return str(self.job.spec.name if name is None else name)
 
     @property
     def replicate(self) -> int:
@@ -191,7 +225,7 @@ class ResultStore:
     def _hydrate(self, entry: Dict[str, Any]) -> StoredEntry:
         return StoredEntry(
             key=str(entry["key"]),
-            job=ExperimentJob.from_dict(entry["job"]),
+            job_data=entry["job"],
             result=SchemeResult.from_dict(entry["result"]),
             meta=dict(entry.get("meta", {})),
         )

@@ -23,6 +23,12 @@ and rate write-back are array operations over them.  The table is built the
 first time the fabric advances with :data:`_PAIRWISE_MIN_FLOWS` or more
 active flows (or a solver needs it); until then flows and links hold their
 own values and are advanced through their own scalar methods.
+
+On the table an advance costs the churn plus two passes that cannot be
+avoided: every flow's remaining bytes and every loaded link's carried bytes.
+Offered loads are kept per slot between advances and re-added only where a
+slot's rows or their demands changed (:class:`_LinkLoads`), and only links
+with a backlog or more offered load than capacity run the queue step.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.network.flow import Flow, FlowKind, FlowState
 from repro.network.fluid_fast import DeltaWaterFiller, RowRates
 from repro.network.incidence import IncidenceCache, IncidenceTable
 from repro.network.routing import NoPathError, Router
-from repro.network.topology import Link, LinkColumns, Node, Topology
+from repro.network.topology import Link, LinkColumns, Node, Topology, grown
 from repro.sim.engine import Simulator
 
 #: From this many active flows the first advance builds the incidence table,
@@ -99,11 +105,11 @@ class FabricSimulator:
         self.router = router or Router(topology)
         self.config = config or FabricConfig()
 
-        #: Active flows keyed by id (insertion-ordered) with a lazily rebuilt
-        #: list snapshot — O(1) removal where the old list paid O(F) per
-        #: departure, while :attr:`active_flows` keeps its list API.
+        #: Active flows keyed by id (insertion-ordered), and the same flows
+        #: as the list :attr:`active_flows` hands out, kept in step in place:
+        #: appended on arrival, deleted by position on completion.
         self._active: Dict[int, Flow] = {}
-        self._active_list: Optional[List[Flow]] = None
+        self._active_list: List[Flow] = []
         self.finished_flows: List[Flow] = []
         #: link→flows incidence over the active set, updated incrementally on
         #: every arrival/departure/reroute and shared with the water-filler
@@ -116,6 +122,8 @@ class FabricSimulator:
         self._rows: Optional[np.ndarray] = None
         self._rows_epoch = -1
         self._rows_reordered = False
+        #: offered load per table slot and the links whose queues move
+        self._loads: Optional[_LinkLoads] = None
         self._last_advance = sim.now
         self._next_recompute_event = None
         self._next_tick_time = sim.now
@@ -216,14 +224,13 @@ class FabricSimulator:
     def active_flows(self) -> List[Flow]:
         """The currently transferring flows, in arrival order.
 
-        The returned list is a cached snapshot rebuilt only after churn and
-        declared to the incidence cache (:meth:`IncidenceCache.trust_flows`)
-        so the delta water-filler can skip its O(F) membership check when
-        handed this exact object.  Treat it as read-only.
+        The fabric's own list, updated in place as flows start and end (copy
+        it to keep a snapshot across churn), and declared to the incidence
+        cache (:meth:`IncidenceCache.trust_flows`) so the delta water-filler
+        can skip its O(F) membership check when handed this exact object.
+        Treat it as read-only.
         """
         lst = self._active_list
-        if lst is None:
-            lst = self._active_list = list(self._active.values())
         if self.incidence.trusted_flows is not lst:
             self.incidence.trust_flows(lst)
         return lst
@@ -302,7 +309,7 @@ class FabricSimulator:
         self._advance_to(now)
         flow.start(now)
         self._active[flow.flow_id] = flow
-        self._active_list = None
+        self._active_list.append(flow)
         if flow.multiplicity > 1:
             self._aggregate_active += 1
         self.incidence.add_flow(flow)
@@ -322,7 +329,7 @@ class FabricSimulator:
         self._advance_to(now)
         if self._active.pop(flow.flow_id, None) is None:
             return
-        self._active_list = None
+        self._drop_active(flow)
         if flow.multiplicity > 1:
             self._aggregate_active -= 1
         self.incidence.remove_flow(flow)
@@ -457,15 +464,20 @@ class FabricSimulator:
         if table is None and len(self._active) >= _PAIRWISE_MIN_FLOWS:
             table = self.incidence.table()
         if table is None:
-            finished = self._advance_handles(dt)
+            done = self._advance_handles(dt)
         else:
-            finished = self._advance_columns(dt, table)
+            done = self._advance_columns(dt, table)
 
         self._last_advance = now
-        for flow in finished:
-            self._finish_flow(flow, now)
+        if done:
+            # Positions in active order: the k-th finished flow sits at its
+            # position less the k deleted before it, unless a callback of an
+            # earlier one changed the list.
+            flows = self._active_list
+            for deleted, (position, flow) in enumerate([(i, flows[i]) for i in done]):
+                self._finish_flow(flow, now, position - deleted)
 
-    def _advance_handles(self, dt: float) -> List[Flow]:
+    def _advance_handles(self, dt: float) -> List[int]:
         """Advance unbound flows and links through their own scalar methods.
 
         Only runs before the fabric's table exists: until an advance first
@@ -499,13 +511,13 @@ class FabricSimulator:
                 if link.queue_bytes <= 0.0:
                     del queued[link_id]
 
-        finished: List[Flow] = []
+        done: List[int] = []
         tolerance = self.config.completion_tolerance_bytes
-        for flow in flows:
+        for position, flow in enumerate(flows):
             self.total_bytes_delivered += flow.advance(dt)
             if flow.remaining_bytes <= tolerance:
-                finished.append(flow)
-        return finished
+                done.append(position)
+        return done
 
     def _active_rows(self, table: IncidenceTable) -> np.ndarray:
         """Table rows of the active flows, in active (arrival) order."""
@@ -523,8 +535,9 @@ class FabricSimulator:
         self._rows_epoch = epoch
         return rows
 
-    def _advance_columns(self, dt: float, table: IncidenceTable) -> List[Flow]:
-        """Advance every active flow and loaded link with array operations.
+    def _advance_columns(self, dt: float, table: IncidenceTable) -> List[int]:
+        """Advance every active flow and loaded link with array operations;
+        returns the positions of the finished flows in active order.
 
         Per-flow and per-link arithmetic is :meth:`Flow.advance` and
         :meth:`Link.integrate_queue` operation for operation, on the row and
@@ -533,55 +546,58 @@ class FabricSimulator:
         queued = self._queued_links
         if queued:
             # Backlog built before the table existed: its links join the
-            # columns, whose backlog pass below drains them with the rest.
+            # columns, whose queue log hands them to the backlog pass below.
             for link in queued.values():
                 table.bind_link(link)
             queued.clear()
         rows = self._active_rows(table)
         count = rows.shape[0]
         sequential = count < _PAIRWISE_MIN_FLOWS
-        pairs = table.pair_count
-        pair_flow = table.pair_flow[:pairs]
-        pair_link = table.pair_link[:pairs]
+        loads = self._loads
+        if loads is None or loads.table is not table:
+            loads = self._loads = _LinkLoads(table)
         if sequential and self._rows_reordered:
             # Visit the pairs in active order, each row's in path order, so
             # every link adds up its offered load in the per-flow order.
+            pairs = table.pair_count
+            pair_flow = table.pair_flow[:pairs]
+            pair_link = table.pair_link[:pairs]
             rank = np.full(table.num_rows, count, dtype=np.intp)
             rank[rows] = np.arange(count)
             order = np.argsort(rank[pair_flow], kind="stable")
-            pair_flow = pair_flow[order]
-            pair_link = pair_link[order]
-        # Offered load per slot; dead pairs sit on the scratch row and slot.
-        offered = np.bincount(
-            pair_link, weights=table.demand_rate[pair_flow], minlength=table.num_slots
-        )
-        offered[IncidenceTable.SCRATCH] = 0.0
-        slots = np.flatnonzero(offered)
-        links = table.links
-        loaded = table.slot_link[slots]
-        self._integrate_links(links, loaded, offered[slots], dt)
-        # Drain the backlogged links that carried nothing this interval.
-        backlogged = np.flatnonzero(links.queue > 0.0)
-        if backlogged.shape[0]:
-            idle = np.ones(links.size, dtype=np.bool_)
-            idle[loaded] = False
-            backlogged = backlogged[idle[backlogged]]
-            self._integrate_links(links, backlogged, np.zeros(backlogged.shape[0]), dt)
+            loads.rebuild(
+                np.bincount(
+                    pair_link[order],
+                    weights=table.demand_rate[pair_flow[order]],
+                    minlength=table.num_slots,
+                ),
+                keep=False,
+            )
+        else:
+            loads.update()
+        loads.integrate(dt)
 
         # Remaining bytes: min(remaining, rate * dt / 8.0) per session, as in
         # Flow.advance; the multiplicity division only exists while an
-        # aggregate flow is active.
-        rate = table.current_rate[rows]
-        remaining = table.remaining[rows]
-        if self._aggregate_active:
-            mult = table.multiplicity[rows]
-            delivered = np.minimum(remaining, (rate / mult) * dt / 8.0)
-            sent = delivered * mult
-        else:
-            delivered = np.minimum(remaining, rate * dt / 8.0)
-            sent = delivered
-        remaining -= delivered
-        table.remaining[rows] = remaining
+        # aggregate flow is active.  The arithmetic runs in place on whole
+        # columns, dead rows included (their values are never read again),
+        # and the delivered bytes are summed over the active rows in order.
+        n_rows = table.num_rows
+        rate = table.current_rate[:n_rows]
+        remaining = table.remaining[:n_rows]
+        with np.errstate(invalid="ignore"):
+            if self._aggregate_active:
+                mult = table.multiplicity[:n_rows]
+                delivered = rate / mult
+                delivered *= dt
+            else:
+                delivered = rate * dt
+            delivered /= 8.0
+            np.minimum(remaining, delivered, out=delivered)
+            remaining -= delivered
+            if self._aggregate_active:
+                delivered *= mult
+        sent = delivered[rows]
         if sequential:
             total = self.total_bytes_delivered
             for value in sent.tolist():
@@ -590,31 +606,20 @@ class FabricSimulator:
         else:
             self.total_bytes_delivered += float(sent.sum())
 
-        done = np.flatnonzero(remaining <= self.config.completion_tolerance_bytes)
-        if not done.shape[0]:
-            return []
-        flows = self.active_flows
-        return [flows[i] for i in done.tolist()]
+        return np.flatnonzero(
+            remaining[rows] <= self.config.completion_tolerance_bytes
+        ).tolist()
 
-    @staticmethod
-    def _integrate_links(
-        links: LinkColumns, index: np.ndarray, offered: np.ndarray, dt: float
-    ) -> None:
-        """:meth:`Link.integrate_queue` for the links at ``index`` at once."""
-        capacity = links.capacity[index]
-        queue = links.queue[index] + (offered - capacity) * dt / 8.0
-        over = queue > links.buffer[index]
-        if over.any():
-            lost = index[over]
-            links.loss_flag[lost] = True
-            links.loss_events[lost] += 1
-            queue[over] = links.buffer[lost]
-        links.queue[index] = np.where(queue > 0.0, queue, 0.0)
-        links.carried[index] += np.minimum(offered, capacity) * dt / 8.0
+    def _drop_active(self, flow: Flow, position: int = -1) -> None:
+        """Delete ``flow`` from the active list, at ``position`` if it is there."""
+        flows = self._active_list
+        if not (0 <= position < len(flows) and flows[position] is flow):
+            position = next(i for i, other in enumerate(flows) if other is flow)
+        del flows[position]
 
-    def _finish_flow(self, flow: Flow, now: float) -> None:
+    def _finish_flow(self, flow: Flow, now: float, position: int = -1) -> None:
         if self._active.pop(flow.flow_id, None) is not None:
-            self._active_list = None
+            self._drop_active(flow, position)
             if flow.multiplicity > 1:
                 self._aggregate_active -= 1
         self.incidence.remove_flow(flow)
@@ -653,12 +658,11 @@ class FabricSimulator:
                 flow.demand_rate_bps = demand[flow.flow_id]
                 flow.current_rate_bps = delivered[flow.flow_id]
             return
-        rows = self._active_rows(table)
         for column, rates in ((table.demand_rate, demand), (table.current_rate, delivered)):
             if isinstance(rates, RowRates) and rates.table is table:
                 column[: rates.rates.shape[0]] = rates.rates
             else:
-                column[rows] = np.fromiter(
+                column[self._active_rows(table)] = np.fromiter(
                     (rates[flow.flow_id] for flow in flows), np.float64, len(flows)
                 )
 
@@ -730,19 +734,24 @@ class FabricSimulator:
         if table is None:
             earliest_completion = min(f.time_to_complete() for f in self.active_flows)
         else:
-            # Flow.time_to_complete for every active flow at once.
-            rows = self._active_rows(table)
-            rate = table.current_rate[rows]
-            if self._aggregate_active:
-                rate = rate / table.multiplicity[rows]
-            remaining = table.remaining[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ttc = np.where(
-                    remaining <= 0.0,
-                    0.0,
-                    np.where(rate > 0.0, remaining * 8.0 / rate, np.inf),
-                )
-            earliest_completion = float(ttc.min())
+            # The least Flow.time_to_complete over the active flows: 0 when
+            # one has no bytes left, else over those with a positive rate.
+            # Whole columns, with the rows that hold no active flow masked.
+            n_rows = table.num_rows
+            live = table.live[:n_rows]
+            remaining = table.remaining[:n_rows]
+            if np.min(remaining, where=live, initial=np.inf) <= 0.0:
+                earliest_completion = 0.0
+            else:
+                rate = table.current_rate[:n_rows]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    if self._aggregate_active:
+                        rate = rate / table.multiplicity[:n_rows]
+                    ttc = remaining * 8.0
+                    ttc /= rate
+                moving = rate > 0.0
+                moving &= live
+                earliest_completion = float(np.min(ttc, where=moving, initial=np.inf))
         next_time = now + min(self.config.control_interval_s, max(earliest_completion, 0.0))
         # Guard against zero-length steps caused by floating-point round-off.
         next_time = max(next_time, now + 1e-9)
@@ -773,6 +782,203 @@ class FabricSimulator:
             f"<FabricSimulator t={self.sim.now:g} active={len(self._active)} "
             f"finished={len(self.finished_flows)}>"
         )
+
+
+class _LinkLoads:
+    """Offered load per slot of a fabric's table, kept between advances, and
+    the links whose queues move.
+
+    ``bincount`` adds each slot's terms one at a time in pair order, so
+    re-adding the rows on one slot (the table's per-slot row lists) in that
+    order gives the bits of a full ``bincount``.  :meth:`update` re-adds the
+    slots whose rows changed (the table's slot log) or whose rows' demand
+    changed (a bitwise comparison with a copy of the demand column), and
+    makes one full ``bincount`` instead when most rows changed.
+
+    :meth:`integrate` is :meth:`Link.integrate_queue` on every link of the
+    columns: carried bytes grow by ``min(offered, capacity) * dt / 8`` (kept
+    per link entry, 0.0 on a link without load here), but the queue step
+    only runs on links that are overloaded or hold a backlog.  On the others
+    it is exact to skip: a queue at 0 whose offered load is at most the
+    capacity stays at 0, with no loss (buffers are not negative).  Capacity
+    writes reach the kept minima through the link columns' capacity log;
+    backlogs written outside the advance (a reset, a link bound with one,
+    another fabric on the same topology) through the queue log.
+    """
+
+    #: Changed rows, as a fraction of all rows, from which :meth:`update`
+    #: makes one full ``bincount``.
+    FULL_FRACTION = 0.25
+    #: Below this many pairs every update is one full ``bincount``: cheaper
+    #: than finding what changed (on ``fattree-churn``-shaped tables, 18 vs
+    #: 55 us at 1,160 pairs, 53 vs 58 us at 4,160, 156 vs 52 us at 16,160).
+    INCREMENTAL_MIN_PAIRS = 4096
+
+    def __init__(self, table: IncidenceTable) -> None:
+        self.table = table
+        #: the link columns :attr:`backlog` was read from
+        self.links: Optional[LinkColumns] = None
+        #: link entries with a backlog (a superset: some may be back at 0)
+        self.backlog: Set[int] = set()
+        self.queue_seen = -1
+        self.capacity_seen = -1
+        self.layout = -1
+
+    def rebuild(self, offered: np.ndarray, keep: bool = True) -> None:
+        """Take ``offered`` (a full ``bincount`` over the table's slots) and
+        recompute every link's carried rate and whether it is overloaded.
+        ``keep=False``: the sums are not in pair order, so the next
+        :meth:`update` rebuilds again."""
+        table = self.table
+        offered[IncidenceTable.SCRATCH] = 0.0
+        n_slots = offered.shape[0]
+        self.offered = offered
+        self.layout = table.layout_version if keep else -1
+        self.slot_seen = table.slot_log.version
+        self.demand = table.demand_rate[: table.num_rows].copy()
+        #: slot -> the link entry its load was last written for
+        self.slot_entry = table.slot_link[:n_slots].copy()
+        #: link entries whose slot's offered load exceeds the capacity
+        self.overloaded: Set[int] = set()
+        links = table.links
+        if links is None:
+            self.carry = np.zeros(0)
+            return
+        #: link entry -> min(offered, capacity) of its slot (0.0 without one)
+        self.carry = np.zeros(links.size)
+        capacity = links.capacity[self.slot_entry]
+        self.carry[self.slot_entry] = np.minimum(offered, capacity)
+        self.overloaded.update(self.slot_entry[offered > capacity].tolist())
+        self.capacity_seen = links.capacity_log.version
+
+    def update(self) -> None:
+        """Bring the offered loads, carried rates and overloads up to date."""
+        table = self.table
+        n_rows = table.num_rows
+        demand = table.demand_rate[:n_rows]
+        links = table.links
+        slots = None
+        if self.layout == table.layout_version and table.pair_count >= self.INCREMENTAL_MIN_PAIRS:
+            slots = table.slot_log.since(self.slot_seen)
+        marked = None if links is None else links.capacity_log.since(self.capacity_seen)
+        if slots is None or (links is not None and marked is None):
+            self._full()
+            return
+        seen = self.demand
+        if seen.shape[0] < n_rows:
+            seen = self.demand = grown(seen, n_rows, 0.0)
+        changed = np.flatnonzero(demand.view(np.int64) != seen[:n_rows].view(np.int64))
+        if changed.shape[0] > self.FULL_FRACTION * n_rows:
+            self._full()
+            return
+        dirty = set(slots)
+        if changed.shape[0]:
+            seen[changed] = demand[changed]
+            dirty.update(table.pair_link[table.pairs_of(changed)].tolist())
+        if marked:
+            entries = np.asarray(marked, dtype=np.intp)
+            entries = entries[entries < table.link_slot.shape[0]]
+            dirty.update(table.link_slot[entries].tolist())
+        self.slot_seen = table.slot_log.version
+        dirty.discard(IncidenceTable.SCRATCH)
+        if links is not None:
+            self.capacity_seen = links.capacity_log.version
+        if not dirty:
+            return
+
+        n_slots = table.num_slots
+        if self.offered.shape[0] < n_slots:
+            self.offered = grown(self.offered, n_slots, 0.0)
+            self.slot_entry = grown(self.slot_entry, n_slots, 0)
+        slot_rows = table.slot_rows
+        index = sorted(dirty)
+        rows: List[int] = []
+        bins: List[int] = []
+        for k, slot in enumerate(index):
+            on_slot = slot_rows[slot]
+            rows.extend(on_slot)
+            bins.extend([k] * len(on_slot))
+        index = np.asarray(index, dtype=np.intp)
+        offered = np.bincount(bins, weights=demand[rows], minlength=index.shape[0])
+        self.offered[index] = offered
+        if links is None:
+            return
+        if self.carry.shape[0] < links.size:
+            self.carry = grown(self.carry, links.size, 0.0)
+        entries = table.slot_link[index]
+        before = self.slot_entry[index]
+        overloaded = self.overloaded
+        gone = before[entries != before]
+        if gone.shape[0]:
+            # Retired slots: their links carry nothing here any more.
+            self.carry[gone] = 0.0
+            overloaded.difference_update(gone.tolist())
+        self.slot_entry[index] = entries
+        capacity = links.capacity[entries]
+        self.carry[entries] = np.minimum(offered, capacity)
+        for entry, is_over in zip(entries.tolist(), (offered > capacity).tolist()):
+            if is_over:
+                overloaded.add(entry)
+            else:
+                overloaded.discard(entry)
+
+    def _full(self) -> None:
+        table = self.table
+        pairs = table.pair_count
+        self.rebuild(
+            np.bincount(
+                table.pair_link[:pairs],
+                weights=table.demand_rate[table.pair_flow[:pairs]],
+                minlength=table.num_slots,
+            )
+        )
+
+    def integrate(self, dt: float) -> None:
+        """Carried bytes on every link, the queue step where it moves."""
+        table = self.table
+        links = table.links
+        if links is None:
+            return
+        carry = self.carry
+        increment = carry * dt
+        increment /= 8.0
+        links.carried[: carry.shape[0]] += increment
+
+        log = links.queue_log
+        backlog = self.backlog
+        marked = log.since(self.queue_seen) if links is self.links else None
+        if marked is None:
+            self.links = links
+            backlog = set(np.flatnonzero(links.queue > 0.0).tolist())
+        else:
+            backlog.update(marked)
+        moving = backlog | self.overloaded
+        if not moving:
+            self.backlog = backlog
+            self.queue_seen = log.version
+            return
+        index = np.fromiter(moving, np.intp, len(moving))
+        link_slot = table.link_slot
+        slots = np.zeros(index.shape[0], dtype=np.intp)
+        mapped = index < link_slot.shape[0]
+        slots[mapped] = link_slot[index[mapped]]
+        offered = self.offered[slots]
+        capacity = links.capacity[index]
+        queue = links.queue[index] + (offered - capacity) * dt / 8.0
+        over = queue > links.buffer[index]
+        if over.any():
+            lost = index[over]
+            links.loss_flag[lost] = True
+            links.loss_events[lost] += 1
+            queue[over] = links.buffer[lost]
+        queue = np.where(queue > 0.0, queue, 0.0)
+        links.queue[index] = queue
+        held = set(index[queue > 0.0].tolist())
+        for entry in held - backlog:
+            # A new backlog: other readers of these columns hear of it too.
+            log.mark(entry)
+        self.backlog = held
+        self.queue_seen = log.version
 
 
 class TransportModelLike:

@@ -272,14 +272,17 @@ class Flow:
 
 class BoundFlow(Flow):
     """A :class:`Flow` whose state lives in an incidence table's row columns
-    (see :class:`~repro.network.incidence.IncidenceTable`)."""
+    (see :class:`~repro.network.incidence.IncidenceTable`).  Weight writes are
+    logged in the table's ``weight_log`` for the water-filler."""
 
     __slots__ = ()
 
     remaining_bytes = column_attribute("remaining", "Bytes left per session.")
     current_rate_bps = column_attribute("current_rate", "Delivered rate in bits/s.")
     demand_rate_bps = column_attribute("demand_rate", "Offered rate in bits/s.")
-    priority_weight = column_attribute("priority_weight", "SCDA priority weight.")
+    priority_weight = column_attribute(
+        "priority_weight", "SCDA priority weight.", log="weight_log"
+    )
 
     #: the plain slots the column attributes above shadow
     OWN_SLOTS = tuple(

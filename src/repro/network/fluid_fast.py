@@ -17,8 +17,9 @@ This module hosts the two numpy backends of
   which makes the component-local solve equal to the full solve on the
   component rows — not an approximation.  Dirty seeds come from the
   :class:`~repro.network.incidence.IncidenceCache` change listeners plus
-  per-call verification of the runtime-mutable inputs (priority weights,
-  demand caps, link capacities).  When the dirty component exceeds
+  the runtime-mutable inputs that changed (priority weights and link
+  capacities, named by the change logs their column setters write, and
+  demand caps).  When the dirty component exceeds
   :data:`MAX_DIRTY_FRACTION` of the live flows the filler falls back to one
   full solve — incrementality only pays on sparse churn.
 
@@ -26,7 +27,10 @@ Both backends share one array kernel (:func:`_waterfill_kernel`).  The full
 backend rebuilds its arrays per flow-set epoch; the incremental backend runs
 on the cache's *persistent* :class:`~repro.network.incidence.IncidenceTable`,
 so a churn event costs O(path length) table maintenance + O(component) solve
-instead of O(nnz) rebuild + O(nnz · rounds) solve.
+instead of O(nnz) rebuild + O(nnz · rounds) solve.  Below
+:data:`SCALAR_MAX_PAIRS` (incidence) pairs the incremental backend runs
+:func:`_waterfill_scalar` instead, the same rounds on Python floats, which
+gives the same rates bit for bit without numpy's fixed cost per call.
 
 Equivalence with the Python solver (within 1e-9 relative) is enforced by
 ``tests/network/test_fluid_equivalence.py`` and
@@ -38,12 +42,13 @@ bottleneck links, both of which perturb results at machine epsilon only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.network.flow import Flow
 from repro.network.incidence import IncidenceArrays, IncidenceCache, IncidenceTable
+from repro.network.topology import grown
 
 #: The incremental path abandons its BFS and falls back to a full solve when
 #: the dirty component exceeds this fraction of the live flows — beyond it the
@@ -55,6 +60,12 @@ MAX_DIRTY_FRACTION = 0.25
 #: solve is a full one) past this many un-consumed events — it bounds listener
 #: memory when a scenario churns for a long time between incremental solves.
 _MAX_PENDING_EVENTS = 200_000
+
+#: Problems with fewer (incidence) pairs than this are solved by
+#: :func:`_waterfill_scalar`, larger ones by :func:`_waterfill_kernel`: the
+#: crossover measured by ``test_bench_scalar_kernel_crossover`` in
+#: benchmarks/test_bench_kernel_microbench.py.
+SCALAR_MAX_PAIRS = 256
 
 _INF = float("inf")
 
@@ -126,6 +137,137 @@ def _waterfill_kernel(
             rate[live] = np.minimum(cap[live], bottleneck * w[live])
             break
     return rate, rounds
+
+
+def _waterfill_scalar(
+    pair_flow: Sequence[int],
+    pair_link: Sequence[int],
+    w: Sequence[float],
+    cap: Sequence[float],
+    link_cap: Sequence[float],
+) -> Tuple[List[float], int]:
+    """:func:`_waterfill_kernel` on Python floats; returns (rates, rounds).
+
+    The same rounds with the same arithmetic, so the same rates bit for bit
+    and the same round count, for non-negative caps, positive weights and
+    capacities that are not NaN:
+
+    * a link's weight and rate sums add their terms one at a time in pair
+      order, starting from 0.0, as ``bincount`` does;
+    * flows are capped against the bottleneck share at the round's start;
+    * every link at the bottleneck freezes its unfrozen flows at its
+      round-start share, all at once, and a flow on several of them takes
+      the share of the first in link order.
+
+    Two shortcuts keep the sums exact.  A link's sums are re-added only
+    after a flow on it froze, since otherwise they add up the same terms.
+    The 0.0 terms the array kernel adds (for a frozen flow's weight and an
+    unfrozen flow's rate) are skipped, since adding 0.0 to a sum of
+    non-negative terms leaves its bits as they are.
+    """
+    num_flows = len(w)
+    num_links = len(link_cap)
+    on_link: List[List[int]] = [[] for _ in range(num_links)]
+    links_of: List[List[int]] = [[] for _ in range(num_flows)]
+    for f, l in zip(pair_flow, pair_link):
+        on_link[l].append(f)
+        links_of[f].append(l)
+    rate = [0.0] * num_flows
+    live = [not c <= 0.0 for c in cap]
+    unfrozen = [f for f in range(num_flows) if live[f]]
+    # Only a flow with a finite cap can be capped: inf < x is never true.
+    cappable = [f for f in unfrozen if cap[f] != _INF]
+    weight_sum = [0.0] * num_links
+    share = [_INF] * num_links
+    stale: Iterable[int] = range(num_links)
+    rounds = 0
+    for _round in range(num_flows + num_links + 1):
+        if not unfrozen:
+            break
+        rounds += 1
+        for l in stale:
+            ws = 0.0
+            used = 0.0
+            for f in on_link[l]:
+                if live[f]:
+                    ws += w[f]
+                else:
+                    used += rate[f]
+            weight_sum[l] = ws
+            remaining = link_cap[l] - used
+            if remaining < 0.0:
+                remaining = 0.0
+            share[l] = remaining / ws if ws > 0.0 else _INF
+        bottleneck = min(share) if num_links else _INF
+        if bottleneck == _INF:
+            # No capacity constraint applies; every remaining flow takes its cap.
+            for f in unfrozen:
+                rate[f] = cap[f]
+            break
+
+        # Any flow whose cap is below its would-be share freezes at the cap.
+        stale = set()
+        if cappable:
+            cappable = [f for f in cappable if live[f]]
+            capped = [f for f in cappable if cap[f] < bottleneck * w[f] - 1e-12]
+            if capped:
+                for f in capped:
+                    rate[f] = cap[f]
+                    live[f] = False
+                    stale.update(links_of[f])
+                unfrozen = [f for f in unfrozen if live[f]]
+                continue
+
+        # Freeze the live flows on (all) bottleneck links at their share (a
+        # link without live flows has share inf).
+        threshold = bottleneck + 1e-9
+        froze: Dict[int, float] = {}
+        for l, at in enumerate(share):
+            if at <= threshold and weight_sum[l] > 0.0:
+                for f in on_link[l]:
+                    if live[f] and f not in froze:
+                        froze[f] = at
+        if not froze:  # pragma: no cover - defensive, mirrors the array kernel
+            for f in unfrozen:
+                c = cap[f]
+                x = bottleneck * w[f]
+                rate[f] = c if c <= x else x
+            break
+        for f, at in froze.items():
+            rate[f] = at * w[f]
+            live[f] = False
+            stale.update(links_of[f])
+        unfrozen = [f for f in unfrozen if live[f]]
+    return rate, rounds
+
+
+def _waterfill(
+    pair_flow: Union[List[int], "np.ndarray"],
+    pair_link: Union[List[int], "np.ndarray"],
+    w: "np.ndarray",
+    cap: "np.ndarray",
+    link_cap: "np.ndarray",
+) -> Tuple["np.ndarray", int]:
+    """Progressive filling with the kernel that is faster at this size:
+    :func:`_waterfill_scalar` below :data:`SCALAR_MAX_PAIRS` pairs, else
+    :func:`_waterfill_kernel`.  Both give the same bits; the rates come back
+    as an array either way."""
+    if len(pair_flow) < SCALAR_MAX_PAIRS:
+        rate, rounds = _waterfill_scalar(
+            pair_flow if isinstance(pair_flow, list) else pair_flow.tolist(),
+            pair_link if isinstance(pair_link, list) else pair_link.tolist(),
+            w.tolist(),
+            cap.tolist(),
+            link_cap.tolist(),
+        )
+        return np.array(rate, dtype=np.float64), rounds
+    return _waterfill_kernel(
+        np.asarray(pair_flow, dtype=np.intp),
+        np.asarray(pair_link, dtype=np.intp),
+        w,
+        cap,
+        link_cap,
+    )
 
 
 def _structure_for(
@@ -240,16 +382,19 @@ class DeltaWaterFiller:
     1. verifies the runtime-mutable inputs against the snapshots (priority
        weights are mutated in place by the SCDA priority manager every control
        round; SLA boosts mutate link capacities without an epoch bump) —
-       changed entries become dirty seeds, exactly like churned flows.  Both
-       are array comparisons: weights are read from the table's row columns
-       and capacities from the topology's link columns;
+       changed entries become dirty seeds, exactly like churned flows.  The
+       entries to compare come from the change logs the bound flows and
+       links write (``IncidenceTable.weight_log``, ``LinkColumns.capacity_log``);
+       explicit ``weights``, ``capacity_overrides`` or a log that no longer
+       reaches back fall back to comparing every row and slot;
     2. grows the dirty set to the full connected component of the incidence
        graph (the unit on which max-min decomposes exactly), aborting early
        to a full solve past :data:`MAX_DIRTY_FRACTION`;
-    3. solves only the component with the shared kernel, on sub-arrays
-       extracted in global row/slot order so tie-breaking matches the full
-       solve bit for bit, and merges the component rates into the kept vector,
-       which every solve returns as a :class:`RowRates`.
+    3. solves only the component, with :func:`_waterfill_scalar` below
+       :data:`SCALAR_MAX_PAIRS` pairs and the array kernel above, on inputs
+       that keep the global row and slot order so tie-breaking matches the
+       full solve bit for bit, and merges the component rates into the kept
+       vector, which every solve returns as a :class:`RowRates`.
 
     ``app_limit_bps`` is treated as immutable after a flow starts (nothing in
     the runtime mutates it; it is an admission-time property), which is what
@@ -269,6 +414,14 @@ class DeltaWaterFiller:
         #: the caps of the last solve: a dict, or a copy of a RowRates vector
         self._caps_snapshot: Union[Dict[int, float], np.ndarray] = {}
         self._weights_snapshot: Dict[int, float] = {}
+        #: where the snapshots stand: the weight-log and capacity-log versions
+        #: they have read up to, the link columns of that log, the slots the
+        #: capacity snapshot covers and whether it has overrides applied
+        self._weights_seen = -1
+        self._capacities_seen = -1
+        self._links_seen = None
+        self._slots_seen = 0
+        self._overrides_seen = False
         self._layout_version = -1
         self._epoch_seen = -1
         # Pending churn since the last solve.
@@ -382,25 +535,22 @@ class DeltaWaterFiller:
         dirty_rows: Set[int] = set()
         dirty_slots: Set[int] = set()
 
-        # Grow snapshots for rows appended since the last solve; the new rows
-        # are dirty by construction (they are the pending adds).
+        # Grow snapshots for rows appended since the last solve, by a quarter
+        # at a time as the table's columns grow; the new rows are dirty by
+        # construction (they are the pending adds).
         if self._w_row.shape[0] < n_rows:
-            grown = np.empty(n_rows, dtype=np.float64)
-            grown[: self._w_row.shape[0]] = self._w_row
-            grown[self._w_row.shape[0] :] = 1.0
-            self._w_row = grown
-            for name in ("_cap_row", "_rate_row"):
-                old = getattr(self, name)
-                grown = np.zeros(n_rows, dtype=np.float64)
-                grown[: old.shape[0]] = old
-                setattr(self, name, grown)
+            self._w_row = grown(self._w_row, n_rows, 1.0)
+            self._cap_row = grown(self._cap_row, n_rows, 0.0)
+            self._rate_row = grown(self._rate_row, n_rows, 0.0)
 
         # 1. Churn seeds.
         row_of = table.row_of
+        added: List[int] = []
         for fid in self._pending_added:
             row = row_of.get(fid)
             if row is not None:
                 dirty_rows.add(row)
+                added.append(row)
                 flow = row_flows[row]
                 self._cap_row[row] = self._effective_cap(flow, caps)
                 self._w_row[row] = self._effective_weight(flow, wdict)
@@ -411,23 +561,7 @@ class DeltaWaterFiller:
                 dirty_slots.add(slot)
 
         # 2. Verify the runtime-mutable inputs; differences become seeds.
-        cur_w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
-        if wdict:
-            for fid, value in wdict.items():
-                row = row_of.get(fid)
-                if row is not None:
-                    cur_w[row] = float(value) * row_flows[row].multiplicity
-        if (cur_w <= 0.0).any():
-            bad = int(np.nonzero(cur_w <= 0.0)[0][0])
-            flow = row_flows[bad]
-            if flow is not None:
-                raise ValueError(
-                    f"flow {flow.flow_id} has non-positive weight {cur_w[bad]}"
-                )
-        changed = np.nonzero(cur_w != self._w_row)[0]
-        if changed.size:
-            dirty_rows.update(int(r) for r in changed)
-        self._w_row = cur_w
+        self._verify_weights(table, wdict, added, dirty_rows)
 
         old = self._caps_snapshot
         row_caps = self._row_caps(demand_caps, table)
@@ -469,21 +603,12 @@ class DeltaWaterFiller:
                 self._caps_snapshot = new if row_caps is None else row_caps.copy()
                 self._weights_snapshot = dict(wdict)
 
-        cur_linkcap = table.link_capacities(capacity_scale, capacity_overrides)
-        if cur_linkcap.shape[0] != self._linkcap_slot.shape[0]:
-            grown = np.full(cur_linkcap.shape[0], _INF, dtype=np.float64)
-            grown[: self._linkcap_slot.shape[0]] = self._linkcap_slot
-            self._linkcap_slot = grown
-        changed_slots = np.nonzero(cur_linkcap != self._linkcap_slot)[0]
-        for s in changed_slots:
-            if table.link_slots[int(s)] is not None:
-                dirty_slots.add(int(s))
-        self._linkcap_slot = cur_linkcap
+        self._verify_capacities(table, capacity_scale, capacity_overrides, dirty_slots)
 
         if not dirty_rows and not dirty_slots:
             self.solves_noop += 1
             self._finish_bookkeeping(table)
-            return RowRates(table, self._rate_row.copy())
+            return RowRates(table, self._rate_row[:n_rows].copy())
 
         # 3. Close over the connected component; bail out when it gets large.
         component = self._component_of(table, dirty_rows, dirty_slots)
@@ -499,7 +624,120 @@ class DeltaWaterFiller:
         if len(comp_rows) > self.dirty_rows_max:
             self.dirty_rows_max = len(comp_rows)
         self._finish_bookkeeping(table)
-        return RowRates(table, self._rate_row.copy())
+        return RowRates(table, self._rate_row[:n_rows].copy())
+
+    # -- input verification ----------------------------------------------------------
+    def _verify_weights(
+        self,
+        table: IncidenceTable,
+        wdict: Mapping[int, float],
+        added: List[int],
+        dirty_rows: Set[int],
+    ) -> None:
+        """Dirty the rows whose weight changed since the last solve.
+
+        The rows to look at are the ones the table's weight log names (bound
+        flows' weight writes, rows that died) plus the rows added since.  With
+        explicit weights now or at the last solve, or a log that does not
+        reach back, every row is compared.  A live row with a non-positive
+        weight raises, as a full solve would.
+        """
+        n_rows = table.num_rows
+        log = table.weight_log
+        row_flows = table.row_flows
+        marked = (
+            None if wdict or self._weights_snapshot else log.since(self._weights_seen)
+        )
+        if marked is not None and len(marked) <= n_rows // 8:
+            # A few rows: their weights one at a time, the same product.
+            weight = table.priority_weight
+            multiplicity = table.multiplicity
+            snapshot = self._w_row
+            current = [
+                (row, weight.item(row) * multiplicity.item(row))
+                for row in sorted(set(marked).union(added))
+            ]
+            for row, value in current:
+                if value <= 0.0 and row_flows[row] is not None:
+                    raise ValueError(
+                        f"flow {row_flows[row].flow_id} has non-positive weight {value}"
+                    )
+            for row, value in current:
+                if value != snapshot.item(row):
+                    dirty_rows.add(row)
+                    snapshot[row] = value
+            self._weights_seen = log.version
+            return
+        cur_w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
+        if wdict:
+            row_of = table.row_of
+            for fid, value in wdict.items():
+                row = row_of.get(fid)
+                if row is not None:
+                    cur_w[row] = float(value) * row_flows[row].multiplicity
+        bad = np.flatnonzero(cur_w <= 0.0)
+        if bad.size:
+            row = int(bad[0])
+            if row_flows[row] is not None:
+                raise ValueError(
+                    f"flow {row_flows[row].flow_id} has non-positive weight {cur_w[row]}"
+                )
+        changed = np.flatnonzero(cur_w != self._w_row[:n_rows])
+        if changed.size:
+            dirty_rows.update(changed.tolist())
+        self._w_row[:n_rows] = cur_w
+        self._weights_seen = log.version
+
+    def _verify_capacities(
+        self,
+        table: IncidenceTable,
+        capacity_scale: float,
+        capacity_overrides: Optional[Mapping[str, float]],
+        dirty_slots: Set[int],
+    ) -> None:
+        """Dirty the live slots whose effective capacity changed since the last solve.
+
+        The slots to look at are the ones added since, and those of the links
+        the link columns' capacity log names.  With capacity overrides now or
+        at the last solve, or a log that does not reach back, every slot is
+        compared.
+        """
+        n_slots = table.num_slots
+        links = table.links
+        marked = None
+        if (
+            links is not None
+            and links is self._links_seen
+            and not (capacity_overrides or self._overrides_seen)
+        ):
+            marked = links.capacity_log.since(self._capacities_seen)
+            if not marked and n_slots == self._slots_seen:
+                return
+        if marked is None or len(marked) > n_slots // 8:
+            slots = np.arange(n_slots)
+            cur = table.link_capacities(capacity_scale, capacity_overrides)
+        else:
+            if marked:
+                entries = np.unique(np.asarray(marked, dtype=np.intp))
+                entries = entries[entries < table.link_slot.shape[0]]
+                known = table.link_slot[entries]
+                known = known[(known > 0) & (known < self._slots_seen)]
+            else:
+                known = np.zeros(0, dtype=np.intp)
+            slots = np.concatenate((known, np.arange(self._slots_seen, n_slots)))
+            cur = table.link_capacities(capacity_scale, slots=slots)
+        if self._linkcap_slot.shape[0] < n_slots:
+            self._linkcap_slot = grown(self._linkcap_slot, n_slots, _INF)
+        changed = slots[cur != self._linkcap_slot[slots]]
+        link_slots = table.link_slots
+        for slot in changed.tolist():
+            if link_slots[slot] is not None:
+                dirty_slots.add(slot)
+        self._linkcap_slot[slots] = cur
+        self._slots_seen = n_slots
+        self._links_seen = links
+        self._capacities_seen = -1 if links is None else links.capacity_log.version
+        self._overrides_seen = bool(capacity_overrides)
 
     # -- helpers -------------------------------------------------------------------
     @staticmethod
@@ -559,79 +797,69 @@ class DeltaWaterFiller:
     ) -> Optional[Tuple[List[int], List[int]]]:
         """BFS closure of the seeds over the bipartite incidence graph.
 
-        Returns ``(rows, slots)`` sorted ascending, or None when the region
-        exceeds the fallback threshold (the BFS aborts as soon as it does, so
-        a dense region costs O(threshold), not O(component)).
+        Rows reach their slots through their pair spans, and slots their rows
+        through the table's per-slot row lists.  Returns ``(rows, slots)``
+        sorted ascending, or None when the region exceeds the fallback
+        threshold (the BFS aborts as soon as it does, so a dense region costs
+        O(threshold), not O(component)).
         """
         limit = self._region_limit(table)
+        row_flows = table.row_flows
+        slot_rows = table.slot_rows
+        pair_slots = table.pair_slots
+        row_start = table.row_start
+        row_stop = table.row_stop
+        scratch = table.SCRATCH
         rows: Set[int] = set()
         slots: Set[int] = set(seed_slots)
-        row_frontier: List[int] = [r for r in seed_rows if table.row_flows[r] is not None]
+        row_frontier: List[int] = [r for r in seed_rows if row_flows[r] is not None]
         slot_frontier: List[int] = list(seed_slots)
         rows.update(row_frontier)
-        cache = self.cache
-        row_of = table.row_of
-        pl = table.pair_link
         while row_frontier or slot_frontier:
             if len(rows) > limit:
                 return None
-            next_slots: List[int] = []
             for row in row_frontier:
-                start, stop = table.row_start.item(row), table.row_stop.item(row)
-                for slot in pl[start:stop].tolist():
-                    if slot != table.SCRATCH and slot not in slots:
+                for slot in pair_slots[row_start.item(row) : row_stop.item(row)]:
+                    if slot != scratch and slot not in slots:
                         slots.add(slot)
-                        next_slots.append(slot)
-            slot_frontier.extend(next_slots)
+                        slot_frontier.append(slot)
             row_frontier = []
-            while slot_frontier:
-                slot = slot_frontier.pop()
-                link = table.link_slots[slot]
-                if link is None:
-                    continue
-                for flow_id in cache.flow_ids_of_link(link.link_id):
-                    row = row_of.get(flow_id)
-                    if row is not None and row not in rows:
+            for slot in slot_frontier:
+                for row in slot_rows[slot]:
+                    if row not in rows:
                         rows.add(row)
                         row_frontier.append(row)
                         if len(rows) > limit:
                             return None
+            slot_frontier = []
         return sorted(rows), sorted(slots)
 
     def _solve_component(
         self, table: IncidenceTable, rows: List[int], slots: List[int]
     ) -> None:
-        """Solve one component on sub-arrays in global row/slot order.
+        """Solve one component and merge its rates into the kept vector.
 
-        Extracting rows and slots in ascending global order preserves the
-        full solve's accumulation and tie-break order restricted to the
-        component, so the merged rate vector is bit-identical to what a full
-        solve over the whole table would produce for these rows.
+        The component's pairs are listed slot by slot, each slot's rows in
+        pair order, with rows and slots numbered in ascending global order.
+        Every link thus sums its terms in the full solve's order and ties
+        break as they do there, so the merged rate vector is bit-identical to
+        what a full solve over the whole table would produce for these rows.
         """
         if not rows:
             return
-        n_slots_local = len(slots)
-        slot_local = np.full(table.num_slots, n_slots_local, dtype=np.intp)
-        slot_local[np.asarray(slots, dtype=np.intp)] = np.arange(
-            n_slots_local, dtype=np.intp
-        )
-        spans = [
-            table.pair_link[table.row_start[r] : table.row_stop[r]] for r in rows
-        ]
-        lengths = np.fromiter((s.shape[0] for s in spans), np.intp, len(spans))
-        pair_flow_loc = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
-        pair_link_loc = (
-            slot_local[np.concatenate(spans)]
-            if spans
-            else np.zeros(0, dtype=np.intp)
-        )
+        local = {row: i for i, row in enumerate(rows)}
+        slot_rows = table.slot_rows
+        pair_flow: List[int] = []
+        pair_link: List[int] = []
+        for j, slot in enumerate(slots):
+            on_slot = slot_rows[slot]
+            pair_flow.extend([local[row] for row in on_slot])
+            pair_link.extend([j] * len(on_slot))
         row_idx = np.asarray(rows, dtype=np.intp)
         w_loc = self._w_row[row_idx]
         cap_loc = self._cap_row[row_idx]
         linkcap_loc = self._linkcap_slot[np.asarray(slots, dtype=np.intp)]
-        rate_loc, rounds = _waterfill_kernel(
-            pair_flow_loc, pair_link_loc, w_loc, cap_loc, linkcap_loc
-        )
+        rate_loc, rounds = _waterfill(pair_flow, pair_link, w_loc, cap_loc, linkcap_loc)
         self.kernel_rounds += rounds
         self._rate_row[row_idx] = rate_loc
 
@@ -682,7 +910,7 @@ class DeltaWaterFiller:
             cap = np.zeros(n_rows)
             cap[live] = self._row_effective_caps(table, row_caps, live)
         link_cap = table.link_capacities(capacity_scale, capacity_overrides)
-        rate, rounds = _waterfill_kernel(
+        rate, rounds = _waterfill(
             table.pair_flow[: table.pair_count],
             table.pair_link[: table.pair_count],
             w,
@@ -699,6 +927,12 @@ class DeltaWaterFiller:
         self._caps_snapshot = dict(caps) if row_caps is None else row_caps.copy()
         self._weights_snapshot = dict(wdict)
         self._scale_snapshot = capacity_scale
+        links = table.links
+        self._weights_seen = table.weight_log.version
+        self._links_seen = links
+        self._capacities_seen = -1 if links is None else links.capacity_log.version
+        self._slots_seen = link_cap.shape[0]
+        self._overrides_seen = bool(capacity_overrides)
         self._cold = False
         self._finish_bookkeeping(table)
         return RowRates(table, rate.copy())

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from repro.network.flow import BoundFlow, Flow
-from repro.network.topology import Link, LinkColumns, bind_handle, grown
+from repro.network.topology import ChangeLog, Link, LinkColumns, bind_handle, grown
 
 #: Compaction of the persistent table never triggers below this many dead
 #: coordinate pairs — rewriting a small table costs more than carrying them.
@@ -137,14 +137,22 @@ class IncidenceTable:
       O(nnz) array elements — the scratch row solves with weight 1 and cap 0
       (frozen at rate 0 immediately), the scratch slot with capacity ``inf``
       (never a bottleneck), so tombstoned pairs are arithmetically inert;
-    * a link whose last flow departs retires its slot (re-encounter later
-      allocates a fresh slot), so dead slots are never referenced by live
-      pairs.
+    * a link whose last flow departs (its slot's row list empties) retires
+      its slot (re-encounter later allocates a fresh slot), so dead slots
+      are never referenced by live pairs.
 
     Once dead pairs outnumber live ones the table is compacted with
     vectorized masking/renumbering (:meth:`maybe_compact`), which keeps the
     arrays O(live) amortised; ``layout_version`` is bumped so solvers holding
     row/slot-aligned snapshots know to re-align.
+
+    Each live slot also lists its rows in pair order (:attr:`slot_rows`), so
+    a slot's sums can be re-added in the order ``bincount`` adds them, and
+    the connected component of a row is walked without the link→flows
+    dicts.  :attr:`slot_log` logs the slots whose lists changed and
+    :attr:`weight_log` the rows whose weight was written (through the bound
+    flows, or reset when a row dies), for readers that keep per-slot or
+    per-row copies.
 
     Columns
     -------
@@ -209,10 +217,19 @@ class IncidenceTable:
         self.link_slots: List[Optional[Link]] = [None]
         #: link_id -> slot (live links only).
         self.slot_of: Dict[str, int] = {}
-        #: slot -> number of live pairs referencing it (retire at zero).
-        self.slot_refs: List[int] = [0]
+        #: slot -> rows of its live pairs, in pair order (empty for scratch
+        #: and retired slots; a slot retires when its list empties)
+        self.slot_rows: List[List[int]] = [[]]
+        #: link-columns entry -> its slot here (0 when it has none)
+        self.link_slot = np.zeros(64, dtype=np.intp)
+        #: slots whose row lists changed, and rows whose weight was written
+        self.slot_log = ChangeLog()
+        self.weight_log = ChangeLog()
         self.pair_flow = np.zeros(max(pairs, 64), dtype=np.intp)
         self.pair_link = np.zeros(max(pairs, 64), dtype=np.intp)
+        #: ``pair_link[:pair_count]`` as a list, for walks that visit a few
+        #: rows' spans one at a time
+        self.pair_slots: List[int] = []
         self.pair_count = 0
         self.dead_pairs = 0
         self.dead_rows = 0
@@ -306,6 +323,7 @@ class IncidenceTable:
         self.live[row] = False
         self.priority_weight[row] = 1.0
         self.multiplicity[row] = 1.0
+        self.weight_log.mark(row)
 
     def release(self) -> None:
         """Hand every live row's state back to its flow (the table is dropped)."""
@@ -332,19 +350,26 @@ class IncidenceTable:
         start = self.pair_count
         self._ensure_pair_capacity(len(path))
         pf, pl = self.pair_flow, self.pair_link
+        slot_rows = self.slot_rows
         for link in path:
             slot = self.slot_of.get(link.link_id)
             if slot is None:
                 slot = len(self.link_slots)
                 if slot >= self.slot_link.shape[0]:
                     self.slot_link = grown(self.slot_link, slot + 1, 0)
-                self.slot_link[slot] = self.bind_link(link)
+                entry = self.bind_link(link)
+                self.slot_link[slot] = entry
+                if entry >= self.link_slot.shape[0]:
+                    self.link_slot = grown(self.link_slot, entry + 1, 0)
+                self.link_slot[entry] = slot
                 self.link_slots.append(link)
-                self.slot_refs.append(0)
+                slot_rows.append([])
                 self.slot_of[link.link_id] = slot
             pf[self.pair_count] = row
             pl[self.pair_count] = slot
-            self.slot_refs[slot] += 1
+            self.pair_slots.append(slot)
+            slot_rows[slot].append(row)
+            self.slot_log.mark(slot)
             self.pair_count += 1
         self.row_start[row] = start
         self.row_stop[row] = self.pair_count
@@ -362,20 +387,22 @@ class IncidenceTable:
         self.dead_rows += 1
         start, stop = self.row_start.item(row), self.row_stop.item(row)
         if stop > start:
-            pl = self.pair_link
-            for i in range(start, stop):
-                slot = int(pl[i])
+            for slot in self.pair_link[start:stop].tolist():
                 if slot != self.SCRATCH:
-                    self.slot_refs[slot] -= 1
-                    if self.slot_refs[slot] == 0:
+                    on_slot = self.slot_rows[slot]
+                    on_slot.remove(row)
+                    self.slot_log.mark(slot)
+                    if not on_slot:
                         link = self.link_slots[slot]
                         if link is not None:
                             del self.slot_of[link.link_id]
                             self.link_slots[slot] = None
+                            self.link_slot[self.slot_link[slot]] = 0
                             self.slot_link[slot] = 0
                             self.dead_slots += 1
             self.pair_flow[start:stop] = self.SCRATCH
             self.pair_link[start:stop] = self.SCRATCH
+            self.pair_slots[start:stop] = [self.SCRATCH] * (stop - start)
             killed = stop - start
             self.dead_pairs += killed
             self.pairs_killed += killed
@@ -412,19 +439,22 @@ class IncidenceTable:
             kept_rows.append(row)
         for name in (*self.row_columns, "live"):
             setattr(self, name, getattr(self, name)[kept_rows])
-        # Renumber slots the same way.
+        # Renumber slots the same way; each slot's rows keep their order.
         slot_map = np.zeros(len(self.link_slots), dtype=np.intp)
         new_link_slots: List[Optional[Link]] = [None]
-        new_slot_refs: List[int] = [0]
+        new_slot_rows: List[List[int]] = [[]]
         kept_slots = [self.SCRATCH]
+        new_row_of = row_map.tolist()
         for slot, link in enumerate(self.link_slots):
             if slot == self.SCRATCH or link is None:
                 continue
             slot_map[slot] = len(new_link_slots)
             new_link_slots.append(link)
-            new_slot_refs.append(self.slot_refs[slot])
+            new_slot_rows.append([new_row_of[row] for row in self.slot_rows[slot]])
             kept_slots.append(slot)
         self.slot_link = self.slot_link[kept_slots]
+        self.link_slot[:] = 0
+        self.link_slot[self.slot_link[1:]] = np.arange(1, len(kept_slots), dtype=np.intp)
         # Filter dead pairs (they all sit on the scratch row) and remap.
         pf = self.pair_flow[: self.pair_count]
         pl = self.pair_link[: self.pair_count]
@@ -452,31 +482,48 @@ class IncidenceTable:
         self.slot_of = {
             l.link_id: s for s, l in enumerate(new_link_slots) if l is not None
         }
-        self.slot_refs = new_slot_refs
+        self.slot_rows = new_slot_rows
         self.pair_flow = new_pf
         self.pair_link = new_pl
+        self.pair_slots = pl.tolist()
         self.pair_count = int(pf.shape[0])
         self.dead_pairs = 0
         self.dead_rows = 0
         self.dead_slots = 0
         self.layout_version += 1
         self.compactions += 1
+        self.slot_log.reset()
+        self.weight_log.reset()
+
+    def pairs_of(self, rows) -> np.ndarray:
+        """The pair indices of the spans of ``rows`` (an index array), row
+        after row, each in path order."""
+        starts = self.row_start[rows]
+        lengths = self.row_stop[rows] - starts
+        first = np.cumsum(lengths) - lengths
+        return np.arange(int(lengths.sum()), dtype=np.intp) + np.repeat(starts - first, lengths)
 
     # -- solver-input gathers ------------------------------------------------------
-    def link_capacities(self, capacity_scale: float = 1.0, capacity_overrides=None):
+    def link_capacities(
+        self, capacity_scale: float = 1.0, capacity_overrides=None, slots=None
+    ):
         """Effective per-slot capacities (override → scale → clamp), fresh.
 
         Scratch and retired slots read ``inf`` so they can never become the
         bottleneck.  Capacities are gathered from the link columns per call
         because links mutate ``capacity_bps`` in place at runtime (SLA boosts,
-        dynamics scripts).
+        dynamics scripts).  ``slots`` (an index array) gathers only those
+        slots, with the same arithmetic, in that order.
         """
         n = len(self.link_slots)
+        index = self.slot_link[:n] if slots is None else self.slot_link[slots]
         if self.links is None:
-            caps = np.full(n, float("inf"))
+            caps = np.full(index.shape[0], float("inf"))
         else:
-            caps = self.links.capacity[self.slot_link[:n]]
+            caps = self.links.capacity[index]
         if capacity_overrides:
+            if slots is not None:
+                raise ValueError("capacity overrides apply to the whole slot vector")
             for link_id, value in capacity_overrides.items():
                 slot = self.slot_of.get(link_id)
                 if slot is not None:
@@ -701,12 +748,6 @@ class IncidenceCache:
         the cache while using them.
         """
         return self._links, self._link_flows
-
-    def flow_ids_of_link(self, link_id: str) -> Iterable[int]:
-        """The ids of the flows crossing ``link_id`` (a live view: do not
-        change the cache while iterating it)."""
-        bucket = self._link_flows.get(link_id)
-        return bucket.keys() if bucket else ()
 
     def arrays(self) -> IncidenceArrays:
         """CSR-style numpy index arrays for the current epoch (cached)."""

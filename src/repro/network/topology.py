@@ -113,6 +113,8 @@ class Link:
             raise ValueError(f"capacity must be positive, got {capacity_bps}")
         if delay_s < 0:
             raise ValueError(f"delay must be non-negative, got {delay_s}")
+        if buffer_bytes is not None and buffer_bytes < 0:
+            raise ValueError(f"buffer must be non-negative, got {buffer_bytes}")
         self.link_id = link_id or f"link-{next(self._ids)}:{src.node_id}->{dst.node_id}"
         self.src = src
         self.dst = dst
@@ -215,16 +217,71 @@ def bind_handle(handle, bound_class: type, cols, index: int) -> None:
     handle.__class__ = bound_class
 
 
-def column_attribute(name: str, doc: str) -> property:
+class ChangeLog:
+    """The entries of a column that handles wrote, for readers that keep
+    copies of the column.
+
+    A reader remembers :attr:`version` when it copies the column, and later
+    asks :meth:`since` which entries were written after that, instead of
+    comparing the whole column.  The log keeps the last :data:`KEEP` to
+    ``2 * KEEP`` entries; a reader it no longer reaches back to, or any
+    reader after :meth:`reset`, gets None and compares in full.
+    """
+
+    KEEP = 4096
+
+    __slots__ = ("version", "_entries", "_floor")
+
+    def __init__(self) -> None:
+        #: writes logged so far
+        self.version = 0
+        self._entries: List[int] = []
+        #: the oldest version :meth:`since` can answer for
+        self._floor = 0
+
+    def mark(self, index: int) -> None:
+        """Log a write of entry ``index``."""
+        entries = self._entries
+        entries.append(index)
+        self.version += 1
+        if len(entries) > 2 * self.KEEP:
+            del entries[: self.KEEP]
+            self._floor += self.KEEP
+
+    def reset(self) -> None:
+        """Forget the entries (they were renumbered): every reader compares in full."""
+        self._entries.clear()
+        self.version += 1
+        self._floor = self.version
+
+    def since(self, version: int) -> Optional[List[int]]:
+        """The entries written after ``version`` (repeats included), or None
+        when the log does not reach back that far."""
+        if version < self._floor:
+            return None
+        return self._entries[len(self._entries) - (self.version - version):]
+
+
+def column_attribute(name: str, doc: str, log: Optional[str] = None) -> property:
     """A handle attribute stored at entry ``self._index`` of column ``name`` of
     ``self._cols`` (see :class:`LinkColumns` and
-    :class:`~repro.network.incidence.IncidenceTable`)."""
+    :class:`~repro.network.incidence.IncidenceTable`); a write is also logged
+    in the :class:`ChangeLog` ``log`` of ``self._cols`` when one is named."""
 
     def fget(self):
         return getattr(self._cols, name).item(self._index)
 
-    def fset(self, value) -> None:
-        getattr(self._cols, name)[self._index] = value
+    if log is None:
+
+        def fset(self, value) -> None:
+            getattr(self._cols, name)[self._index] = value
+
+    else:
+
+        def fset(self, value) -> None:
+            cols = self._cols
+            getattr(cols, name)[self._index] = value
+            getattr(cols, log).mark(self._index)
 
     return property(fget, fset, doc=doc)
 
@@ -234,9 +291,9 @@ class BoundLink(Link):
 
     __slots__ = ()
 
-    capacity_bps = column_attribute("capacity", "Capacity in bits/s.")
+    capacity_bps = column_attribute("capacity", "Capacity in bits/s.", log="capacity_log")
     buffer_bytes = column_attribute("buffer", "Buffer size in bytes.")
-    queue_bytes = column_attribute("queue", "Current backlog in bytes.")
+    queue_bytes = column_attribute("queue", "Current backlog in bytes.", log="queue_log")
     bytes_carried = column_attribute("carried", "Bytes carried so far.")
     loss_events = column_attribute("loss_events", "Buffer overflows so far.")
     _loss_in_interval = column_attribute("loss_flag", "Loss latched since last consumed.")
@@ -260,6 +317,11 @@ class LinkColumns:
     state moves into the columns, which are from then on the only copy of
     it, and the link becomes a :class:`BoundLink` handle onto its entry.
     Entries past the bound links hold sentinel values.
+
+    Writes through the handles are logged: :attr:`capacity_log` for
+    capacities (runtime degradations and SLA boosts) and :attr:`queue_log`
+    for backlogs (a reset, or a link bound with a backlog), so the solver and
+    the fabric re-read only the entries that changed.
     """
 
     #: column name -> (dtype, sentinel value); :class:`BoundLink` maps the
@@ -278,6 +340,8 @@ class LinkColumns:
             setattr(self, name, np.full(64, sentinel, dtype=dtype))
         #: bound links (entries 1..bound)
         self.bound = 0
+        self.capacity_log = ChangeLog()
+        self.queue_log = ChangeLog()
 
     @property
     def size(self) -> int:
@@ -301,6 +365,8 @@ class LinkColumns:
         self.carried[index] = link.bytes_carried
         self.loss_events[index] = link.loss_events
         self.loss_flag[index] = link._loss_in_interval
+        if self.queue[index] > 0.0:
+            self.queue_log.mark(index)
         bind_handle(link, BoundLink, self, index)
         return index
 

@@ -383,3 +383,81 @@ class TestMerge:
         before = merged.path.read_bytes()
         assert merged.merge([]) == 0
         assert merged.path.read_bytes() == before
+
+
+class TestReadingWithoutTheRegistry:
+    """A store is read from its stored dicts: listing, grouping and reporting
+    it needs none of the plugins its jobs name."""
+
+    WRITER = """
+import sys
+from repro.exec import run_jobs
+from repro.exec.planner import plan_replications
+from repro.experiments.spec import ScenarioSpec
+from repro.network.tree import TreeTopologyConfig, build_tree_topology
+from repro.registry import TOPOLOGIES
+
+TOPOLOGIES.register("my-tree", build_tree_topology, config_cls=TreeTopologyConfig)
+spec = ScenarioSpec(
+    name="custom-tree", seed=1, sim_time_s=0.5, drain_time_s=5.0,
+    topology="my-tree", workload="pareto-poisson",
+    workload_params={"arrival_rate_per_s": 20.0},
+)
+jobs = plan_replications(spec, schemes=("scda", "rand-tcp"), seeds=2)
+report = run_jobs(jobs, executor="serial", store=sys.argv[1])
+assert not report.failures, report.failures
+"""
+
+    READER = """
+import json, sys
+from repro.exec.store import ResultStore
+store = ResultStore(sys.argv[1])
+entries = store.entries_sorted()
+print(json.dumps({
+    "entries": len(entries),
+    "ensembles": sorted(store.group_by_ensemble()),
+    "schemes": store.schemes(),
+    "seeds": [e.seed for e in store.query(scheme="scda")],
+}))
+"""
+
+    def _run(self, *args):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+        )
+
+    def test_a_store_naming_an_unregistered_plugin_is_listed_grouped_and_reported(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "custom.jsonl")
+        written = self._run("-c", self.WRITER, path)
+        assert written.returncode == 0, written.stderr
+
+        listed = self._run("-c", self.READER, path)
+        assert listed.returncode == 0, listed.stderr
+        listing = json.loads(listed.stdout)
+        assert listing["entries"] == 4
+        assert listing["ensembles"] == ["custom-tree"]
+        assert listing["schemes"] == ["rand-tcp", "scda"]
+        assert len(listing["seeds"]) == 2 and listing["seeds"][0] == 1
+
+        reported = self._run("-m", "repro", "report", "--results", path)
+        assert reported.returncode == 0, reported.stderr
+        assert "custom-tree" in reported.stdout
+
+        # Asking for the typed job is what needs the plugin.
+        typed = self._run(
+            "-c",
+            "import sys\nfrom repro.exec.store import ResultStore\n"
+            "ResultStore(sys.argv[1]).entries_sorted()[0].job",
+            path,
+        )
+        assert typed.returncode != 0
+        assert "my-tree" in typed.stderr

@@ -5,13 +5,15 @@ import pytest
 
 from repro.network.fabric import FabricConfig, FabricSimulator
 from repro.network.flow import BoundFlow, Flow, FlowKind, FlowState
-from repro.network.fluid import AUTO_NUMPY_MIN_FLOWS, _max_min_shares_reference
+from repro.network.fluid import AUTO_NUMPY_MIN_FLOWS
 from repro.network.fluid_fast import max_min_shares_numpy
 from repro.network.leafspine import build_leaf_spine
 from repro.network.topology import BoundLink, Link, Topology
 from repro.network.transport.ideal import IdealMaxMinTransport
 from repro.network.transport.tcp import TcpTransport
 from repro.sim.engine import Simulator
+
+from maxmin_reference import max_min_shares_reference
 
 MBPS = 1e6
 
@@ -549,7 +551,7 @@ class ReferenceWindows:
             )
         solve = (
             max_min_shares_numpy if len(flows) >= AUTO_NUMPY_MIN_FLOWS
-            else _max_min_shares_reference
+            else max_min_shares_reference
         )
         delivered = solve(flows, demand_caps=demands, cache=fabric.incidence)
         if fabric.table_for(flows) is None:

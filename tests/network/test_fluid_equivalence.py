@@ -19,7 +19,6 @@ from repro.network.fabric import FabricSimulator
 from repro.network.flow import Flow
 from repro.network.fluid import (
     _max_min_shares_python,
-    _max_min_shares_reference,
     is_feasible,
     is_max_min_fair,
     max_min_shares,
@@ -30,6 +29,8 @@ from repro.network.routing import Router
 from repro.network.topology import Topology
 from repro.network.transport.ideal import IdealMaxMinTransport
 from repro.sim.engine import Simulator
+
+from maxmin_reference import max_min_shares_reference
 
 MBPS = 1e6
 
@@ -370,7 +371,7 @@ class ColumnsOnly(RowRates):
 
 
 def assert_same_bits(flows, cache, kwargs):
-    expected = _max_min_shares_reference(flows, cache=cache, **kwargs)
+    expected = max_min_shares_reference(flows, cache=cache, **kwargs)
     got = _max_min_shares_python(flows, cache=cache, **kwargs)
     assert list(got) == list(expected)
     assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
@@ -445,7 +446,7 @@ class TestExactAgainstReference:
         topo, hub, links = _star([10 * MBPS])
         flows = [Flow(hub, hub, 1e9, [links[0]]) for _ in range(2)]
         bad = {flows[0].flow_id: 0.0}
-        for filler in (_max_min_shares_reference, _max_min_shares_python):
+        for filler in (max_min_shares_reference, _max_min_shares_python):
             with pytest.raises(ValueError):
                 filler(flows, weights=bad)
             rates = filler(flows, weights=bad, demand_caps={flows[0].flow_id: 0.0})
