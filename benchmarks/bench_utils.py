@@ -2,15 +2,18 @@
 
 Each benchmark regenerates one figure (or ablation) of the paper's evaluation
 section on a scaled-down scenario, checks the qualitative shape of the result
-(who wins, by roughly what factor) and records the headline numbers to
-``benchmarks/results/<name>.json`` so EXPERIMENTS.md can be refreshed from a
-benchmark run.
+(who wins, by roughly what factor) and writes the headline numbers to
+``<results_dir>/<name>.json``.  A plain run writes them to the untracked
+``benchmarks/.results/``; ``pytest benchmarks --record`` writes the tracked
+record ``benchmarks/results/``, each file whole, so EXPERIMENTS.md can be
+refreshed from a benchmark run.
 
 The scenarios are smaller than the paper's (shorter simulated time, scaled
 arrival rates) so the whole suite finishes in a few minutes on a laptop.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +22,10 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+#: the tracked record, written only under ``--record``
+RECORD_DIR = Path(__file__).resolve().parent / "results"
+#: where a plain run writes its numbers (gitignored)
+RUN_DIR = Path(__file__).resolve().parent / ".results"
 
 #: perfbench's directory, for its CPU-speed sampler (``perfbench/speed.py``)
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,10 +52,16 @@ def speed_sampler():
 
 
 def save_result(results_dir: Path, name: str, payload: dict) -> None:
-    """Persist one benchmark's headline numbers as JSON."""
+    """Persist one benchmark's headline numbers as JSON.
+
+    The file is written whole and then renamed over the old one, so a
+    reader never sees it half written.
+    """
     results_dir.mkdir(exist_ok=True)
     path = results_dir / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    partial = results_dir / f".{name}.json.partial"
+    partial.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    os.replace(partial, path)
 
 
 def scenario_video_with_control():

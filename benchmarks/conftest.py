@@ -12,11 +12,14 @@ for path in (str(_SRC), str(_HERE)):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from bench_utils import RESULTS_DIR  # noqa: E402
+from bench_utils import RECORD_DIR, RUN_DIR  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory where every benchmark drops its headline-numbers JSON."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request) -> Path:
+    """Directory where every benchmark drops its headline-numbers JSON: the
+    untracked ``benchmarks/.results/``, or with ``--record`` (registered in
+    the root ``conftest.py``) the tracked record ``benchmarks/results/``."""
+    path = RECORD_DIR if request.config.getoption("record", default=False) else RUN_DIR
+    path.mkdir(exist_ok=True)
+    return path

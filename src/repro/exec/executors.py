@@ -512,7 +512,8 @@ def _forkserver_context():
       worker would import the simulator again.
     * Every worker start calls this, so a server that died is relaunched
       here with that path, never by ``Process.start``'s own
-      ``ensure_running`` without it.
+      ``ensure_running`` without it.  A start that still reaches a server
+      killed a moment before is retried once (:func:`_relaunch_forkserver`).
     * An exit hook stops and reaps the server.  It is a
       ``multiprocessing.util.Finalize`` with a negative ``exitpriority``, so
       it runs after multiprocessing's exit handler has terminated daemonic
@@ -544,6 +545,31 @@ def _forkserver_context():
             else:
                 os.environ["PYTHONPATH"] = saved
     return context
+
+
+def _relaunch_forkserver(timeout_s: float = 2.0) -> bool:
+    """Relaunch the forkserver after a worker start failed on it.
+
+    ``ensure_running`` tells a dead server by ``waitpid``, which sees a
+    killed server only once the kernel has made it a zombie, so a start
+    just after the kill connects to the dead server and fails with
+    ``EOFError``.  This calls :func:`_forkserver_context` until the server
+    is a new process, for at most ``timeout_s``, and says whether it is.  A
+    server that is still the same process after that is live, and the
+    start failed for another reason.
+    """
+    from multiprocessing import forkserver
+
+    server = forkserver._forkserver
+    failed = server._forkserver_pid
+    deadline = time.monotonic() + timeout_s
+    while True:
+        _forkserver_context()
+        if server._forkserver_pid != failed:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
 
 
 def _process_worker_main(conn) -> None:
@@ -627,7 +653,12 @@ class _PoolWorker:
         self.process = context.Process(
             target=_process_worker_main, args=(child_conn,), daemon=True
         )
-        self.process.start()
+        try:
+            self.process.start()
+        except (EOFError, OSError):
+            if not _relaunch_forkserver():
+                raise
+            self.process.start()
         child_conn.close()
         self.task: Optional[_InFlight] = None
         self.doomed = False  # terminated on purpose; never dispatch to it again

@@ -19,7 +19,11 @@ Two solver backends implement the same algorithm:
   fair share only after a flow crossing it froze; lowest constant overhead
   for small problems.  The plain progressive filling it replaced lives on
   in the test tree (``tests/network/maxmin_reference.py``) as its
-  bit-for-bit oracle.
+  bit-for-bit oracle.  Handed TCP's row-aligned demand caps, it first
+  checks whether they fit under every link with a margin; then they are
+  provably the answer, and it returns them as a
+  :class:`~repro.network.fluid_fast.RowRates` without running a round
+  (see :func:`_certified_caps`).
 * ``"numpy"`` — :mod:`repro.network.fluid_fast`, the same rounds as numpy
   reductions over link×flow incidence arrays; 1-2 orders of magnitude faster
   from a few hundred flows up.
@@ -35,13 +39,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.network.flow import Flow
-from repro.network.fluid_fast import RowRates, max_min_shares_incremental, max_min_shares_numpy
+from repro.network.fluid_fast import (
+    DeltaWaterFiller,
+    RowRates,
+    max_min_shares_incremental,
+    max_min_shares_numpy,
+)
 from repro.network.incidence import IncidenceCache
 
 #: Below this many flows the pure-Python solver's lower constant overhead
 #: wins over numpy array setup (measured in benchmarks/; see docs/PERFORMANCE.md).
 AUTO_NUMPY_MIN_FLOWS = 192
+
+#: The all-at-cap certificate's margin on every link's capacity, relative
+#: (δ), and its slack per flow in bits/s (τ): see :func:`_certified_caps`.
+CERTIFY_MARGIN = 1e-9
+CERTIFY_SLACK_BPS = 1e-9
 
 
 def max_min_shares(
@@ -89,9 +105,13 @@ def max_min_shares(
     Returns
     -------
     Mapping
-        ``flow_id -> rate`` in bits/s: a dict, or from the incremental solver
-        a :class:`~repro.network.fluid_fast.RowRates` view that stays valid
-        until the cache's flow set next changes.
+        ``flow_id -> rate`` in bits/s: a dict, or a
+        :class:`~repro.network.fluid_fast.RowRates` view that stays valid
+        until the cache's flow set next changes.  The incremental solver
+        always returns the view; the Python solver returns it when
+        ``demand_caps`` is a ``RowRates`` that certifiably fits every link
+        (:func:`_certified_caps`).  A view lists its flows in table row
+        order, which after a reroute differs from the order of ``flows``.
 
     Notes
     -----
@@ -152,7 +172,7 @@ def _max_min_shares_python(
     capacity_scale: float = 1.0,
     capacity_overrides: Optional[Mapping[str, float]] = None,
     cache: Optional[IncidenceCache] = None,
-) -> Dict[int, float]:
+) -> Mapping[int, float]:
     """Progressive filling with memoized link shares.
 
     Runs the rounds of the plain progressive filling it replaced (kept as
@@ -167,7 +187,16 @@ def _max_min_shares_python(
     same bits.  The freezing pass walks the links in order and recomputes a
     link that an earlier freeze of the same pass made stale before testing
     it, as the reference does by recomputing every link.
+
+    Before any of that, TCP's call is checked against a certificate
+    (:func:`_certified_caps`): when its caps fit every link with a margin,
+    they are the answer, returned as a ``RowRates`` without a round.
     """
+    certified = _certified_caps(
+        flows, demand_caps, weights, capacity_scale, capacity_overrides, cache
+    )
+    if certified is not None:
+        return certified
     rates: Dict[int, float] = {f.flow_id: 0.0 for f in flows}
     active = [f for f in flows if f.path]
     if not active:
@@ -319,6 +348,92 @@ def _max_min_shares_python(
 
     rates.update(frozen)
     return rates
+
+
+def _certified_caps(
+    flows: Sequence[Flow],
+    demand_caps: Optional[Mapping[int, float]],
+    weights: Optional[Mapping[int, float]],
+    capacity_scale: float,
+    capacity_overrides: Optional[Mapping[str, float]],
+    cache: Optional[IncidenceCache],
+) -> Optional[RowRates]:
+    """TCP's effective demand caps, when they provably are the max-min rates.
+
+    Only TCP's call qualifies: ``demand_caps`` a :class:`RowRates` of the
+    cache's built table, ``flows`` the cache's trusted list, no explicit
+    ``weights``, ``capacity_scale`` 1.0 and no ``capacity_overrides``.
+    Each flow's effective cap ``c`` is its demand cap lowered to its
+    aggregate app limit, and 0 when that is NaN or not positive or the flow
+    has no path (``DeltaWaterFiller._row_effective_caps``); its weight ``w``
+    is priority weight × multiplicity.  The caps come back as a
+    ``RowRates`` when
+
+    * every flow with ``c > 0`` has ``w > 0``, and those weights total less
+      than 2**1023, so no weight sum overflows; and
+    * on every link, of capacity ``C``, the caps sum (by ``bincount``) to
+      at most ``C·(1 − δ) − n·τ``, where ``n`` is the number of flows,
+      δ = :data:`CERTIFY_MARGIN` and τ = :data:`CERTIFY_SLACK_BPS`.
+
+    Otherwise this returns None and the filler runs its rounds, which also
+    raise the ``ValueError`` of a positive-cap flow's non-positive weight.
+
+    Why the filler would return exactly these caps, by induction on its
+    rounds.  Suppose every round so far froze flows at their caps (the
+    capped test), so every frozen flow sits at its ``c``.  If every link's
+    share is inf, every remaining flow takes its cap.  Otherwise let ``l*``
+    be the link whose share ``B`` is the bottleneck, with capacity ``C``
+    (positive: the check fails a link of capacity 0), ``m ≤ n`` flows and
+    unfrozen flows ``U``.  Exactly, its remaining capacity ``R`` exceeds
+    the unfrozen caps by at least ``δC + mτ``, and ``B·Σ_U w − Σ_U c =
+    R − Σ_U c``.  A sum of ``k`` non-negative terms errs by at most
+    ``2k·u`` of its value (u = 2**-53), for 3.11's sequential ``sum``,
+    3.12's compensated ``sum`` and ``bincount`` alike; with the check's
+    threshold and the filler's subtraction and division, the computed
+    ``B·Σ_U w − Σ_U c`` stays within ``(7m + 8)·u·C`` of exact.  So some
+    flow of ``U`` has ``B·w − c ≥ τ + (δ − (7m + 8)·u)·C/m`` (pigeonhole),
+    and it passes the capped test ``c < B·w − 1e-12``, whose product and
+    subtraction round by at most ``4u·C`` more, because ``τ > 1e-12`` and
+    ``δ ≥ (11m + 8)·u``.  A share that underflows errs by at most 2**-1075
+    per unit weight, under 2**-52 bits/s over weights below 2**1023, which
+    τ absorbs.  So the round freezes a flow at its cap, and the rounds go
+    on until every flow is frozen at its cap.  δ = 1e-9 covers links of up
+    to ~800,000 flows; this filler runs below :data:`AUTO_NUMPY_MIN_FLOWS`.
+
+    The rates are the filler's bit for bit: each positive one is the same
+    choice between the same two floats, and a zero, NaN or pathless flow
+    gets 0.0 in both.  The view lists flows in row order, not in the order
+    of ``flows``, and covers the same flows.
+    """
+    if (
+        weights
+        or capacity_scale != 1.0
+        or capacity_overrides
+        or cache is None
+        or flows is not cache.trusted_flows
+        or not isinstance(demand_caps, RowRates)
+        or demand_caps.table is not cache.built_table
+    ):
+        return None
+    table = demand_caps.table
+    n_rows = table.num_rows
+    live = np.flatnonzero(table.live[:n_rows])
+    cap = np.zeros(n_rows)
+    cap[live] = DeltaWaterFiller._row_effective_caps(table, demand_caps.rates, live)
+    positive = cap > 0.0
+    weight = table.priority_weight[:n_rows][positive] * table.multiplicity[:n_rows][positive]
+    if not ((weight > 0.0).all() and weight.sum() < 2.0**1023):
+        return None
+    pairs = table.pair_count
+    load = np.bincount(
+        table.pair_link[:pairs],
+        weights=cap[table.pair_flow[:pairs]],
+        minlength=table.num_slots,
+    )
+    room = table.link_capacities() * (1.0 - CERTIFY_MARGIN) - len(flows) * CERTIFY_SLACK_BPS
+    if not (load <= room).all():
+        return None
+    return RowRates(table, cap)
 
 
 def _cache_for(flows: Sequence[Flow], cache: Optional[IncidenceCache]) -> IncidenceCache:

@@ -10,6 +10,7 @@ They use the shortest scenarios that still exercise the machinery.
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -162,6 +163,40 @@ class TestForkserverStart:
         jobs = tiny_jobs()
         report = run_jobs(jobs, executor="process", max_workers=2)
         assert [hop["to"] for hop in report.fallbacks] == ["serial"]
+        assert canonical(report) == canonical(run_jobs(jobs, executor="serial"))
+
+    @pytest.mark.parametrize("death", ["stubbed", "killed"])
+    def test_a_batch_just_after_the_server_died_stays_on_the_process_backend(
+        self, monkeypatch, death
+    ):
+        # ensure_running sees a killed server only once the kernel has made
+        # it a zombie, so a worker start just after the kill reaches the dead
+        # server and fails with EOFError.  "stubbed" makes the first start do
+        # exactly that: kill the server, then fail as such a start fails.
+        # "killed" kills it and starts the batch at once, which hits the
+        # window only sometimes.
+        from multiprocessing import forkserver
+
+        jobs = tiny_jobs()
+        _forkserver_context()
+        server = forkserver._forkserver._forkserver_pid
+        if death == "stubbed":
+            connect = forkserver.connect_to_new_process
+            failed = []
+
+            def connect_to_the_dead_server(fds):
+                if failed:
+                    return connect(fds)
+                os.kill(server, signal.SIGKILL)
+                failed.append(server)
+                raise EOFError("unexpected EOF")
+
+            monkeypatch.setattr(forkserver, "connect_to_new_process", connect_to_the_dead_server)
+        else:
+            os.kill(server, signal.SIGKILL)
+        report = run_jobs(jobs, executor="process", max_workers=2)
+        assert report.fallbacks == []
+        assert forkserver._forkserver._forkserver_pid != server
         assert canonical(report) == canonical(run_jobs(jobs, executor="serial"))
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")

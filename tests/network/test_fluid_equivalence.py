@@ -5,7 +5,10 @@ app limits, capacity scales and overrides: the numpy backend must agree with
 the Python solver within 1e-9 relative on every flow, and both allocations
 must satisfy the max-min fairness property.  The production Python filler
 must return exactly what the reference progressive filling returns: the
-same keys in the same order and the same bits in every value.
+same keys in the same order and the same bits in every value.  When it
+certifies TCP's row-aligned caps as the answer it returns a ``RowRates``,
+which lists its flows in table row order; then the keys must be the same
+set, with the same bits in every value.
 """
 
 import math
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 from repro.network.fabric import FabricSimulator
 from repro.network.flow import Flow
 from repro.network.fluid import (
+    CERTIFY_MARGIN,
+    CERTIFY_SLACK_BPS,
     _max_min_shares_python,
     is_feasible,
     is_max_min_fair,
@@ -370,11 +375,21 @@ class ColumnsOnly(RowRates):
         raise AssertionError("caps read one flow at a time")
 
 
+def assert_same_rates(got, expected):
+    """``got`` holds ``expected``'s flows and the same bits for each: in the
+    same order for a dict, as a set for a ``RowRates`` (row order)."""
+    if isinstance(got, RowRates):
+        assert set(got) == set(expected)
+        assert {k: got[k].hex() for k in got} == {k: v.hex() for k, v in expected.items()}
+    else:
+        assert list(got) == list(expected)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+
+
 def assert_same_bits(flows, cache, kwargs):
     expected = max_min_shares_reference(flows, cache=cache, **kwargs)
     got = _max_min_shares_python(flows, cache=cache, **kwargs)
-    assert list(got) == list(expected)
-    assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+    assert_same_rates(got, expected)
 
 
 class TestExactAgainstReference:
@@ -425,8 +440,7 @@ class TestExactAgainstReference:
         expected = _max_min_shares_python(flows, cache=fabric.incidence, **kwargs)
         kwargs["demand_caps"] = ColumnsOnly(table, vector)
         got = _max_min_shares_python(flows, cache=fabric.incidence, **kwargs)
-        assert list(got) == list(expected)
-        assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()]
+        assert_same_rates(got, expected)
 
     def test_tied_links_sharing_a_flow(self):
         """Two links tie at one fair share and share a flow.  Freezing that
@@ -451,3 +465,187 @@ class TestExactAgainstReference:
                 filler(flows, weights=bad)
             rates = filler(flows, weights=bad, demand_caps={flows[0].flow_id: 0.0})
             assert rates == {flows[0].flow_id: 0.0, flows[1].flow_id: 10 * MBPS}
+
+
+# -- the all-at-cap certificate --------------------------------------------------
+
+GBPS = 1e9
+
+#: Where the capacity of one link per problem sits against the sum ``S`` of
+#: the effective caps crossing it: far above; within a few ulps of ``S``, on
+#: either side; just outside the certificate's margin, so it is certified;
+#: or just inside it, so the filler solves.  Every other link sits far above.
+_PLACEMENTS = ("far", "ulps", "ulps", "outside-margin", "inside-margin")
+
+
+@st.composite
+def capped_problems(draw):
+    """Flows that each carry a demand cap (some 0 or NaN, some above an app
+    limit), in the shape of :func:`filler_problems`, with the real link
+    capacities left to :func:`_place_capacities`; and how to place them."""
+    num_links = draw(st.integers(1, 6))
+    flows = [
+        {
+            "path": draw(st.lists(st.integers(0, num_links - 1), min_size=1, unique=True)),
+            "priority_weight": draw(st.sampled_from((1.0, 1e-3, 3.0)) | st.floats(1e-3, 3.0)),
+            "multiplicity": draw(st.sampled_from((1, 1, 1, 3))),
+            "app_limit_bps": draw(
+                st.sampled_from((math.inf, math.inf, 5 * MBPS)) | st.floats(1 * MBPS, 100 * MBPS)
+            ),
+            "demand_cap": draw(
+                st.sampled_from((0.0, math.nan)) | st.floats(0.5 * MBPS, 150 * MBPS)
+            ),
+            "weight": None,
+        }
+        for _ in range(draw(st.integers(1, 24)))
+    ]
+    placement = draw(st.sampled_from(_PLACEMENTS))
+    capacity_input = draw(st.sampled_from(("plain", "plain", "plain", "scaled", "override")))
+    return [GBPS] * num_links, flows, placement, capacity_input
+
+
+def _effective_cap(flow, cap):
+    """The filler's cap for ``flow``: the demand cap lowered to the
+    aggregate app limit, 0 when NaN or not positive."""
+    limit = flow.aggregate_app_limit_bps
+    if limit < cap:
+        cap = limit
+    return cap if cap > 0.0 else 0.0
+
+
+def _place_capacities(fabric, caps, placement, data):
+    """Set every link's capacity from the effective caps crossing it, one
+    drawn link as ``placement`` says; returns that link's id and cap sum
+    (None and 0.0 when no link carries a positive cap)."""
+    n = len(fabric.active_flows)
+    sums = {
+        link_id: sum(_effective_cap(flow, caps[flow.flow_id]) for flow in on_link)
+        for link_id, on_link in fabric.incidence.link_flows_map().items()
+    }
+    loaded = sorted(link_id for link_id, total in sums.items() if total > 0.0)
+    chosen = data.draw(st.sampled_from(loaded)) if loaded else None
+    for link in fabric.incidence.links:
+        total = sums[link.link_id]
+        kind = placement if link.link_id == chosen else "far"
+        if kind == "far":
+            capacity = total * data.draw(st.floats(1.05, 1.9)) if total else 10 * MBPS
+        elif kind == "ulps":
+            capacity = total + data.draw(st.integers(-8, 8)) * math.ulp(total)
+        elif kind == "outside-margin":
+            capacity = (total + n * CERTIFY_SLACK_BPS) / (1.0 - 2 * CERTIFY_MARGIN)
+        else:
+            capacity = (total + n * CERTIFY_SLACK_BPS) / (1.0 - CERTIFY_MARGIN / 2)
+        link.capacity_bps = capacity
+    return chosen, sums.get(chosen, 0.0)
+
+
+def _row_caps(fabric, caps):
+    """``caps`` (by flow id) as a RowRates of the fabric's table."""
+    table = fabric.incidence.table()
+    vector = np.zeros(table.num_rows)
+    for flow in fabric.active_flows:
+        vector[flow._index] = caps[flow.flow_id]
+    return RowRates(table, vector)
+
+
+class TestAllAtCapCertificate:
+    @given(problem=capped_problems(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_caps_give_the_reference_certified_or_solved(self, problem, data):
+        """TCP's call: the same rates as the reference, bit for bit, whether
+        the caps are certified (returned as a RowRates) or solved (a dict).
+        Certified exactly when every link sits outside the margin and the
+        capacities are the links' own, so both branches run in every run."""
+        capacities, specs, placement, capacity_input = problem
+        fabric, kwargs = _fabric_problem((capacities, specs, 1.0, {}), data)
+        caps = kwargs["demand_caps"]
+        chosen, total = _place_capacities(fabric, caps, placement, data)
+        capacities = {}
+        if capacity_input == "scaled":
+            capacities["capacity_scale"] = 0.5
+        elif capacity_input == "override" and chosen is not None:
+            capacities["capacity_overrides"] = {chosen: total / 2}
+        kwargs = {"demand_caps": _row_caps(fabric, caps), "cache": fabric.incidence, **capacities}
+        flows = fabric.active_flows
+        got = _max_min_shares_python(flows, **kwargs)
+        assert_same_rates(got, max_min_shares_reference(flows, **kwargs))
+        outside = chosen is None or placement in ("far", "outside-margin")
+        assert isinstance(got, RowRates) == (outside and not capacities)
+
+    @pytest.mark.parametrize(
+        "capacity, low, high",
+        [
+            ("0x1.2a4f4cc235d0bp+32", "0x1.1233baf0ed053p+30", "0x1.cb84bc0bf51edp+31"),
+            ("0x1.8674d2fdf4920p+32", "0x1.1d6a4eb7d294fp+31", "0x1.ef7f5744168f2p+31"),
+            ("0x1.19e6520d27abap+31", "0x1.e2bbff33a8ed6p+29", "0x1.426ea4807ae0ap+30"),
+        ],
+    )
+    def test_caps_whose_sum_rounds_onto_the_capacity_are_solved(self, capacity, low, high):
+        """Two caps sum past the capacity exactly, but their float sum rounds
+        down onto it, and the filler gives the larger one less than its cap.
+        A check without the margin would certify them."""
+        capacity, low, high = (float.fromhex(x) for x in (capacity, low, high))
+        assert low + high == capacity
+        topo, hub, links = _star([capacity])
+        fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
+        flows = [fabric.start_flow(links[0].src, hub, 1e9, path=[links[0]]) for _ in range(2)]
+        caps = _row_caps(fabric, {flows[0].flow_id: low, flows[1].flow_id: high})
+        active = fabric.active_flows
+        got = _max_min_shares_python(active, demand_caps=caps, cache=fabric.incidence)
+        expected = max_min_shares_reference(active, demand_caps=caps, cache=fabric.incidence)
+        assert expected[flows[1].flow_id] < high
+        assert not isinstance(got, RowRates)
+        assert_same_rates(got, expected)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_a_positive_cap_flow_with_a_non_positive_weight_raises(self, weight):
+        """Caps that fit: the call raises the filler's ValueError, as the
+        reference does, and goes back to the certificate once that flow's
+        cap is 0, since the weight of a zero-cap flow is never read."""
+        topo, hub, links = _star([GBPS])
+        fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
+        flows = [fabric.start_flow(links[0].src, hub, 1e9, path=[links[0]]) for _ in range(3)]
+        active = fabric.active_flows
+        caps = {flow.flow_id: 10 * MBPS for flow in flows}
+        certified = _max_min_shares_python(
+            active, demand_caps=_row_caps(fabric, caps), cache=fabric.incidence
+        )
+        assert isinstance(certified, RowRates)
+        flows[1].priority_weight = weight
+        errors = []
+        for filler in (max_min_shares_reference, _max_min_shares_python):
+            with pytest.raises(ValueError, match="non-positive weight") as raised:
+                filler(active, demand_caps=_row_caps(fabric, caps), cache=fabric.incidence)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        caps[flows[1].flow_id] = 0.0
+        row_caps = _row_caps(fabric, caps)
+        got = _max_min_shares_python(active, demand_caps=row_caps, cache=fabric.incidence)
+        assert isinstance(got, RowRates)
+        assert_same_rates(
+            got, max_min_shares_reference(active, demand_caps=row_caps, cache=fabric.incidence)
+        )
+
+    def test_pathless_zero_and_nan_cap_flows_get_zero(self):
+        """On a cache kept in step with its flow list by hand (a fabric
+        refuses pathless flows): a pathless flow, a zero cap and a NaN cap
+        give 0.0, an app limit below the cap gives the aggregate limit."""
+        topo, hub, links = _star([GBPS, GBPS])
+        flows = [
+            Flow(hub, hub, 1e9, [links[0]]),
+            Flow(hub, hub, 1e9, []),
+            Flow(hub, hub, 1e9, links, multiplicity=3, app_limit_bps=2 * MBPS),
+            Flow(hub, hub, 1e9, [links[1]]),
+            Flow(hub, hub, 1e9, [links[1]], priority_weight=1e-3),
+        ]
+        cache = IncidenceCache(flows)
+        cache.trust_flows(flows)
+        table = cache.table()
+        vector = np.zeros(table.num_rows)
+        for flow, cap in zip(flows, (10 * MBPS, 10 * MBPS, 50 * MBPS, math.nan, 0.0)):
+            vector[flow._index] = cap
+        caps = RowRates(table, vector)
+        got = _max_min_shares_python(flows, demand_caps=caps, cache=cache)
+        assert isinstance(got, RowRates)
+        assert_same_rates(got, max_min_shares_reference(flows, demand_caps=caps, cache=cache))
+        assert [got[flow.flow_id] for flow in flows] == [10 * MBPS, 0.0, 6 * MBPS, 0.0, 0.0]
