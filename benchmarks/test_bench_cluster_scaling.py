@@ -25,7 +25,7 @@ def test_bench_cluster_worker_scaling(benchmark, results_dir, tmp_path):
     from repro.exec.planner import with_arrival_rate
     from repro.service.worker import WorkerServer
 
-    base = scenario_pareto_poisson().with_overrides(sim_time_s=4.0)
+    base = scenario_pareto_poisson().with_sim_time(4.0)
     scenarios = [with_arrival_rate(base, rate) for rate in (20.0, 40.0, 60.0)]
     jobs = plan_matrix(scenarios, ["scda", "rand-tcp"])
 

@@ -30,7 +30,7 @@ def _jobs_of(n):
     from repro.exec import plan_matrix
     from repro.exec.planner import with_arrival_rate
 
-    base = scenario_pareto_poisson().with_overrides(sim_time_s=2.0)
+    base = scenario_pareto_poisson().with_sim_time(2.0)
     rates = [10.0 + 2.0 * i for i in range(n // 2)]
     jobs = plan_matrix([with_arrival_rate(base, rate) for rate in rates],
                        ["scda", "rand-tcp"])

@@ -2,20 +2,25 @@
 
 These are conventional performance benchmarks (pytest-benchmark statistics
 are meaningful here): event throughput of the discrete-event engine, the cost
-of the max-min water-filler at several scales and with both solver backends,
-and one SCDA control round on the paper-scale tree.  They guard against
+of the max-min water-filler at several scales with both water-fillers, and
+one SCDA control round on the paper-scale tree.  They guard against
 performance regressions that would make the figure suite impractically slow.
 
-``test_bench_water_filler_speedup`` additionally records the measured
-reference→numpy speedups to ``benchmarks/results/kernel_waterfiller.json``
-(the numbers quoted in docs/PERFORMANCE.md), next to the production
-``solver="python"`` filler's time, and asserts the vectorized solver's
-headline win at 1000 flows.  ``test_bench_scalar_kernel_crossover`` times
-the delta filler's two kernels against problem size and records where the
-array kernel starts to win: the ``SCALAR_MAX_PAIRS`` crossover.
+Three of them also write a record each, whole (``benchmarks/results/`` under
+``--record``; the numbers quoted in docs/PERFORMANCE.md):
+
+* ``test_bench_water_filler_speedup`` -> ``kernel_waterfiller.json``: the
+  reference progressive filling against a full solve of the delta filler,
+  next to the production Python filler's time, and asserts the delta
+  filler's headline win at 1000 flows;
+* ``test_bench_scalar_kernel_crossover`` -> ``kernel_scalar_crossover.json``:
+  the delta filler's two kernels against problem size, and where the array
+  kernel starts to win (the ``SCALAR_MAX_PAIRS`` crossover);
+* ``test_bench_incremental_churn_speedup`` -> ``kernel_incremental_churn.json``:
+  the delta filler's incremental solves against its full solve under sparse
+  churn at 20k-100k flows.
 """
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -33,7 +38,7 @@ MBPS = 1e6
 WATERFILL_SIZES = (100, 1000, 5000)
 
 #: Large problem sizes exercising the incremental (delta) solver on the
-#: k=32 fat tree; only the numpy and incremental backends run at this scale.
+#: k=32 fat tree; only the delta filler runs at this scale.
 LARGE_WATERFILL_SIZES = (20_000, 50_000, 100_000)
 _FAT_TREE_K = 32
 
@@ -100,12 +105,12 @@ def _warm_rack_scenario(num_flows):
     """
     state = _rack_scenario_cache.get(num_flows)
     if state is None:
-        from repro.network.fluid import max_min_shares
+        from repro.network.fluid_fast import DeltaWaterFiller
         from repro.sim.random import RandomStreams
 
         flows, cache, make_flow = _rack_local_scenario(num_flows)
         rng = RandomStreams(num_flows).stream("churn")
-        max_min_shares(flows, solver="incremental", cache=cache)
+        DeltaWaterFiller.attach(cache).solve()
         state = _rack_scenario_cache[num_flows] = (flows, cache, make_flow, rng)
     return state
 
@@ -128,9 +133,23 @@ def _waterfill_scenario(num_flows, seed=7):
         src = clients[int(rng.integers(0, len(clients)))]
         dst = hosts[int(rng.integers(0, len(hosts)))]
         flows.append(Flow(src, dst, 1e9, router.path(src, dst)))
-    cache = IncidenceCache(flows)
-    cache.arrays()  # warm the per-epoch structure, as a fabric in steady state
-    return flows, cache
+    return flows, IncidenceCache(flows)
+
+
+def _delta_full_solve(cache):
+    """A function running the delta filler's full solve over ``cache``'s
+    table, the solve a cold filler makes.  The table is built (and takes
+    the flows in) here, outside any timing."""
+    from repro.network.fluid_fast import DeltaWaterFiller
+
+    filler = DeltaWaterFiller.attach(cache)
+    filler.solve()
+
+    def solve():
+        filler._go_cold()
+        return filler.solve()
+
+    return solve
 
 
 @pytest.mark.benchmark(group="kernel micro")
@@ -180,29 +199,33 @@ def test_bench_event_engine_fast_timers(benchmark):
 
 @pytest.mark.benchmark(group="water-filler")
 @pytest.mark.parametrize("num_flows", WATERFILL_SIZES)
-@pytest.mark.parametrize("solver", ["python", "numpy"])
-def test_bench_max_min_water_filling(benchmark, num_flows, solver):
-    from repro.network.fluid import max_min_shares
+@pytest.mark.parametrize("filler", ["python", "delta-full"])
+def test_bench_max_min_water_filling(benchmark, num_flows, filler):
+    from repro.network.fluid import _max_min_shares_python
 
     flows, cache = _waterfill_scenario(num_flows)
-    rates = benchmark(lambda: max_min_shares(flows, solver=solver, cache=cache))
+    if filler == "python":
+        solve = lambda: _max_min_shares_python(flows, cache=cache)  # noqa: E731
+    else:
+        solve = _delta_full_solve(cache)
+    rates = benchmark(solve)
     assert len(rates) == len(flows)
     assert all(rate > 0 for rate in rates.values())
 
 
 def test_bench_water_filler_speedup(results_dir, request):
-    """Record reference→numpy speedups; the 1000-flow case must be ≥ 5×.
+    """Record reference→delta-filler speedups; the 1000-flow case must be ≥ 5×.
 
     ``speedup`` divides the time of the plain progressive filling
     (``max_min_shares_reference`` in ``tests/network/maxmin_reference.py``,
-    which ``solver="python"`` ran until the memoized filler replaced it) by
-    numpy's, so the gate keeps timing the same code.  ``python_ms`` records the production
-    ``solver="python"`` filler, which must be no slower than the reference
-    at any size.  The hard thresholds only apply to real benchmark runs:
-    under ``--benchmark-disable`` (the CI smoke run, shared noisy runners)
-    the times are still recorded but not asserted.
+    which the Python filler ran until the memoized one replaced it) by the
+    delta filler's full solve, so the gate keeps timing the same code.
+    ``python_ms`` records the production Python filler, which must be no
+    slower than the reference at any size.  The hard thresholds only apply
+    to real benchmark runs: under ``--benchmark-disable`` (the CI smoke run,
+    shared noisy runners) the times are still recorded but not asserted.
     """
-    from repro.network.fluid import max_min_shares
+    from repro.network.fluid import _max_min_shares_python
 
     if str(_TESTS_NETWORK) not in sys.path:
         sys.path.insert(0, str(_TESTS_NETWORK))
@@ -219,20 +242,18 @@ def test_bench_water_filler_speedup(results_dir, request):
     payload = {}
     for num_flows in WATERFILL_SIZES:
         flows, cache = _waterfill_scenario(num_flows)
-        # Every filler gets the warmed incidence cache (the production
-        # configuration), so the ratio isolates the solver speedup.
+        # Every filler gets the incidence cache (the production
+        # configuration), so the ratio isolates the solver speedup.  The
+        # delta filler runs last: its table takes the flows in, after which
+        # their attributes are column reads.
         t_reference = best_of(lambda: max_min_shares_reference(flows, cache=cache))
-        t_python = best_of(
-            lambda: max_min_shares(flows, solver="python", cache=cache)
-        )
-        t_numpy = best_of(
-            lambda: max_min_shares(flows, solver="numpy", cache=cache)
-        )
+        t_python = best_of(lambda: _max_min_shares_python(flows, cache=cache))
+        t_delta = best_of(_delta_full_solve(cache))
         payload[str(num_flows)] = {
             "reference_ms": t_reference * 1e3,
             "python_ms": t_python * 1e3,
-            "numpy_ms": t_numpy * 1e3,
-            "speedup": t_reference / t_numpy,
+            "delta_full_ms": t_delta * 1e3,
+            "speedup": t_reference / t_delta,
         }
     save_result(results_dir, "kernel_waterfiller", payload)
     if request.config.getoption("benchmark_disable", default=False):
@@ -259,8 +280,6 @@ def _crossover_problems(pairs, seed=3):
     """
     import numpy as np
 
-    from repro.network.incidence import IncidenceCache
-
     rng = np.random.default_rng([seed, pairs])
     problems = {}
 
@@ -281,14 +300,15 @@ def _crossover_problems(pairs, seed=3):
     link_cap[0] = np.inf
     problems["racks"] = (pair_flow, pair_link, w, cap, link_cap)
 
-    tree_flows, _cache = _waterfill_scenario(max(pairs // 5, 1), seed=seed)
-    arrays = IncidenceCache(tree_flows).arrays()
-    n = arrays.num_flows
-    w = np.ones(n)
-    cap = rng.uniform(0.2e6, 20e6, size=n)
-    link_cap = np.array([link.capacity_bps for link in arrays.link_list])
+    _tree_flows, cache = _waterfill_scenario(max(pairs // 5, 1), seed=seed)
+    table = cache.table()
+    n = table.pair_count
+    w = np.ones(table.num_rows)
+    cap = np.zeros(table.num_rows)
+    cap[1:] = rng.uniform(0.2e6, 20e6, size=table.num_rows - 1)
     problems["tree"] = (
-        arrays.pair_flow.tolist(), arrays.pair_link.tolist(), w, cap, link_cap
+        table.pair_flow[:n].tolist(), table.pair_link[:n].tolist(), w, cap,
+        table.link_capacities(),
     )
     return problems
 
@@ -299,8 +319,8 @@ def test_bench_scalar_kernel_crossover(results_dir, request):
     Times both kernels of the delta water-filler (best of several runs, on
     the inputs each takes: Python lists for the scalar kernel, arrays for the
     array one) on problems of growing size, and records the times and the
-    smallest size from which the array kernel won, per problem shape, into
-    ``kernel_waterfiller.json`` under ``scalar_crossover``.  The scalar
+    smallest size from which the array kernel won, per problem shape, as
+    ``kernel_scalar_crossover.json``.  The scalar
     kernel's cost grows with pairs times rounds and the array kernel's with
     rounds, so the crossover moves with the shape; ``SCALAR_MAX_PAIRS`` sits
     between the sizes the benchmark's workloads solve.  In timed runs the
@@ -353,12 +373,7 @@ def test_bench_scalar_kernel_crossover(results_dir, request):
             "array_wins_from_pairs": min(array_wins) if array_wins else None,
         }
 
-    merged = {}
-    existing = results_dir / "kernel_waterfiller.json"
-    if existing.exists():
-        merged = json.loads(existing.read_text())
-    merged["scalar_crossover"] = section
-    save_result(results_dir, "kernel_waterfiller", merged)
+    save_result(results_dir, "kernel_scalar_crossover", section)
     if request.config.getoption("benchmark_disable", default=False):
         pytest.skip("timing assertion skipped under --benchmark-disable")
     for pairs in ("64", "128"):
@@ -377,12 +392,12 @@ def _churn_once(flows, cache, make_flow, rng):
     cache.add_flow(flows[victim])
 
 
-#: Large-F benchmark cases.  The full numpy backend only runs at 20k here:
-#: a global re-solve of the 50k/100k rack workloads takes tens of seconds,
-#: and ``test_bench_incremental_churn_speedup`` already times it once per
-#: size — repeating it three more times per benchmark round adds nothing.
+#: Large-F benchmark cases.  The full solve only runs at 20k here: a global
+#: re-solve of the 50k/100k rack workloads takes tens of seconds, and
+#: ``test_bench_incremental_churn_speedup`` already times it once per size —
+#: repeating it three more times per benchmark round adds nothing.
 _LARGE_CASES = [
-    (20_000, "numpy"),
+    (20_000, "full"),
     (20_000, "incremental"),
     (50_000, "incremental"),
     (100_000, "incremental"),
@@ -390,13 +405,15 @@ _LARGE_CASES = [
 
 
 @pytest.mark.benchmark(group="water-filler large")
-@pytest.mark.parametrize("num_flows,solver", _LARGE_CASES)
-def test_bench_waterfill_fat_tree(benchmark, num_flows, solver, request):
-    """Large-F solves on the k=32 fat tree, one churn event per round.
+@pytest.mark.parametrize("num_flows,solve", _LARGE_CASES)
+def test_bench_waterfill_fat_tree(benchmark, num_flows, solve, request):
+    """Large-F solves of the delta filler on the k=32 fat tree, one churn
+    event per round.
 
-    The setup hook retires/admits one flow between rounds so the incremental
-    backend measures a real delta solve (an unchanged problem would be a
-    no-op) and the full backend pays the honest post-churn rebuild.
+    The setup hook retires/admits one flow between rounds so an incremental
+    solve is a real delta solve (an unchanged problem would be a no-op); for
+    the full case it then sends the filler cold, so the solve re-solves the
+    whole table.  A full solve leaves the filler warm for the next test.
     """
     from repro.network.fluid import max_min_shares
 
@@ -409,28 +426,28 @@ def test_bench_waterfill_fat_tree(benchmark, num_flows, solver, request):
 
     def setup():
         _churn_once(flows, cache, make_flow, rng)
+        if solve == "full":
+            cache.delta._go_cold()
         return (), {}
 
     rates = benchmark.pedantic(
-        lambda: max_min_shares(flows, solver=solver, cache=cache),
-        setup=setup,
-        rounds=3,
+        lambda: max_min_shares(flows, cache=cache), setup=setup, rounds=3
     )
     assert len(rates) == num_flows
 
 
 def test_bench_incremental_churn_speedup(results_dir, request):
-    """Delta water-filling vs full numpy re-solve under sparse churn.
+    """Incremental delta solves vs a full re-solve under sparse churn.
 
     For each F the steady state churns one flow per event (≤ 0.005% of the
     population — well inside the ≤ 1% sparse-churn regime), then a single
-    solve is timed on each backend against the *same* post-churn state.  The
-    incremental and full answers must agree to 1e-9 always; the speedup
-    floor is 5× on real runs and a conservative 3× in the CI smoke, where
-    only the F=20k case runs (shared runners are noisy, big cases are slow).
+    solve is timed each way against the *same* post-churn state: the
+    incremental one, and a full one of the filler sent cold.  The two
+    answers must agree to 1e-9 always; the speedup floor is 5× on real runs
+    and a conservative 3× in the CI smoke, where only the F=20k case runs
+    (shared runners are noisy, big cases are slow).
 
-    Results merge into ``kernel_waterfiller.json`` next to the python→numpy
-    speedups under the ``incremental_churn`` key.
+    The numbers go to ``kernel_incremental_churn.json``.
     """
     from repro.network.fluid import max_min_shares
 
@@ -447,15 +464,16 @@ def test_bench_incremental_churn_speedup(results_dir, request):
         for _ in range(5):
             _churn_once(flows, cache, make_flow, rng)
             t0 = time.perf_counter()
-            rates_incremental = max_min_shares(flows, solver="incremental", cache=cache)
+            rates_incremental = max_min_shares(flows, cache=cache)
             t_incremental = min(t_incremental, time.perf_counter() - t0)
 
-        # One full numpy re-solve of the identical post-churn state.  A
-        # single repeat is enough: the solve runs for hundreds of ms to tens
-        # of seconds, far above timer noise, and the speedups have three
-        # orders of magnitude of headroom over the asserted floor.
+        # One full re-solve of the identical post-churn state.  A single
+        # repeat is enough: the solve runs for hundreds of ms to tens of
+        # seconds, far above timer noise, and the speedups have three orders
+        # of magnitude of headroom over the asserted floor.
+        cache.delta._go_cold()
         t0 = time.perf_counter()
-        rates_full = max_min_shares(flows, solver="numpy", cache=cache)
+        rates_full = max_min_shares(flows, cache=cache)
         t_full = time.perf_counter() - t0
 
         assert rates_incremental.keys() == rates_full.keys()
@@ -465,19 +483,14 @@ def test_bench_incremental_churn_speedup(results_dir, request):
         assert max_diff <= 1e-9, f"F={num_flows}: max rate divergence {max_diff}"
 
         payload[str(num_flows)] = {
-            "numpy_full_ms": t_full * 1e3,
+            "full_ms": t_full * 1e3,
             "incremental_ms": t_incremental * 1e3,
             "speedup_incremental": t_full / t_incremental,
             "max_abs_diff": max_diff,
             "dirty_rows_max": cache.delta.dirty_rows_max,
         }
 
-    merged = {}
-    existing = results_dir / "kernel_waterfiller.json"
-    if existing.exists():
-        merged = json.loads(existing.read_text())
-    merged["incremental_churn"] = payload
-    save_result(results_dir, "kernel_waterfiller", merged)
+    save_result(results_dir, "kernel_incremental_churn", payload)
 
     for num_flows in sizes:
         speedup = payload[str(num_flows)]["speedup_incremental"]

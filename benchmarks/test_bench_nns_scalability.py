@@ -47,7 +47,7 @@ def test_bench_cluster_with_multiple_name_nodes(benchmark, results_dir):
     from repro.baselines.schemes import SCDA_SCHEME
     from repro.exec import ExperimentJob, run_jobs
 
-    scenario = scenario_pareto_poisson().with_overrides(sim_time_s=6.0)
+    scenario = scenario_pareto_poisson().with_sim_time(6.0)
     jobs = {
         n: ExperimentJob(spec=scenario.with_overrides(num_name_nodes=n), scheme=SCDA_SCHEME)
         for n in (1, 4)

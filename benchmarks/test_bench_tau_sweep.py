@@ -16,7 +16,7 @@ def test_bench_control_interval_sweep(benchmark, results_dir):
     from repro.baselines.schemes import RAND_TCP, SCDA_SCHEME
     from repro.exec import ExperimentJob, run_jobs
 
-    base = scenario_pareto_poisson().with_overrides(sim_time_s=6.0)
+    base = scenario_pareto_poisson().with_sim_time(6.0)
     taus = (0.005, 0.010, 0.050, 0.100)
 
     # Planned up front as serialisable jobs (candidate per τ, baseline once),

@@ -213,9 +213,10 @@ class CapacityDegradationEvent(_LinkEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.factor <= 0:
+        # ``not x > 0``, so a NaN (which JSON scripts can carry) is refused too.
+        if not self.factor > 0:
             raise DynamicsError(f"{self.kind}: factor must be positive")
-        if self.duration_s is not None and self.duration_s <= 0:
+        if self.duration_s is not None and not self.duration_s > 0:
             raise DynamicsError(f"{self.kind}: duration_s must be positive when set")
 
     def apply(self, runtime: "DynamicsRuntime", index: int) -> None:

@@ -12,8 +12,9 @@ original paper:
   (Section IX: "SCDA with general network topologies").
 * :mod:`~repro.network.routing` — shortest-path and ECMP routing.
 * :mod:`~repro.network.flow` — flow objects with fluid byte progress.
-* :mod:`~repro.network.fluid` — max-min (water-filling) bandwidth shares,
-  with pure-Python and vectorized numpy backends behind one dispatch.
+* :mod:`~repro.network.fluid` — max-min (water-filling) bandwidth shares:
+  a pure-Python filler for small problems and the incremental numpy filler
+  of :mod:`~repro.network.fluid_fast` from 192 flows, behind one call.
 * :mod:`~repro.network.incidence` — the shared, incrementally-maintained
   link×flow incidence cache used by the allocator and the control round.
 * :mod:`~repro.network.fabric` — the event-driven fabric simulator that

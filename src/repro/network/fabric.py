@@ -441,7 +441,7 @@ class FabricSimulator:
         up without an epoch bump; control planes that *do* cache capacities
         are refreshed through the topology-change callbacks.
         """
-        if capacity_bps <= 0:
+        if not capacity_bps > 0:  # NaN too
             raise ValueError(f"capacity must be positive, got {capacity_bps}")
         now = self.sim.now
         self._advance_to(now)

@@ -10,29 +10,29 @@ filling.  This serves three purposes:
 * the idealised reference allocation against which the SCDA distributed
   allocation (equations 2-3) is validated in the tests, and
 * weighted max-min for prioritized allocation (equation 6), where a flow with
-  weight ``℘`` receives ``℘`` times the share of a weight-1 flow at its
-  bottleneck.
+  weight ``℘`` (its ``priority_weight``) receives ``℘`` times the share of a
+  weight-1 flow at its bottleneck.
 
-Two solver backends implement the same algorithm:
+Two water-fillers run the same rounds, and :func:`max_min_shares` picks one
+by problem size:
 
-* ``"python"`` — pure-Python progressive filling that recomputes a link's
-  fair share only after a flow crossing it froze; lowest constant overhead
-  for small problems.  The plain progressive filling it replaced lives on
-  in the test tree (``tests/network/maxmin_reference.py``) as its
-  bit-for-bit oracle.  Handed TCP's row-aligned demand caps, it first
-  checks whether they fit under every link with a margin; then they are
-  provably the answer, and it returns them as a
-  :class:`~repro.network.fluid_fast.RowRates` without running a round
-  (see :func:`_certified_caps`).
-* ``"numpy"`` — :mod:`repro.network.fluid_fast`, the same rounds as numpy
-  reductions over link×flow incidence arrays; 1-2 orders of magnitude faster
-  from a few hundred flows up.
+* below :data:`AUTO_NUMPY_MIN_FLOWS` flows, the pure-Python progressive
+  filling (:func:`_max_min_shares_python`), which recomputes a link's fair
+  share only after a flow crossing it froze.  The plain progressive filling
+  it replaced lives on in the test tree
+  (``tests/network/maxmin_reference.py``) as its bit-for-bit oracle.
+  Handed TCP's row-aligned demand caps, it first checks whether they fit
+  under every link with a margin; then they are provably the answer, and it
+  returns them as a :class:`~repro.network.fluid_fast.RowRates` without
+  running a round (see :func:`_certified_caps`).
+* from there, the :class:`~repro.network.fluid_fast.DeltaWaterFiller` that
+  the fabric attaches to its
+  :class:`~repro.network.incidence.IncidenceCache`: the same rounds as numpy
+  reductions over the cache's persistent incidence table, re-solving only
+  the connected component that changed since its last solve.
 
-``solver="auto"`` (the default) picks by problem size, so every existing
-call site gets the fast path at scale without changes.  Passing the fabric's
-:class:`~repro.network.incidence.IncidenceCache` as ``cache`` additionally
-skips rebuilding the link→flows incidence when the flow set is unchanged
-since the last call.
+A flow list the cache does not cover, or a cache without a filler, goes to
+the Python filler, which then builds the link→flows incidence itself.
 """
 
 from __future__ import annotations
@@ -42,16 +42,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.network.flow import Flow
-from repro.network.fluid_fast import (
-    DeltaWaterFiller,
-    RowRates,
-    max_min_shares_incremental,
-    max_min_shares_numpy,
-)
+from repro.network.fluid_fast import DeltaWaterFiller, RowRates
 from repro.network.incidence import IncidenceCache
 
-#: Below this many flows the pure-Python solver's lower constant overhead
-#: wins over numpy array setup (measured in benchmarks/; see docs/PERFORMANCE.md).
+#: Below this many flows the pure-Python filler's lower constant overhead
+#: wins over the delta filler's array set-up (measured in benchmarks/; see
+#: docs/PERFORMANCE.md).  The choice fixes which filler's summation order a
+#: result carries, so moving it changes result bits.
 AUTO_NUMPY_MIN_FLOWS = 192
 
 #: The all-at-cap certificate's margin on every link's capacity, relative
@@ -63,18 +60,17 @@ CERTIFY_SLACK_BPS = 1e-9
 def max_min_shares(
     flows: Sequence[Flow],
     demand_caps: Optional[Mapping[int, float]] = None,
-    weights: Optional[Mapping[int, float]] = None,
-    capacity_scale: float = 1.0,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
-    solver: str = "auto",
     cache: Optional[IncidenceCache] = None,
 ) -> Mapping[int, float]:
-    """Compute (weighted) max-min fair rates for ``flows``.
+    """Compute weighted max-min fair rates for ``flows``.
 
     Parameters
     ----------
     flows:
-        Active flows; each must have a non-empty ``path``.
+        Active flows; a flow without a path gets 0.  A flow's weight is its
+        ``priority_weight`` ``℘_j`` times its ``multiplicity``: at a
+        saturated link the remaining capacity is split in proportion to
+        weight.
     demand_caps:
         Optional per-flow upper bound (bits/s) keyed by ``flow_id`` — a flow
         never receives more than its cap (it is "bottlenecked elsewhere", and
@@ -83,33 +79,23 @@ def max_min_shares(
         :class:`~repro.network.fluid_fast.RowRates` over the cache's table
         (what TCP hands over once the fabric's table exists) is read as
         row-aligned columns instead of one lookup per flow.
-    weights:
-        Optional per-flow weights ``℘_j`` (default 1.0).  At a saturated link
-        the remaining capacity is split proportionally to weight.
-    capacity_scale:
-        Multiplier applied to every link capacity (e.g. the paper's ``α``).
-    capacity_overrides:
-        Optional per-link capacity replacement keyed by ``link_id`` (used for
-        reservation-adjusted capacities).
-    solver:
-        ``"auto"`` (default: numpy from :data:`AUTO_NUMPY_MIN_FLOWS` flows up
-        — the incremental delta solver when the cache carries one — pure
-        Python below), ``"python"``, ``"numpy"``, or ``"incremental"``
-        (delta water-filling against the cache's persistent incidence table;
-        see :class:`~repro.network.fluid_fast.DeltaWaterFiller`).
     cache:
         Optional :class:`~repro.network.incidence.IncidenceCache` covering
         exactly ``flows`` — reuses the link→flows incidence instead of
-        rebuilding it.  Ignored (with a full rebuild) when stale.
+        rebuilding it.  From :data:`AUTO_NUMPY_MIN_FLOWS` flows its
+        :class:`~repro.network.fluid_fast.DeltaWaterFiller` (``cache.delta``)
+        solves, if it has one and covers ``flows``; a list it does not cover
+        adds 1 to the filler's ``fallback_stale`` and goes to the Python
+        filler without the cache.
 
     Returns
     -------
     Mapping
         ``flow_id -> rate`` in bits/s: a dict, or a
         :class:`~repro.network.fluid_fast.RowRates` view that stays valid
-        until the cache's flow set next changes.  The incremental solver
-        always returns the view; the Python solver returns it when
-        ``demand_caps`` is a ``RowRates`` that certifiably fits every link
+        until the cache's flow set next changes.  The delta filler always
+        returns the view; the Python filler returns it when ``demand_caps``
+        is a ``RowRates`` that certifiably fits every link
         (:func:`_certified_caps`).  A view lists its flows in table row
         order, which after a reroute differs from the order of ``flows``.
 
@@ -119,58 +105,22 @@ def max_min_shares(
     per unit weight is smallest, freeze the flows crossing it at that share,
     remove them, and continue.  Flows capped below their fair share are frozen
     at their cap first.  At most min(L, F) rounds; each round is O(L + F)
-    plus the links a freeze touched in the Python backend, and O(nnz)
-    vectorized in the numpy backend.
+    plus the links a freeze touched in the Python filler, and O(nnz)
+    vectorized in the delta filler.
     """
-    if solver not in ("auto", "python", "numpy", "incremental"):
-        raise ValueError(
-            f"unknown solver {solver!r}; use 'auto', 'python', 'numpy' or 'incremental'"
-        )
-    if solver == "auto":
-        if len(flows) >= AUTO_NUMPY_MIN_FLOWS:
-            # The fabric attaches a DeltaWaterFiller to its cache; when one is
-            # present the auto path re-solves only the churn-dirty component.
-            solver = (
-                "incremental"
-                if cache is not None and cache.delta is not None
-                else "numpy"
-            )
-        else:
-            solver = "python"
-    if solver == "incremental":
-        return max_min_shares_incremental(
-            flows,
-            demand_caps=demand_caps,
-            weights=weights,
-            capacity_scale=capacity_scale,
-            capacity_overrides=capacity_overrides,
-            cache=cache,
-        )
-    if solver == "numpy":
-        return max_min_shares_numpy(
-            flows,
-            demand_caps=demand_caps,
-            weights=weights,
-            capacity_scale=capacity_scale,
-            capacity_overrides=capacity_overrides,
-            cache=cache,
-        )
-    return _max_min_shares_python(
-        flows,
-        demand_caps=demand_caps,
-        weights=weights,
-        capacity_scale=capacity_scale,
-        capacity_overrides=capacity_overrides,
-        cache=cache,
-    )
+    if len(flows) >= AUTO_NUMPY_MIN_FLOWS and cache is not None and cache.delta is not None:
+        # The fabric's lock-step list is trusted outright; any other list
+        # pays one O(F) id sweep.
+        if flows is cache.trusted_flows or cache.covers_ids(flows):
+            return cache.delta.solve(demand_caps)
+        cache.delta.fallback_stale += 1
+        cache = None
+    return _max_min_shares_python(flows, demand_caps, cache)
 
 
 def _max_min_shares_python(
     flows: Sequence[Flow],
     demand_caps: Optional[Mapping[int, float]] = None,
-    weights: Optional[Mapping[int, float]] = None,
-    capacity_scale: float = 1.0,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
     cache: Optional[IncidenceCache] = None,
 ) -> Mapping[int, float]:
     """Progressive filling with memoized link shares.
@@ -192,9 +142,7 @@ def _max_min_shares_python(
     (:func:`_certified_caps`): when its caps fit every link with a margin,
     they are the answer, returned as a ``RowRates`` without a round.
     """
-    certified = _certified_caps(
-        flows, demand_caps, weights, capacity_scale, capacity_overrides, cache
-    )
+    certified = _certified_caps(flows, demand_caps, cache)
     if certified is not None:
         return certified
     rates: Dict[int, float] = {f.flow_id: 0.0 for f in flows}
@@ -208,14 +156,9 @@ def _max_min_shares_python(
     links_by_id, flows_by_link = view.incidence_view()
     buckets = [list(bucket) for bucket in flows_by_link.values()]
     capacity: List[float] = []
-    for link_id, link in links_by_id.items():
-        base = (
-            capacity_overrides[link_id]
-            if capacity_overrides and link_id in capacity_overrides
-            else link.capacity_bps
-        )
-        scaled = base * capacity_scale
-        capacity.append(scaled if scaled > 0.0 else 0.0)
+    for link in links_by_id.values():
+        c = link.capacity_bps
+        capacity.append(c if c > 0.0 else 0.0)
 
     # Per flow: demand cap, aggregate app limit, priority weight and
     # multiplicity.  Caps that are a row-aligned vector of the cache's table,
@@ -256,9 +199,9 @@ def _max_min_shares_python(
             frozen[flow_id] = 0.0
             continue
         cap[flow_id] = c
-        # Explicit weights are per-session, like priority_weight: an
-        # aggregate of N sessions weighs N times its per-session weight.
-        w = float(weights.get(flow_id, w) if weights else w)
+        # The weight is per-session: an aggregate of N sessions weighs N
+        # times its priority weight.
+        w = float(w)
         if w <= 0:
             raise ValueError(f"flow {flow_id} has non-positive weight {w}")
         if multiplicity != 1:
@@ -353,16 +296,12 @@ def _max_min_shares_python(
 def _certified_caps(
     flows: Sequence[Flow],
     demand_caps: Optional[Mapping[int, float]],
-    weights: Optional[Mapping[int, float]],
-    capacity_scale: float,
-    capacity_overrides: Optional[Mapping[str, float]],
     cache: Optional[IncidenceCache],
 ) -> Optional[RowRates]:
     """TCP's effective demand caps, when they provably are the max-min rates.
 
     Only TCP's call qualifies: ``demand_caps`` a :class:`RowRates` of the
-    cache's built table, ``flows`` the cache's trusted list, no explicit
-    ``weights``, ``capacity_scale`` 1.0 and no ``capacity_overrides``.
+    cache's built table and ``flows`` the cache's trusted list.
     Each flow's effective cap ``c`` is its demand cap lowered to its
     aggregate app limit, and 0 when that is NaN or not positive or the flow
     has no path (``DeltaWaterFiller._row_effective_caps``); its weight ``w``
@@ -406,10 +345,7 @@ def _certified_caps(
     of ``flows``, and covers the same flows.
     """
     if (
-        weights
-        or capacity_scale != 1.0
-        or capacity_overrides
-        or cache is None
+        cache is None
         or flows is not cache.trusted_flows
         or not isinstance(demand_caps, RowRates)
         or demand_caps.table is not cache.built_table

@@ -1,38 +1,35 @@
-"""Vectorized max-min water-filling on a numpy link×flow incidence.
+"""Vectorized max-min water-filling on the persistent link×flow incidence table.
 
-This module hosts the two numpy backends of
-:func:`repro.network.fluid.max_min_shares`:
+This module hosts :class:`DeltaWaterFiller`, the water-filler
+:func:`repro.network.fluid.max_min_shares` uses from
+:data:`~repro.network.fluid.AUTO_NUMPY_MIN_FLOWS` flows up.  It runs the
+same rounds as the pure-Python filler — identical round structure, freeze
+order and tie-breaking — with each round a handful of numpy reductions over
+flow-major COO index arrays, so a round costs O(nnz) C-speed work rather
+than O(L·F) interpreter work.
 
-* ``solver="numpy"`` — :func:`max_min_shares_numpy`: a *full* progressive
-  filling over the whole flow set, the PR 1 design.  It runs the same rounds
-  as the pure-Python solver — identical round structure, identical freeze
-  order and tie-breaking — but each round is a handful of numpy reductions
-  over flow-major COO index arrays, so a round costs O(nnz) C-speed work
-  rather than O(L·F) interpreter work.
-* ``solver="incremental"`` — :class:`DeltaWaterFiller`: on flow arrival or
-  departure, re-solve only the *connected component* of the link×flow
-  incidence graph that the change touches.  Max-min allocations decompose
-  exactly per connected component (a component's links carry only component
-  flows, so progressive filling never moves capacity across components),
-  which makes the component-local solve equal to the full solve on the
-  component rows — not an approximation.  Dirty seeds come from the
-  :class:`~repro.network.incidence.IncidenceCache` change listeners plus
-  the runtime-mutable inputs that changed (priority weights and link
-  capacities, named by the change logs their column setters write, and
-  demand caps).  When the dirty component exceeds
-  :data:`MAX_DIRTY_FRACTION` of the live flows the filler falls back to one
-  full solve — incrementality only pays on sparse churn.
+On flow arrival or departure it re-solves only the *connected component* of
+the link×flow incidence graph that the change touches.  Max-min allocations
+decompose exactly per connected component (a component's links carry only
+component flows, so progressive filling never moves capacity across
+components), which makes the component-local solve equal to the full solve
+on the component rows — not an approximation.  Dirty seeds come from the
+:class:`~repro.network.incidence.IncidenceCache` change listeners plus the
+runtime-mutable inputs that changed (priority weights and link capacities,
+named by the change logs their column setters write, and demand caps).
+When the dirty component exceeds :data:`MAX_DIRTY_FRACTION` of the live
+flows the filler falls back to one full solve — incrementality only pays
+on sparse churn.
 
-Both backends share one array kernel (:func:`_waterfill_kernel`).  The full
-backend rebuilds its arrays per flow-set epoch; the incremental backend runs
-on the cache's *persistent* :class:`~repro.network.incidence.IncidenceTable`,
-so a churn event costs O(path length) table maintenance + O(component) solve
-instead of O(nnz) rebuild + O(nnz · rounds) solve.  Below
-:data:`SCALAR_MAX_PAIRS` (incidence) pairs the incremental backend runs
-:func:`_waterfill_scalar` instead, the same rounds on Python floats, which
-gives the same rates bit for bit without numpy's fixed cost per call.
+The filler runs on the cache's *persistent*
+:class:`~repro.network.incidence.IncidenceTable`, so a churn event costs
+O(path length) table maintenance + O(component) solve instead of O(nnz)
+rebuild + O(nnz · rounds) solve.  Below :data:`SCALAR_MAX_PAIRS` (incidence)
+pairs it runs :func:`_waterfill_scalar` instead of the array kernel
+(:func:`_waterfill_kernel`), the same rounds on Python floats, which gives
+the same rates bit for bit without numpy's fixed cost per call.
 
-Equivalence with the Python solver (within 1e-9 relative) is enforced by
+Equivalence with the Python filler (within 1e-9 relative) is enforced by
 ``tests/network/test_fluid_equivalence.py`` and
 ``tests/network/test_fluid_incremental.py``; the only differences are
 floating-point summation order inside a round (numpy ``bincount`` vs Python
@@ -47,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.network.flow import Flow
-from repro.network.incidence import IncidenceArrays, IncidenceCache, IncidenceTable
+from repro.network.incidence import IncidenceCache, IncidenceTable
 from repro.network.topology import grown
 
 #: The incremental path abandons its BFS and falls back to a full solve when
@@ -270,75 +267,6 @@ def _waterfill(
     )
 
 
-def _structure_for(
-    flows: Sequence[Flow], cache: Optional[IncidenceCache]
-) -> IncidenceArrays:
-    """The incidence arrays for ``flows`` — from the cache when it is current."""
-    if cache is not None and cache.matches(flows):
-        return cache.arrays()
-    return IncidenceCache(flows).arrays()
-
-
-def max_min_shares_numpy(
-    flows: Sequence[Flow],
-    demand_caps: Optional[Mapping[int, float]] = None,
-    weights: Optional[Mapping[int, float]] = None,
-    capacity_scale: float = 1.0,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
-    cache: Optional[IncidenceCache] = None,
-) -> Dict[int, float]:
-    """Vectorized (weighted) max-min fair rates — see ``fluid.max_min_shares``."""
-    rates: Dict[int, float] = {f.flow_id: 0.0 for f in flows}
-    structure = _structure_for(flows, cache)
-    flow_list = structure.flow_list
-    num_flows = structure.num_flows
-    num_links = structure.num_links
-    if num_flows == 0:
-        return rates
-
-    # Per-flow weight ℘_j × multiplicity and cap min(demand_cap, aggregate
-    # app_limit), clamped at 0.  Explicit weights are per-session, like
-    # priority_weight, so they scale by multiplicity too.
-    w = np.fromiter((f.effective_weight for f in flow_list), np.float64, num_flows)
-    if weights:
-        for i, f in enumerate(flow_list):
-            if f.flow_id in weights:
-                w[i] = float(weights[f.flow_id]) * f.multiplicity
-    bad = np.nonzero(w <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"flow {flow_list[i].flow_id} has non-positive weight {w[i]}"
-        )
-    cap = np.fromiter(
-        (f.aggregate_app_limit_bps for f in flow_list), np.float64, num_flows
-    )
-    if demand_caps:
-        for i, f in enumerate(flow_list):
-            c = demand_caps.get(f.flow_id)
-            if c is not None and c < cap[i]:
-                cap[i] = float(c)
-    np.maximum(cap, 0.0, out=cap)
-
-    # Per-link capacity: override, then scale, then clamp — as the Python solver.
-    link_cap = np.fromiter(
-        (link.capacity_bps for link in structure.link_list), np.float64, num_links
-    )
-    if capacity_overrides:
-        for li, link in enumerate(structure.link_list):
-            if link.link_id in capacity_overrides:
-                link_cap[li] = float(capacity_overrides[link.link_id])
-    link_cap *= capacity_scale
-    np.maximum(link_cap, 0.0, out=link_cap)
-
-    rate, _rounds = _waterfill_kernel(
-        structure.pair_flow, structure.pair_link, w, cap, link_cap
-    )
-    for i, flow in enumerate(flow_list):
-        rates[flow.flow_id] = float(rate[i])
-    return rates
-
-
 class RowRates(Mapping):
     """``flow_id -> rate`` over a row-aligned rate vector of an incidence table.
 
@@ -385,8 +313,8 @@ class DeltaWaterFiller:
        changed entries become dirty seeds, exactly like churned flows.  The
        entries to compare come from the change logs the bound flows and
        links write (``IncidenceTable.weight_log``, ``LinkColumns.capacity_log``);
-       explicit ``weights``, ``capacity_overrides`` or a log that no longer
-       reaches back fall back to comparing every row and slot;
+       a log that no longer reaches back falls back to comparing every row
+       and slot;
     2. grows the dirty set to the full connected component of the incidence
        graph (the unit on which max-min decomposes exactly), aborting early
        to a full solve past :data:`MAX_DIRTY_FRACTION`;
@@ -413,17 +341,14 @@ class DeltaWaterFiller:
         self._linkcap_slot: Optional[np.ndarray] = None
         #: the caps of the last solve: a dict, or a copy of a RowRates vector
         self._caps_snapshot: Union[Dict[int, float], np.ndarray] = {}
-        self._weights_snapshot: Dict[int, float] = {}
         #: where the snapshots stand: the weight-log and capacity-log versions
-        #: they have read up to, the link columns of that log, the slots the
-        #: capacity snapshot covers and whether it has overrides applied
+        #: they have read up to, the link columns of that log and the slots
+        #: the capacity snapshot covers
         self._weights_seen = -1
         self._capacities_seen = -1
         self._links_seen = None
         self._slots_seen = 0
-        self._overrides_seen = False
         self._layout_version = -1
-        self._epoch_seen = -1
         # Pending churn since the last solve.
         self._pending_added: Set[int] = set()
         self._pending_links: Set[str] = set()
@@ -493,43 +418,19 @@ class DeltaWaterFiller:
         return out
 
     # -- solving -------------------------------------------------------------------
-    def solve(
-        self,
-        flows: Sequence[Flow],
-        demand_caps: Optional[Mapping[int, float]] = None,
-        weights: Optional[Mapping[int, float]] = None,
-        capacity_scale: float = 1.0,
-        capacity_overrides: Optional[Mapping[str, float]] = None,
-    ) -> Mapping[int, float]:
-        """Max-min rates for ``flows``, incrementally when the state allows."""
-        cache = self.cache
-        # Membership check: the fabric's lock-step list is trusted outright;
-        # anything else pays an O(F) id sweep.  A flow list the cache does not
-        # cover at all is solved fresh (legacy path) without touching state.
-        if flows is not cache.trusted_flows and not cache.covers_ids(flows):
-            self.fallback_stale += 1
-            return max_min_shares_numpy(
-                flows,
-                demand_caps=demand_caps,
-                weights=weights,
-                capacity_scale=capacity_scale,
-                capacity_overrides=capacity_overrides,
-                cache=None,
-            )
+    def solve(self, demand_caps: Optional[Mapping[int, float]] = None) -> RowRates:
+        """Max-min rates for the cache's flows, incrementally when the state
+        allows.
 
-        table = cache.table()
-        if (
-            self._cold
-            or self._rate_row is None
-            or self._layout_version != table.layout_version
-            or capacity_scale != getattr(self, "_scale_snapshot", None)
-        ):
-            return self._solve_full(
-                table, demand_caps, weights, capacity_scale, capacity_overrides
-            )
+        ``demand_caps`` is keyed by flow id, or a :class:`RowRates` of the
+        cache's table.  The caller vouches that the flows it solves for are
+        the cache's (:func:`repro.network.fluid.max_min_shares` checks).
+        """
+        table = self.cache.table()
+        if self._cold or self._rate_row is None or self._layout_version != table.layout_version:
+            return self._solve_full(table, demand_caps)
 
         caps = demand_caps or {}
-        wdict = weights or {}
         n_rows = table.num_rows
         row_flows = table.row_flows
         dirty_rows: Set[int] = set()
@@ -553,7 +454,7 @@ class DeltaWaterFiller:
                 added.append(row)
                 flow = row_flows[row]
                 self._cap_row[row] = self._effective_cap(flow, caps)
-                self._w_row[row] = self._effective_weight(flow, wdict)
+                self._w_row[row] = flow.effective_weight
         slot_of = table.slot_of
         for link_id in self._pending_links:
             slot = slot_of.get(link_id)
@@ -561,7 +462,7 @@ class DeltaWaterFiller:
                 dirty_slots.add(slot)
 
         # 2. Verify the runtime-mutable inputs; differences become seeds.
-        self._verify_weights(table, wdict, added, dirty_rows)
+        self._verify_weights(table, added, dirty_rows)
 
         old = self._caps_snapshot
         row_caps = self._row_caps(demand_caps, table)
@@ -578,19 +479,16 @@ class DeltaWaterFiller:
                 # nearly every window moved), so the component search would
                 # stop at its first check and fall back.
                 self.fallback_large_region += 1
-                return self._solve_full(
-                    table, demand_caps, weights, capacity_scale, capacity_overrides
-                )
+                return self._solve_full(table, demand_caps)
             dirty_rows.update(changed.tolist())
             self._cap_row[changed] = self._row_effective_caps(table, row_caps, changed)
             self._caps_snapshot = row_caps.copy()
-            self._weights_snapshot = dict(wdict)
         else:
             if isinstance(old, np.ndarray):
                 # Row-aligned caps last time, a dict now: compare by flow id.
                 values = old.tolist()
                 old = {fid: values[row] for fid, row in row_of.items() if row < len(values)}
-            if caps != old or wdict != self._weights_snapshot:
+            if caps != old:
                 # Demand caps changed (a new SCDA control round published new
                 # allocations): diff per flow, dirty the changed rows.
                 new = dict(caps)
@@ -601,9 +499,8 @@ class DeltaWaterFiller:
                             dirty_rows.add(row)
                             self._cap_row[row] = self._effective_cap(row_flows[row], caps)
                 self._caps_snapshot = new if row_caps is None else row_caps.copy()
-                self._weights_snapshot = dict(wdict)
 
-        self._verify_capacities(table, capacity_scale, capacity_overrides, dirty_slots)
+        self._verify_capacities(table, dirty_slots)
 
         if not dirty_rows and not dirty_slots:
             self.solves_noop += 1
@@ -614,9 +511,7 @@ class DeltaWaterFiller:
         component = self._component_of(table, dirty_rows, dirty_slots)
         if component is None:
             self.fallback_large_region += 1
-            return self._solve_full(
-                table, demand_caps, weights, capacity_scale, capacity_overrides
-            )
+            return self._solve_full(table, demand_caps)
         comp_rows, comp_slots = component
         self._solve_component(table, comp_rows, comp_slots)
         self.solves_incremental += 1
@@ -628,26 +523,19 @@ class DeltaWaterFiller:
 
     # -- input verification ----------------------------------------------------------
     def _verify_weights(
-        self,
-        table: IncidenceTable,
-        wdict: Mapping[int, float],
-        added: List[int],
-        dirty_rows: Set[int],
+        self, table: IncidenceTable, added: List[int], dirty_rows: Set[int]
     ) -> None:
         """Dirty the rows whose weight changed since the last solve.
 
         The rows to look at are the ones the table's weight log names (bound
-        flows' weight writes, rows that died) plus the rows added since.  With
-        explicit weights now or at the last solve, or a log that does not
-        reach back, every row is compared.  A live row with a non-positive
-        weight raises, as a full solve would.
+        flows' weight writes, rows that died) plus the rows added since.
+        With a log that does not reach back, every row is compared.  A live
+        row with a non-positive weight raises, as a full solve would.
         """
         n_rows = table.num_rows
         log = table.weight_log
         row_flows = table.row_flows
-        marked = (
-            None if wdict or self._weights_snapshot else log.since(self._weights_seen)
-        )
+        marked = log.since(self._weights_seen)
         if marked is not None and len(marked) <= n_rows // 8:
             # A few rows: their weights one at a time, the same product.
             weight = table.priority_weight
@@ -669,12 +557,6 @@ class DeltaWaterFiller:
             self._weights_seen = log.version
             return
         cur_w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
-        if wdict:
-            row_of = table.row_of
-            for fid, value in wdict.items():
-                row = row_of.get(fid)
-                if row is not None:
-                    cur_w[row] = float(value) * row_flows[row].multiplicity
         bad = np.flatnonzero(cur_w <= 0.0)
         if bad.size:
             row = int(bad[0])
@@ -688,34 +570,23 @@ class DeltaWaterFiller:
         self._w_row[:n_rows] = cur_w
         self._weights_seen = log.version
 
-    def _verify_capacities(
-        self,
-        table: IncidenceTable,
-        capacity_scale: float,
-        capacity_overrides: Optional[Mapping[str, float]],
-        dirty_slots: Set[int],
-    ) -> None:
+    def _verify_capacities(self, table: IncidenceTable, dirty_slots: Set[int]) -> None:
         """Dirty the live slots whose effective capacity changed since the last solve.
 
         The slots to look at are the ones added since, and those of the links
-        the link columns' capacity log names.  With capacity overrides now or
-        at the last solve, or a log that does not reach back, every slot is
-        compared.
+        the link columns' capacity log names.  With a log that does not reach
+        back, every slot is compared.
         """
         n_slots = table.num_slots
         links = table.links
         marked = None
-        if (
-            links is not None
-            and links is self._links_seen
-            and not (capacity_overrides or self._overrides_seen)
-        ):
+        if links is not None and links is self._links_seen:
             marked = links.capacity_log.since(self._capacities_seen)
-            if not marked and n_slots == self._slots_seen:
+            if marked is not None and not marked and n_slots == self._slots_seen:
                 return
         if marked is None or len(marked) > n_slots // 8:
             slots = np.arange(n_slots)
-            cur = table.link_capacities(capacity_scale, capacity_overrides)
+            cur = table.link_capacities()
         else:
             if marked:
                 entries = np.unique(np.asarray(marked, dtype=np.intp))
@@ -725,7 +596,7 @@ class DeltaWaterFiller:
             else:
                 known = np.zeros(0, dtype=np.intp)
             slots = np.concatenate((known, np.arange(self._slots_seen, n_slots)))
-            cur = table.link_capacities(capacity_scale, slots=slots)
+            cur = table.link_capacities(slots=slots)
         if self._linkcap_slot.shape[0] < n_slots:
             self._linkcap_slot = grown(self._linkcap_slot, n_slots, _INF)
         changed = slots[cur != self._linkcap_slot[slots]]
@@ -737,7 +608,6 @@ class DeltaWaterFiller:
         self._slots_seen = n_slots
         self._links_seen = links
         self._capacities_seen = -1 if links is None else links.capacity_log.version
-        self._overrides_seen = bool(capacity_overrides)
 
     # -- helpers -------------------------------------------------------------------
     @staticmethod
@@ -770,19 +640,11 @@ class DeltaWaterFiller:
             cap = 0.0  # pathless flows get nothing, as in the reference solver
         return max(0.0, float(cap))
 
-    @staticmethod
-    def _effective_weight(flow: Flow, wdict: Mapping[int, float]) -> float:
-        value = wdict.get(flow.flow_id)
-        if value is None:
-            return flow.effective_weight
-        return float(value) * flow.multiplicity
-
     def _finish_bookkeeping(self, table: IncidenceTable) -> None:
         self._pending_added.clear()
         self._pending_links.clear()
         self._pending_removed.clear()
         self._layout_version = table.layout_version
-        self._epoch_seen = self.cache.epoch
 
     @staticmethod
     def _region_limit(table: IncidenceTable) -> int:
@@ -864,26 +726,13 @@ class DeltaWaterFiller:
         self._rate_row[row_idx] = rate_loc
 
     def _solve_full(
-        self,
-        table: IncidenceTable,
-        demand_caps: Optional[Mapping[int, float]],
-        weights: Optional[Mapping[int, float]],
-        capacity_scale: float,
-        capacity_overrides: Optional[Mapping[str, float]],
+        self, table: IncidenceTable, demand_caps: Optional[Mapping[int, float]]
     ) -> RowRates:
         """One full solve over the persistent table; refreshes every snapshot."""
-        caps = demand_caps or {}
-        wdict = weights or {}
         n_rows = table.num_rows
         row_flows = table.row_flows
 
         w = table.priority_weight[:n_rows] * table.multiplicity[:n_rows]
-        if wdict:
-            row_of = table.row_of
-            for fid, value in wdict.items():
-                row = row_of.get(fid)
-                if row is not None:
-                    w[row] = float(value) * row_flows[row].multiplicity
         live_bad = [
             r for r in np.nonzero(w <= 0.0)[0] if row_flows[int(r)] is not None
         ]
@@ -894,22 +743,25 @@ class DeltaWaterFiller:
             )
         row_caps = self._row_caps(demand_caps, table)
         if row_caps is None:
-            pathless = (table.row_stop[:n_rows] == table.row_start[:n_rows]).tolist()
-            cap = np.fromiter(
-                (
-                    0.0
-                    if f is None or pathless[r]
-                    else self._effective_cap(f, caps)
-                    for r, f in enumerate(row_flows)
-                ),
-                np.float64,
-                n_rows,
-            )
+            # Caps by flow id as a row-aligned vector, inf where a flow has
+            # none: the effective caps below are then :meth:`_effective_cap`'s
+            # without a Python call per row.
+            snapshot = dict(demand_caps or {})
+            row_of = table.row_of
+            rows, values = [], []
+            for fid, cap in snapshot.items():
+                row = row_of.get(fid)
+                if row is not None:
+                    rows.append(row)
+                    values.append(cap)
+            row_caps = np.full(n_rows, _INF)
+            row_caps[rows] = values
         else:
-            live = np.flatnonzero(table.live[:n_rows])
-            cap = np.zeros(n_rows)
-            cap[live] = self._row_effective_caps(table, row_caps, live)
-        link_cap = table.link_capacities(capacity_scale, capacity_overrides)
+            snapshot = row_caps.copy()
+        live = np.flatnonzero(table.live[:n_rows])
+        cap = np.zeros(n_rows)
+        cap[live] = self._row_effective_caps(table, row_caps, live)
+        link_cap = table.link_capacities()
         rate, rounds = _waterfill(
             table.pair_flow[: table.pair_count],
             table.pair_link[: table.pair_count],
@@ -924,47 +776,12 @@ class DeltaWaterFiller:
         self._w_row = w
         self._cap_row = cap
         self._linkcap_slot = link_cap
-        self._caps_snapshot = dict(caps) if row_caps is None else row_caps.copy()
-        self._weights_snapshot = dict(wdict)
-        self._scale_snapshot = capacity_scale
+        self._caps_snapshot = snapshot
         links = table.links
         self._weights_seen = table.weight_log.version
         self._links_seen = links
         self._capacities_seen = -1 if links is None else links.capacity_log.version
         self._slots_seen = link_cap.shape[0]
-        self._overrides_seen = bool(capacity_overrides)
         self._cold = False
         self._finish_bookkeeping(table)
         return RowRates(table, rate.copy())
-
-
-def max_min_shares_incremental(
-    flows: Sequence[Flow],
-    demand_caps: Optional[Mapping[int, float]] = None,
-    weights: Optional[Mapping[int, float]] = None,
-    capacity_scale: float = 1.0,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
-    cache: Optional[IncidenceCache] = None,
-) -> Mapping[int, float]:
-    """The ``solver="incremental"`` entry point — see ``fluid.max_min_shares``.
-
-    Requires a cache covering ``flows``; a :class:`DeltaWaterFiller` is
-    attached to it on first use.  Without a cache there is nothing to be
-    incremental against, so the call degrades to one full numpy solve.
-    """
-    if cache is None:
-        return max_min_shares_numpy(
-            flows,
-            demand_caps=demand_caps,
-            weights=weights,
-            capacity_scale=capacity_scale,
-            capacity_overrides=capacity_overrides,
-        )
-    filler = DeltaWaterFiller.attach(cache)
-    return filler.solve(
-        flows,
-        demand_caps=demand_caps,
-        weights=weights,
-        capacity_scale=capacity_scale,
-        capacity_overrides=capacity_overrides,
-    )

@@ -9,22 +9,15 @@ flow arrival, departure and reroute, so a control round touching F flows over
 L links costs O(path length) per membership change instead of O(L·F) per
 query.
 
-For the vectorized solver (:mod:`repro.network.fluid_fast`) the cache exposes
-two structures:
-
-* :meth:`arrays` — compact flow-major COO index arrays rebuilt per flow-set
-  epoch (the PR 1 design, kept for the explicit ``solver="numpy"`` backend
-  and for tests: a rebuild walks flows in insertion order, so its link order
-  is bit-identical to a fresh :class:`IncidenceCache` built from the same
-  flow list).
-* :meth:`table` — a *persistent* :class:`IncidenceTable` that is maintained
-  in place on every arrival/departure instead of being rebuilt from Python
-  dicts: removed flows tombstone their rows (their coordinate pairs are
-  redirected to a scratch row/slot that can never bottleneck), new flows
-  append, and the arrays are compacted vectorized once tombstones outnumber
-  live entries.  A churn event therefore costs O(path length), not O(nnz),
-  which is what lets the delta water-filler re-solve 100k-flow problems in
-  per-component time.
+For the delta water-filler (:mod:`repro.network.fluid_fast`) the cache
+keeps a *persistent* :class:`IncidenceTable` (:meth:`IncidenceCache.table`),
+maintained in place on every arrival/departure instead of being rebuilt
+from Python dicts: removed flows tombstone their rows (their coordinate
+pairs are redirected to a scratch row/slot that can never bottleneck), new
+flows append, and the arrays are compacted vectorized once tombstones
+outnumber live entries.  A churn event therefore costs O(path length), not
+O(nnz), which is what lets the delta water-filler re-solve 100k-flow
+problems in per-component time.
 
 The cache also carries *change listeners* (see :meth:`add_listener`): the
 delta water-filler subscribes to arrival/departure notifications so it knows
@@ -43,49 +36,6 @@ from repro.network.topology import ChangeLog, Link, LinkColumns, bind_handle, gr
 #: Compaction of the persistent table never triggers below this many dead
 #: coordinate pairs — rewriting a small table costs more than carrying them.
 _COMPACT_MIN_DEAD_PAIRS = 2048
-
-
-class IncidenceArrays:
-    """Structural numpy views of one incidence epoch (see ``IncidenceCache.arrays``).
-
-    Attributes
-    ----------
-    flow_list:
-        Flows *with a non-empty path*, in cache insertion order; the array
-        index of a flow is its position in this list.
-    link_list:
-        Links in first-encounter order (walking flows in order, each path in
-        order) — the same order in which the pure-Python solver's
-        ``link_flows`` dict is populated, so per-link tie-breaking matches.
-    pair_flow / pair_link:
-        Flow-major COO coordinates: one entry per (flow, link) incidence.
-
-    Link capacities are *not* cached here: ``link.capacity_bps`` can change at
-    runtime (SLA bandwidth boosts mutate it in place) without bumping the
-    flow-set epoch, so the solver reads capacities fresh on every call.
-    """
-
-    __slots__ = ("flow_list", "link_list", "pair_flow", "pair_link")
-
-    def __init__(
-        self,
-        flow_list: List[Flow],
-        link_list: List[Link],
-        pair_flow,
-        pair_link,
-    ) -> None:
-        self.flow_list = flow_list
-        self.link_list = link_list
-        self.pair_flow = pair_flow
-        self.pair_link = pair_link
-
-    @property
-    def num_flows(self) -> int:
-        return len(self.flow_list)
-
-    @property
-    def num_links(self) -> int:
-        return len(self.link_list)
 
 
 class RowState(Mapping):
@@ -504,16 +454,14 @@ class IncidenceTable:
         return np.arange(int(lengths.sum()), dtype=np.intp) + np.repeat(starts - first, lengths)
 
     # -- solver-input gathers ------------------------------------------------------
-    def link_capacities(
-        self, capacity_scale: float = 1.0, capacity_overrides=None, slots=None
-    ):
-        """Effective per-slot capacities (override → scale → clamp), fresh.
+    def link_capacities(self, slots=None):
+        """Per-slot capacities, clamped at 0, fresh.
 
         Scratch and retired slots read ``inf`` so they can never become the
         bottleneck.  Capacities are gathered from the link columns per call
         because links mutate ``capacity_bps`` in place at runtime (SLA boosts,
         dynamics scripts).  ``slots`` (an index array) gathers only those
-        slots, with the same arithmetic, in that order.
+        slots, in that order.
         """
         n = len(self.link_slots)
         index = self.slot_link[:n] if slots is None else self.slot_link[slots]
@@ -521,17 +469,6 @@ class IncidenceTable:
             caps = np.full(index.shape[0], float("inf"))
         else:
             caps = self.links.capacity[index]
-        if capacity_overrides:
-            if slots is not None:
-                raise ValueError("capacity overrides apply to the whole slot vector")
-            for link_id, value in capacity_overrides.items():
-                slot = self.slot_of.get(link_id)
-                if slot is not None:
-                    caps[slot] = float(value)
-        if capacity_scale != 1.0:
-            # Scale only the finite (live) entries: inf sentinels must stay
-            # inf even under scale 0 (0 * inf would poison them with nan).
-            caps = np.where(np.isfinite(caps), caps * capacity_scale, caps)
         np.maximum(caps, 0.0, out=caps)
         return caps
 
@@ -559,9 +496,8 @@ class IncidenceCache:
     """Incrementally-maintained link→flows incidence for a set of active flows.
 
     The cache is the single owner of "which flows cross which links".  Flow
-    membership changes bump :attr:`epoch`; derived structures (the link→flows
-    map, the numpy index arrays) are cached against the epoch and rebuilt
-    lazily when stale.  The persistent :meth:`table` is instead *maintained*
+    membership changes bump :attr:`epoch`; the derived link→flows map is
+    cached against the epoch and rebuilt lazily when stale.  The persistent :meth:`table` is instead *maintained*
     on every membership change, and registered listeners (the delta
     water-filler) are notified with the exact change.
 
@@ -586,14 +522,12 @@ class IncidenceCache:
         self.epoch = 0
         self._map_epoch = -1
         self._map_cache: Dict[str, List[Flow]] = {}
-        self._arrays_epoch = -1
-        self._arrays_cache: Optional[IncidenceArrays] = None
         self._table: Optional[IncidenceTable] = None
         #: ``callback(event, flow, path)`` with event ``"add"``/``"remove"``
         #: (flow+path set) or ``"clear"`` (both None).
         self._listeners: List[Callable[[str, Optional[Flow], Optional[List[Link]]], None]] = []
         #: Attachment point for a :class:`~repro.network.fluid_fast.DeltaWaterFiller`;
-        #: ``solver="auto"`` dispatches to it when present.
+        #: ``max_min_shares`` solves with it from ``AUTO_NUMPY_MIN_FLOWS`` flows.
         self.delta = None
         #: A flow list the owner (the fabric) keeps in lock-step with this
         #: cache; solvers may skip the per-call membership check when handed
@@ -713,9 +647,9 @@ class IncidenceCache:
         """True when ``flows`` carries exactly the cached flow ids.
 
         The O(F) membership half of :meth:`matches` without the O(nnz) path
-        walk — the check the delta water-filler runs per solve (paths are
-        trusted to the cache's own snapshots; the fabric never mutates a path
-        without re-adding the flow).
+        walk — the check ``max_min_shares`` runs before a delta-filler solve
+        (paths are trusted to the cache's own snapshots; the fabric never
+        mutates a path without re-adding the flow).
         """
         if len(flows) != len(self._flows):
             return False
@@ -749,13 +683,6 @@ class IncidenceCache:
         """
         return self._links, self._link_flows
 
-    def arrays(self) -> IncidenceArrays:
-        """CSR-style numpy index arrays for the current epoch (cached)."""
-        if self._arrays_epoch != self.epoch or self._arrays_cache is None:
-            self._arrays_cache = self._build_arrays()
-            self._arrays_epoch = self.epoch
-        return self._arrays_cache
-
     @property
     def built_table(self) -> Optional[IncidenceTable]:
         """The persistent table if :meth:`table` has built it, else None."""
@@ -779,27 +706,6 @@ class IncidenceCache:
                 table.add(flow, self._paths[flow_id])
             self._table = table
         return self._table
-
-    def _build_arrays(self) -> IncidenceArrays:
-        flow_list = [f for f in self._flows.values() if self._paths.get(f.flow_id)]
-        link_index: Dict[str, int] = {}
-        link_list: List[Link] = []
-        pair_flow: List[int] = []
-        pair_link: List[int] = []
-        for fi, flow in enumerate(flow_list):
-            for link in self._paths[flow.flow_id]:
-                li = link_index.get(link.link_id)
-                if li is None:
-                    li = link_index[link.link_id] = len(link_list)
-                    link_list.append(link)
-                pair_flow.append(fi)
-                pair_link.append(li)
-        return IncidenceArrays(
-            flow_list=flow_list,
-            link_list=link_list,
-            pair_flow=np.asarray(pair_flow, dtype=np.intp),
-            pair_link=np.asarray(pair_link, dtype=np.intp),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -109,11 +109,12 @@ class Link:
         is_uplink: bool = False,
         link_id: Optional[str] = None,
     ) -> None:
-        if capacity_bps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN is refused too.
+        if not capacity_bps > 0:
             raise ValueError(f"capacity must be positive, got {capacity_bps}")
-        if delay_s < 0:
+        if not delay_s >= 0:
             raise ValueError(f"delay must be non-negative, got {delay_s}")
-        if buffer_bytes is not None and buffer_bytes < 0:
+        if buffer_bytes is not None and not buffer_bytes >= 0:
             raise ValueError(f"buffer must be non-negative, got {buffer_bytes}")
         self.link_id = link_id or f"link-{next(self._ids)}:{src.node_id}->{dst.node_id}"
         self.src = src

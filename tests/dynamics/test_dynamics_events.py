@@ -1,11 +1,14 @@
 """Tests for the dynamics event model and the DYNAMICS registry."""
 
+import json
+
 import pytest
 
 from repro.dynamics import (
     BlockServerChurnEvent,
     CapacityDegradationEvent,
     DynamicsError,
+    DynamicsScript,
     LinkFailureEvent,
     LinkRecoveryEvent,
     WorkloadSurgeEvent,
@@ -68,6 +71,16 @@ class TestEventValidation:
     def test_capacity_factor_must_be_positive(self):
         with pytest.raises(DynamicsError):
             CapacityDegradationEvent(at_s=1.0, select="host-uplink", factor=0.0)
+
+    @pytest.mark.parametrize("field", ["factor", "duration_s"])
+    def test_nan_factor_or_duration_rejected(self, field):
+        with pytest.raises(DynamicsError, match=field):
+            CapacityDegradationEvent(at_s=1.0, select="host-uplink", **{field: float("nan")})
+        # A JSON script can carry NaN: Python's json parses it.
+        event = {"kind": "capacity-degradation", "at_s": 1.0, "select": "host-uplink"}
+        text = json.dumps([{**event, field: float("nan")}])
+        with pytest.raises(RegistryError, match=f"{field} must be positive"):
+            DynamicsScript.from_json(text)
 
     def test_churn_action_validated(self):
         with pytest.raises(DynamicsError):

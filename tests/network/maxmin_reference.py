@@ -17,9 +17,6 @@ from repro.network.incidence import IncidenceCache
 def max_min_shares_reference(
     flows: Sequence[Flow],
     demand_caps: Optional[Mapping[int, float]] = None,
-    weights: Optional[Mapping[int, float]] = None,
-    capacity_scale: float = 1.0,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
     cache: Optional[IncidenceCache] = None,
 ) -> Dict[int, float]:
     """The reference pure-Python progressive filling.
@@ -28,7 +25,6 @@ def max_min_shares_reference(
     must return the same dict bit for bit.
     """
     demand_caps = dict(demand_caps or {})
-    weights = dict(weights or {})
 
     active: List[Flow] = [f for f in flows if f.path]
     rates: Dict[int, float] = {f.flow_id: 0.0 for f in flows}
@@ -38,15 +34,14 @@ def max_min_shares_reference(
     weight_seen: Dict[int, float] = {}
 
     def weight_of(flow: Flow) -> float:
-        # Explicit weights are per-session, like priority_weight: an
-        # aggregate of N sessions weighs N times its per-session weight.
-        # Read once per flow and solve: from 64 active flows up to
+        # The weight is per-session: an aggregate of N sessions weighs N
+        # times its priority weight.  Read once per flow and solve: from 64 active flows up to
         # AUTO_NUMPY_MIN_FLOWS this solver runs on flows bound to a fabric
         # table, whose priority_weight is a column read.
         w = weight_seen.get(flow.flow_id)
         if w is not None:
             return w
-        w = float(weights.get(flow.flow_id, flow.priority_weight))
+        w = float(flow.priority_weight)
         if w <= 0:
             raise ValueError(f"flow {flow.flow_id} has non-positive weight {w}")
         if flow.multiplicity != 1:
@@ -68,12 +63,7 @@ def max_min_shares_reference(
     links_by_id = view.incidence_view()[0]
     link_capacity: Dict[str, float] = {}
     for link_id, link in links_by_id.items():
-        base = (
-            capacity_overrides[link_id]
-            if capacity_overrides and link_id in capacity_overrides
-            else link.capacity_bps
-        )
-        link_capacity[link_id] = max(0.0, base * capacity_scale)
+        link_capacity[link_id] = max(0.0, link.capacity_bps)
 
     unfrozen = {f.flow_id: f for f in active}
     frozen_rate: Dict[int, float] = {}

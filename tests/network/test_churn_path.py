@@ -400,7 +400,7 @@ class TestChangeMarkedSolves:
             else:
                 for flow in flows[::50]:
                     flow.priority_weight = 1.0
-            rates = filler.solve(flows)
+            rates = filler.solve()
             assert rates.rates.tobytes() == _cold_full_rates(table).tobytes()
             fabric.set_rates(flows, rates, rates)
         # set_link_capacity solves through the transport; the solve here then
@@ -427,6 +427,6 @@ class TestChangeMarkedSolves:
             late.priority_weight = 0.0
             fabric.incidence.add_flow(late)
             with pytest.raises(ValueError, match="non-positive weight"):
-                filler.solve(fabric.active_flows)
+                filler.solve()
             late.priority_weight = 1.0
         assert flow.current_rate_bps > 0.0 and late.current_rate_bps > 0.0

@@ -124,6 +124,14 @@ class TestSetLinkCapacity:
         with pytest.raises(ValueError):
             fabric.set_link_capacity(topo.links[0], 0.0)
 
+    def test_nan_capacity_rejected(self):
+        sim, topo, fabric = leafspine_stack()
+        link = topo.links[0]
+        before = link.capacity_bps
+        with pytest.raises(ValueError):
+            fabric.set_link_capacity(link, float("nan"))
+        assert link.capacity_bps == before and fabric.capacity_changes == 0
+
     def test_topology_change_callback_fires(self):
         sim, topo, fabric = leafspine_stack()
         seen = []

@@ -64,12 +64,6 @@ class TestSingleLink:
         rates = max_min_shares([f1])
         assert rates[f1.flow_id] == pytest.approx(5 * MBPS)
 
-    def test_capacity_scale_alpha(self):
-        topo, nodes = build_line(1)
-        f1 = flow_on(topo, nodes[0], nodes[1])
-        rates = max_min_shares([f1], capacity_scale=0.9)
-        assert rates[f1.flow_id] == pytest.approx(90 * MBPS)
-
     def test_zero_cap_flow_gets_nothing(self):
         topo, nodes = build_line(1)
         f1 = flow_on(topo, nodes[0], nodes[1])

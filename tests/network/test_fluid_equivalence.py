@@ -1,8 +1,8 @@
 """Equivalence of the water-fillers.
 
-Property tests over randomized topologies, flow sets, weights, demand caps,
-app limits, capacity scales and overrides: the numpy backend must agree with
-the Python solver within 1e-9 relative on every flow, and both allocations
+Property tests over randomized topologies, flow sets, priority weights,
+demand caps and app limits: a full solve of the delta filler must agree with
+the Python filler within 1e-9 relative on every flow, and both allocations
 must satisfy the max-min fairness property.  The production Python filler
 must return exactly what the reference progressive filling returns: the
 same keys in the same order and the same bits in every value.  When it
@@ -11,6 +11,7 @@ which lists its flows in table row order; then the keys must be the same
 set, with the same bits in every value.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.network.fabric import FabricSimulator
 from repro.network.flow import Flow
 from repro.network.fluid import (
+    AUTO_NUMPY_MIN_FLOWS,
     CERTIFY_MARGIN,
     CERTIFY_SLACK_BPS,
     _max_min_shares_python,
@@ -28,7 +30,7 @@ from repro.network.fluid import (
     is_max_min_fair,
     max_min_shares,
 )
-from repro.network.fluid_fast import RowRates
+from repro.network.fluid_fast import DeltaWaterFiller, RowRates
 from repro.network.incidence import IncidenceCache
 from repro.network.routing import Router
 from repro.network.topology import Topology
@@ -54,7 +56,7 @@ def random_scenario(num_flows, num_links, seed):
     capacities = rng.uniform(10 * MBPS, 200 * MBPS, size=num_links)
     topo, nodes = build_line(num_links, capacities)
     router = Router(topo)
-    flows, caps, weights = [], {}, {}
+    flows, caps = [], {}
     for _ in range(num_flows):
         i = int(rng.integers(0, num_links))
         j = int(rng.integers(i + 1, num_links + 1))
@@ -71,8 +73,14 @@ def random_scenario(num_flows, num_links, seed):
         elif r < 0.35:
             caps[f.flow_id] = 0.0  # zero-cap flows freeze immediately
         if rng.random() < 0.2:
-            weights[f.flow_id] = float(rng.uniform(0.5, 3.0))
-    return topo, flows, caps, weights
+            f.priority_weight = float(rng.uniform(0.5, 3.0))
+    return topo, flows, caps
+
+
+def delta_full_solve(flows, caps=None):
+    """The delta filler's first solve on a new cache of ``flows``: a full
+    one.  Its table takes the flows in, as a fabric's does."""
+    return DeltaWaterFiller.attach(IncidenceCache(flows)).solve(caps)
 
 
 def assert_allocations_close(a, b, rel=1e-9):
@@ -80,7 +88,7 @@ def assert_allocations_close(a, b, rel=1e-9):
     for flow_id in a:
         tol = rel * max(1.0, abs(a[flow_id]))
         assert abs(a[flow_id] - b[flow_id]) <= tol, (
-            f"flow {flow_id}: python={a[flow_id]!r} numpy={b[flow_id]!r}"
+            f"flow {flow_id}: {a[flow_id]!r} vs {b[flow_id]!r}"
         )
 
 
@@ -92,17 +100,17 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=80, deadline=None)
     def test_solvers_agree_on_random_scenarios(self, num_flows, num_links, seed):
-        topo, flows, caps, weights = random_scenario(num_flows, num_links, seed)
-        py = max_min_shares(flows, demand_caps=caps, weights=weights, solver="python")
-        np_ = max_min_shares(flows, demand_caps=caps, weights=weights, solver="numpy")
-        assert_allocations_close(py, np_)
+        topo, flows, caps = random_scenario(num_flows, num_links, seed)
+        py = _max_min_shares_python(flows, demand_caps=caps)
+        full = delta_full_solve(flows, caps)
+        assert_allocations_close(py, full)
         assert is_feasible(flows, py)
-        assert is_feasible(flows, np_)
+        assert is_feasible(flows, full)
         # is_max_min_fair checks the *unweighted* property, so only assert it
         # when every flow carries weight 1.
-        if not weights and all(f.priority_weight == 1.0 for f in flows):
+        if all(f.priority_weight == 1.0 for f in flows):
             assert is_max_min_fair(flows, py, demand_caps=caps)
-            assert is_max_min_fair(flows, np_, demand_caps=caps)
+            assert is_max_min_fair(flows, full, demand_caps=caps)
 
     @given(
         num_flows=st.integers(min_value=1, max_value=30),
@@ -110,9 +118,7 @@ class TestRandomizedEquivalence:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=50, deadline=None)
-    def test_unweighted_numpy_allocations_are_max_min_fair(
-        self, num_flows, num_links, seed
-    ):
+    def test_unweighted_allocations_are_max_min_fair(self, num_flows, num_links, seed):
         rng = np.random.default_rng(seed)
         capacities = rng.uniform(10 * MBPS, 200 * MBPS, size=num_links)
         topo, nodes = build_line(num_links, capacities)
@@ -125,36 +131,9 @@ class TestRandomizedEquivalence:
             flows.append(f)
             if rng.random() < 0.4:
                 caps[f.flow_id] = float(rng.uniform(0.5 * MBPS, 150 * MBPS))
-        for solver in ("python", "numpy"):
-            rates = max_min_shares(flows, demand_caps=caps, solver=solver)
+        for rates in (_max_min_shares_python(flows, caps), delta_full_solve(flows, caps)):
             assert is_feasible(flows, rates)
             assert is_max_min_fair(flows, rates, demand_caps=caps)
-
-    @given(
-        num_flows=st.integers(min_value=1, max_value=30),
-        seed=st.integers(min_value=0, max_value=10_000),
-        scale=st.floats(min_value=0.3, max_value=1.5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_solvers_agree_under_capacity_scale_and_overrides(
-        self, num_flows, seed, scale
-    ):
-        topo, flows, caps, weights = random_scenario(num_flows, 4, seed)
-        rng = np.random.default_rng(seed + 1)
-        overrides = {
-            link.link_id: float(rng.uniform(5 * MBPS, 120 * MBPS))
-            for link in topo.links
-            if rng.random() < 0.5
-        }
-        kwargs = dict(
-            demand_caps=caps,
-            weights=weights,
-            capacity_scale=scale,
-            capacity_overrides=overrides,
-        )
-        py = max_min_shares(flows, solver="python", **kwargs)
-        np_ = max_min_shares(flows, solver="numpy", **kwargs)
-        assert_allocations_close(py, np_)
 
     @given(
         num_flows=st.integers(min_value=1, max_value=30),
@@ -162,17 +141,11 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=40, deadline=None)
     def test_cached_incidence_gives_identical_results(self, num_flows, seed):
-        topo, flows, caps, weights = random_scenario(num_flows, 5, seed)
+        topo, flows, caps = random_scenario(num_flows, 5, seed)
         cache = IncidenceCache(flows)
-        fresh = max_min_shares(flows, demand_caps=caps, weights=weights, solver="numpy")
-        cached = max_min_shares(
-            flows, demand_caps=caps, weights=weights, solver="numpy", cache=cache
-        )
-        assert fresh == cached
-        py_cached = max_min_shares(
-            flows, demand_caps=caps, weights=weights, solver="python", cache=cache
-        )
-        assert_allocations_close(py_cached, cached)
+        fresh = _max_min_shares_python(flows, demand_caps=caps)
+        cached = _max_min_shares_python(flows, demand_caps=caps, cache=cache)
+        assert list(fresh.items()) == list(cached.items())
 
     @given(
         num_flows=st.integers(min_value=2, max_value=20),
@@ -180,55 +153,74 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_incremental_cache_updates_track_membership(self, num_flows, seed):
-        """Removing/re-adding flows through the cache matches a fresh solve."""
-        topo, flows, caps, _weights = random_scenario(num_flows, 4, seed)
+        """Removing flows through the cache matches a fresh solve."""
+        topo, flows, caps = random_scenario(num_flows, 4, seed)
         cache = IncidenceCache(flows)
         removed = flows[:: max(1, num_flows // 3)]
         for f in removed:
             cache.remove_flow(f)
         remaining = [f for f in flows if f not in removed]
-        via_cache = max_min_shares(
-            remaining, demand_caps=caps, solver="numpy", cache=cache
-        )
-        fresh = max_min_shares(remaining, demand_caps=caps, solver="numpy")
+        fresh = _max_min_shares_python(remaining, demand_caps=caps)
+        via_cache = _max_min_shares_python(remaining, demand_caps=caps, cache=cache)
         assert via_cache == fresh
+        assert_allocations_close(fresh, DeltaWaterFiller.attach(cache).solve(caps))
 
 
 class TestDispatch:
-    def test_auto_dispatches_to_numpy_at_scale(self):
-        from repro.network import fluid
-
-        topo, flows, caps, weights = random_scenario(
-            fluid.AUTO_NUMPY_MIN_FLOWS + 10, 4, seed=5
+    def test_delta_filler_solves_at_scale(self):
+        """From AUTO_NUMPY_MIN_FLOWS flows a cache's delta filler solves;
+        below, and without a cache or a filler, the Python filler does."""
+        topo, flows, caps = random_scenario(AUTO_NUMPY_MIN_FLOWS + 10, 4, seed=5)
+        expected = _max_min_shares_python(flows, demand_caps=caps)
+        assert max_min_shares(flows, demand_caps=caps) == expected
+        assert max_min_shares(flows, demand_caps=caps, cache=IncidenceCache(flows)) == expected
+        fewer = flows[: AUTO_NUMPY_MIN_FLOWS - 1]
+        small = IncidenceCache(fewer)
+        DeltaWaterFiller.attach(small)
+        assert max_min_shares(fewer, demand_caps=caps, cache=small) == _max_min_shares_python(
+            fewer, demand_caps=caps
         )
-        auto = max_min_shares(flows, demand_caps=caps, solver="auto")
-        explicit = max_min_shares(flows, demand_caps=caps, solver="numpy")
-        assert auto == explicit
+        assert small.delta.solves_full == 0
+        cache = IncidenceCache(flows)
+        filler = DeltaWaterFiller.attach(cache)
+        rates = max_min_shares(flows, demand_caps=caps, cache=cache)
+        assert isinstance(rates, RowRates) and filler.solves_full == 1
+        assert_allocations_close(rates, expected)
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            max_min_shares([], solver="fortran")
+    def test_unknown_keyword_rejected(self):
+        """``flows``, ``demand_caps`` and ``cache`` are the whole API: a
+        solver, weights or capacity knob is refused, not ignored."""
+        assert list(inspect.signature(max_min_shares).parameters) == [
+            "flows",
+            "demand_caps",
+            "cache",
+        ]
+        for knob in ("solver", "weights", "capacity_scale", "capacity_overrides"):
+            with pytest.raises(TypeError):
+                max_min_shares([], **{knob: None})
 
     def test_stale_cache_falls_back_to_rebuild(self):
-        topo, flows, caps, _w = random_scenario(10, 3, seed=9)
+        topo, flows, caps = random_scenario(10, 3, seed=9)
         cache = IncidenceCache(flows[:5])  # does not cover the flow set
-        result = max_min_shares(flows, demand_caps=caps, solver="numpy", cache=cache)
-        fresh = max_min_shares(flows, demand_caps=caps, solver="numpy")
+        result = max_min_shares(flows, demand_caps=caps, cache=cache)
+        fresh = max_min_shares(flows, demand_caps=caps)
         assert result == fresh
 
-    def test_non_positive_weight_raises_in_both_backends(self):
-        topo, flows, _caps, _w = random_scenario(3, 2, seed=1)
-        bad = {flows[0].flow_id: -1.0}
-        with pytest.raises(ValueError):
-            max_min_shares(flows, weights=bad, solver="python")
-        with pytest.raises(ValueError):
-            max_min_shares(flows, weights=bad, solver="numpy")
+    def test_non_positive_weight_raises_in_both_fillers(self):
+        topo, flows, _caps = random_scenario(3, 2, seed=1)
+        flows[0].priority_weight = -1.0
+        with pytest.raises(ValueError, match="non-positive weight"):
+            _max_min_shares_python(flows)
+        with pytest.raises(ValueError, match="non-positive weight"):
+            delta_full_solve(flows)
 
     def test_empty_and_pathless_flows(self):
-        assert max_min_shares([], solver="numpy") == {}
+        assert max_min_shares([]) == {}
+        assert dict(delta_full_solve([])) == {}
         topo, nodes = build_line(1, [100 * MBPS])
         f = Flow(nodes[0], nodes[1], 1e9, [])
-        assert max_min_shares([f], solver="numpy") == {f.flow_id: 0.0}
+        assert max_min_shares([f]) == {f.flow_id: 0.0}
+        assert dict(delta_full_solve([f])) == {f.flow_id: 0.0}
 
 
 # -- exact equality with the reference filler ------------------------------------
@@ -241,7 +233,7 @@ _WEIGHTS = (1.0, 1.0, 1.0, 0.5, 2.0, 3.0)
 
 @st.composite
 def filler_problems(draw):
-    """Links, flows over them and solver inputs, as plain data.
+    """Links and flows over them, with their demand caps, as plain data.
 
     Ties between links are built two ways.  A link may get a *twin* crossed
     by exactly the same flows, with the same capacity or the next float up.
@@ -272,18 +264,13 @@ def filler_problems(draw):
                     st.sampled_from((None,) * 6 + (0.0, 5 * MBPS, 10 * MBPS))
                     | st.floats(0.5 * MBPS, 150 * MBPS)
                 ),
-                "weight": draw(st.sampled_from((None, None) + _WEIGHTS)),
             }
         )
     share = draw(st.floats(0.5 * MBPS, 50 * MBPS))
     capacities = []
     for i in range(num_links):
         kind = draw(st.sampled_from(("round", "float", "tied", "tied", "tied")))
-        weight_sum = sum(
-            (f["priority_weight"] if f["weight"] is None else f["weight"]) * f["multiplicity"]
-            for f in flows
-            if i in f["path"]
-        )
+        weight_sum = sum(f["priority_weight"] * f["multiplicity"] for f in flows if i in f["path"])
         if kind == "tied" and weight_sum:
             capacities.append(share * weight_sum)
         elif kind == "float":
@@ -295,15 +282,7 @@ def filler_problems(draw):
             capacities.append(
                 capacities[i] if twin == "exact" else math.nextafter(capacities[i], math.inf)
             )
-    scale = draw(st.sampled_from((1.0, 1.0, 0.9, 0.5, 1.5)))
-    overrides = draw(
-        st.dictionaries(
-            st.integers(0, len(capacities) - 1),
-            st.sampled_from(_CAPACITIES) | st.floats(1 * MBPS, 200 * MBPS),
-            max_size=2,
-        )
-    )
-    return capacities, flows, scale, overrides
+    return capacities, flows
 
 
 def _star(capacities):
@@ -317,27 +296,20 @@ def _star(capacities):
     return topo, hub, links
 
 
-def _solver_inputs(flows, specs, links, scale, overrides):
-    demand_caps = {
-        f.flow_id: spec["demand_cap"]
-        for f, spec in zip(flows, specs)
-        if spec["demand_cap"] is not None
+def _solver_inputs(flows, specs):
+    return {
+        "demand_caps": {
+            f.flow_id: spec["demand_cap"]
+            for f, spec in zip(flows, specs)
+            if spec["demand_cap"] is not None
+        }
     }
-    weights = {
-        f.flow_id: spec["weight"] for f, spec in zip(flows, specs) if spec["weight"] is not None
-    }
-    return dict(
-        demand_caps=demand_caps,
-        weights=weights,
-        capacity_scale=scale,
-        capacity_overrides={links[i].link_id: value for i, value in overrides.items()},
-    )
 
 
 def _fabric_problem(problem, data):
     """The problem's flows started on a fabric, some then aborted or
     rerouted as drawn: (fabric, solver inputs of the flows left)."""
-    capacities, specs, scale, overrides = problem
+    capacities, specs = problem
     topo, hub, links = _star(capacities)
     fabric = FabricSimulator(Simulator(), topo, IdealMaxMinTransport())
     started = [
@@ -362,8 +334,7 @@ def _fabric_problem(problem, data):
             other = data.draw(st.sampled_from(specs))
             fabric.reroute_flow(flow, [links[i] for i in other["path"]])
         kept.append((flow, spec))
-    kwargs = _solver_inputs([f for f, _ in kept], [s for _, s in kept], links, scale, overrides)
-    return fabric, kwargs
+    return fabric, _solver_inputs([f for f, _ in kept], [s for _, s in kept])
 
 
 class ColumnsOnly(RowRates):
@@ -396,7 +367,7 @@ class TestExactAgainstReference:
     @given(problem=filler_problems(), cached=st.booleans())
     @settings(max_examples=250, deadline=None)
     def test_same_dict_as_reference(self, problem, cached):
-        capacities, specs, scale, overrides = problem
+        capacities, specs = problem
         topo, hub, links = _star(capacities)
         flows = [
             Flow(
@@ -411,7 +382,7 @@ class TestExactAgainstReference:
             for spec in specs
         ]
         cache = IncidenceCache(flows) if cached else None
-        assert_same_bits(flows, cache, _solver_inputs(flows, specs, links, scale, overrides))
+        assert_same_bits(flows, cache, _solver_inputs(flows, specs))
 
     @given(problem=filler_problems(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -459,11 +430,11 @@ class TestExactAgainstReference:
     def test_non_positive_weight_raises_only_with_a_positive_cap(self):
         topo, hub, links = _star([10 * MBPS])
         flows = [Flow(hub, hub, 1e9, [links[0]]) for _ in range(2)]
-        bad = {flows[0].flow_id: 0.0}
+        flows[0].priority_weight = 0.0
         for filler in (max_min_shares_reference, _max_min_shares_python):
             with pytest.raises(ValueError):
-                filler(flows, weights=bad)
-            rates = filler(flows, weights=bad, demand_caps={flows[0].flow_id: 0.0})
+                filler(flows)
+            rates = filler(flows, demand_caps={flows[0].flow_id: 0.0})
             assert rates == {flows[0].flow_id: 0.0, flows[1].flow_id: 10 * MBPS}
 
 
@@ -495,13 +466,11 @@ def capped_problems(draw):
             "demand_cap": draw(
                 st.sampled_from((0.0, math.nan)) | st.floats(0.5 * MBPS, 150 * MBPS)
             ),
-            "weight": None,
         }
         for _ in range(draw(st.integers(1, 24)))
     ]
     placement = draw(st.sampled_from(_PLACEMENTS))
-    capacity_input = draw(st.sampled_from(("plain", "plain", "plain", "scaled", "override")))
-    return [GBPS] * num_links, flows, placement, capacity_input
+    return [GBPS] * num_links, flows, placement
 
 
 def _effective_cap(flow, cap):
@@ -515,8 +484,8 @@ def _effective_cap(flow, cap):
 
 def _place_capacities(fabric, caps, placement, data):
     """Set every link's capacity from the effective caps crossing it, one
-    drawn link as ``placement`` says; returns that link's id and cap sum
-    (None and 0.0 when no link carries a positive cap)."""
+    drawn link as ``placement`` says; returns that link's id (None when no
+    link carries a positive cap)."""
     n = len(fabric.active_flows)
     sums = {
         link_id: sum(_effective_cap(flow, caps[flow.flow_id]) for flow in on_link)
@@ -536,7 +505,7 @@ def _place_capacities(fabric, caps, placement, data):
         else:
             capacity = (total + n * CERTIFY_SLACK_BPS) / (1.0 - CERTIFY_MARGIN / 2)
         link.capacity_bps = capacity
-    return chosen, sums.get(chosen, 0.0)
+    return chosen
 
 
 def _row_caps(fabric, caps):
@@ -554,23 +523,18 @@ class TestAllAtCapCertificate:
     def test_row_caps_give_the_reference_certified_or_solved(self, problem, data):
         """TCP's call: the same rates as the reference, bit for bit, whether
         the caps are certified (returned as a RowRates) or solved (a dict).
-        Certified exactly when every link sits outside the margin and the
-        capacities are the links' own, so both branches run in every run."""
-        capacities, specs, placement, capacity_input = problem
-        fabric, kwargs = _fabric_problem((capacities, specs, 1.0, {}), data)
+        Certified exactly when every link sits outside the margin, so both
+        branches run in every run."""
+        capacities, specs, placement = problem
+        fabric, kwargs = _fabric_problem((capacities, specs), data)
         caps = kwargs["demand_caps"]
-        chosen, total = _place_capacities(fabric, caps, placement, data)
-        capacities = {}
-        if capacity_input == "scaled":
-            capacities["capacity_scale"] = 0.5
-        elif capacity_input == "override" and chosen is not None:
-            capacities["capacity_overrides"] = {chosen: total / 2}
-        kwargs = {"demand_caps": _row_caps(fabric, caps), "cache": fabric.incidence, **capacities}
+        chosen = _place_capacities(fabric, caps, placement, data)
+        kwargs = {"demand_caps": _row_caps(fabric, caps), "cache": fabric.incidence}
         flows = fabric.active_flows
         got = _max_min_shares_python(flows, **kwargs)
         assert_same_rates(got, max_min_shares_reference(flows, **kwargs))
         outside = chosen is None or placement in ("far", "outside-margin")
-        assert isinstance(got, RowRates) == (outside and not capacities)
+        assert isinstance(got, RowRates) == outside
 
     @pytest.mark.parametrize(
         "capacity, low, high",

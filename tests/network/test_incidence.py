@@ -114,28 +114,26 @@ class TestEpochAndCaching:
         cache.add_flow(g)
         assert cache.link_flows_map() is not first
 
-    def test_arrays_are_cached_per_epoch(self):
+    def test_table_is_built_once_and_kept(self):
+        """The table is built on first use, then updated in place."""
         topo, nodes = build_line(2)
-        f = flow_on(topo, nodes[0], nodes[2])
-        cache = IncidenceCache([f])
-        assert cache.arrays() is cache.arrays()
+        cache = IncidenceCache([flow_on(topo, nodes[0], nodes[2])])
+        table = cache.table()
         cache.add_flow(flow_on(topo, nodes[0], nodes[1]))
-        arrays = cache.arrays()
-        assert arrays.num_flows == 2
+        assert cache.table() is table
+        assert table.live_rows == 2
 
-    def test_arrays_structure(self):
+    def test_table_structure(self):
         topo, nodes = build_line(3)
         long = flow_on(topo, nodes[0], nodes[3])
         short = flow_on(topo, nodes[1], nodes[2])
-        cache = IncidenceCache([long, short])
-        arrays = cache.arrays()
-        assert arrays.num_flows == 2
-        assert arrays.num_links == 3
+        table = IncidenceCache([long, short]).table()
+        rows = [table.row_of[long.flow_id], table.row_of[short.flow_id]]
         # Flow-major pairs: 3 links of the long flow then 1 of the short.
-        assert list(arrays.pair_flow) == [0, 0, 0, 1]
-        assert len(arrays.pair_link) == 4
+        assert table.pair_flow[: table.pair_count].tolist() == [rows[0]] * 3 + [rows[1]]
         # The short flow rides the long flow's middle link.
-        assert arrays.pair_link[3] == arrays.pair_link[1]
+        assert table.pair_link[3] == table.pair_link[1]
+        assert table.link_slots[table.pair_link[1]] is long.path[1]
 
 
 class TestRunRoundIntegration:

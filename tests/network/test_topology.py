@@ -108,6 +108,13 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(a, b, capacity_bps=1e6, delay_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["capacity_bps", "delay_s", "buffer_bytes"])
+    def test_nan_raises(self, field):
+        a, b = Node("a", NodeKind.SWITCH, 1), Node("b", NodeKind.SWITCH, 1)
+        kwargs = {"capacity_bps": 1e6, "delay_s": 0.001, "buffer_bytes": 1e4, field: float("nan")}
+        with pytest.raises(ValueError):
+            Link(a, b, **kwargs)
+
     def test_default_buffer_is_100ms_worth_of_bytes(self):
         a, b = Node("a", NodeKind.SWITCH, 1), Node("b", NodeKind.SWITCH, 1)
         link = Link(a, b, capacity_bps=8e6, delay_s=0.001)
