@@ -4,9 +4,9 @@ The retry machinery (attempt bookkeeping, the deterministic backoff state,
 the retry heap) sits on the hot path of every job even when nothing fails.
 This benchmark runs the same serial job list with retries disabled and with
 an aggressive policy enabled, on a fault-free ("happy") path, in alternating
-pairs, and records the relative overhead of the median run time, each run
-rescaled to the reference CPU speed — which must stay negligible, since
-almost every real run is the happy path.
+pairs, each run rescaled to the reference CPU speed, and records the relative
+overhead as the median of the per-pair time ratios — which must stay
+negligible, since almost every real run is the happy path.
 """
 
 import statistics
@@ -17,8 +17,10 @@ import pytest
 from bench_utils import save_result, scenario_pareto_poisson, speed_sampler
 
 #: Alternating (retries off, retries on) pairs timed; their first sides
-#: alternate too.
-PAIRS = 7
+#: alternate too.  A run of the 6 s comparison takes about 1 ref-s, and the
+#: two runs of one pair were seen up to 1.7x apart in a full benchmark run,
+#: so the gate reads the median of many per-pair ratios.
+PAIRS = 21
 
 
 @pytest.mark.benchmark(group="retry overhead")
@@ -26,9 +28,7 @@ def test_bench_retry_overhead_on_the_happy_path(benchmark, results_dir):
     from repro.exec import RetryPolicy, run_jobs
     from repro.exec.planner import plan_comparison
 
-    jobs = plan_comparison(
-        scenario_pareto_poisson().with_overrides(sim_time_s=6.0)
-    )
+    jobs = plan_comparison(scenario_pareto_poisson().with_sim_time(6.0))
     policy = RetryPolicy(max_attempts=5, timeout_s=None)
     sides = (("retry_disabled", None), ("retry_enabled", policy))
 
@@ -56,7 +56,11 @@ def test_bench_retry_overhead_on_the_happy_path(benchmark, results_dir):
     timings, outputs = benchmark.pedantic(run_pairs, rounds=1, iterations=1)
 
     medians = {label: statistics.median(values) for label, values in timings.items()}
-    overhead = medians["retry_enabled"] / medians["retry_disabled"] - 1.0
+    ratios = [
+        enabled / disabled
+        for disabled, enabled in zip(timings["retry_disabled"], timings["retry_enabled"])
+    ]
+    overhead = statistics.median(ratios) - 1.0
     save_result(
         results_dir,
         "retry_overhead",
@@ -65,6 +69,7 @@ def test_bench_retry_overhead_on_the_happy_path(benchmark, results_dir):
             "pairs": PAIRS,
             "ref_wall_clock_s": timings,
             "median_ref_wall_clock_s": medians,
+            "pair_ratios": ratios,
             "retry_overhead_fraction": overhead,
             "target_overhead_fraction": 0.02,
         },
@@ -73,6 +78,6 @@ def test_bench_retry_overhead_on_the_happy_path(benchmark, results_dir):
     # The policy must be invisible on the happy path: identical bytes...
     assert outputs["retry_disabled"] == outputs["retry_enabled"]
     # ...and near-identical time.  The target is <2%; the assertion bound is
-    # looser because the medians of seven rescaled runs still move by a few
+    # looser because the median ratio of rescaled pairs still moves by a few
     # percent on a shared machine — the recorded JSON carries the number.
     assert overhead < 0.15, f"retry machinery cost {overhead:.1%} on the happy path"

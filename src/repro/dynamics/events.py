@@ -58,9 +58,10 @@ class DynamicsEvent:
     kind: ClassVar[str] = "base"
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
+        # ``not x >= 0`` and ``not x > 0`` refuse NaN too.
+        if not self.at_s >= 0:
             raise DynamicsError(f"{self.kind}: at_s must be non-negative, got {self.at_s}")
-        if self.jitter_s < 0:
+        if not self.jitter_s >= 0:
             raise DynamicsError(
                 f"{self.kind}: jitter_s must be non-negative, got {self.jitter_s}"
             )
@@ -266,7 +267,7 @@ class BlockServerChurnEvent(DynamicsEvent):
         if self.rejoin_after_s is not None:
             if self.action != "leave":
                 raise DynamicsError(f"{self.kind}: rejoin_after_s requires action='leave'")
-            if self.rejoin_after_s <= 0:
+            if not self.rejoin_after_s > 0:
                 raise DynamicsError(f"{self.kind}: rejoin_after_s must be positive")
         if self.index < 0:
             raise DynamicsError(f"{self.kind}: index must be non-negative")
@@ -323,7 +324,7 @@ class WorkloadSurgeEvent(DynamicsEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise DynamicsError(f"{self.kind}: duration_s must be positive")
         if self.arrival_rate_per_s <= 0:
             raise DynamicsError(f"{self.kind}: arrival_rate_per_s must be positive")

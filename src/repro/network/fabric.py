@@ -105,10 +105,9 @@ class FabricSimulator:
         self.router = router or Router(topology)
         self.config = config or FabricConfig()
 
-        #: Active flows keyed by id (insertion-ordered), and the same flows
-        #: as the list :attr:`active_flows` hands out, kept in step in place:
-        #: appended on arrival, deleted by position on completion.
-        self._active: Dict[int, Flow] = {}
+        #: The active flows in arrival order, the list :attr:`active_flows`
+        #: hands out, kept in place: appended on arrival, deleted by position
+        #: on completion.  :attr:`incidence` holds the same flows.
         self._active_list: List[Flow] = []
         self.finished_flows: List[Flow] = []
         #: link→flows incidence over the active set, updated incrementally on
@@ -218,7 +217,7 @@ class FabricSimulator:
     @property
     def active_flow_count(self) -> int:
         """Number of currently transferring flows."""
-        return len(self._active)
+        return len(self._active_list)
 
     @property
     def active_flows(self) -> List[Flow]:
@@ -281,7 +280,7 @@ class FabricSimulator:
         accounts for it.  ``multiplicity=N`` starts an aggregate flow standing
         in for N identical sessions (see :class:`~repro.network.flow.Flow`).
         """
-        if len(self._active) >= self.config.max_active_flows:
+        if len(self._active_list) >= self.config.max_active_flows:
             raise RuntimeError("too many active flows; raise FabricConfig.max_active_flows")
         now = self.sim.now
         flow = Flow(
@@ -308,7 +307,6 @@ class FabricSimulator:
         # Bring the fluid state up to date before the flow joins.
         self._advance_to(now)
         flow.start(now)
-        self._active[flow.flow_id] = flow
         self._active_list.append(flow)
         if flow.multiplicity > 1:
             self._aggregate_active += 1
@@ -327,7 +325,7 @@ class FabricSimulator:
         """
         now = self.sim.now
         self._advance_to(now)
-        if self._active.pop(flow.flow_id, None) is None:
+        if flow not in self.incidence:
             return
         self._drop_active(flow)
         if flow.multiplicity > 1:
@@ -456,12 +454,12 @@ class FabricSimulator:
         dt = now - self._last_advance
         if dt < 0:
             raise RuntimeError("fabric time went backwards")
-        if dt == 0.0 or not self._active:
+        if dt == 0.0 or not self._active_list:
             self._last_advance = now
             return
 
         table = self.incidence.built_table
-        if table is None and len(self._active) >= _PAIRWISE_MIN_FLOWS:
+        if table is None and len(self._active_list) >= _PAIRWISE_MIN_FLOWS:
             table = self.incidence.table()
         if table is None:
             done = self._advance_handles(dt)
@@ -526,7 +524,7 @@ class FabricSimulator:
             return self._rows
         if self._rows_reordered:
             rows = np.fromiter(
-                (flow._index for flow in self.active_flows), np.intp, len(self._active)
+                (flow._index for flow in self.active_flows), np.intp, len(self._active_list)
             )
             self._rows_reordered = bool((rows[1:] < rows[:-1]).any())
         else:
@@ -618,11 +616,11 @@ class FabricSimulator:
         del flows[position]
 
     def _finish_flow(self, flow: Flow, now: float, position: int = -1) -> None:
-        if self._active.pop(flow.flow_id, None) is not None:
+        if flow in self.incidence:
             self._drop_active(flow, position)
             if flow.multiplicity > 1:
                 self._aggregate_active -= 1
-        self.incidence.remove_flow(flow)
+            self.incidence.remove_flow(flow)
         flow.finish(now)
         self.finished_flows.append(flow)
         self.transport.on_flow_finish(flow, now)
@@ -718,7 +716,7 @@ class FabricSimulator:
             self.recomputes_coalesced += 1
             return
         self.recomputes += 1
-        if self._active:
+        if self._active_list:
             # The cached snapshot, not a copy: the solver recognises the
             # trusted list and skips its per-call membership check.
             self.transport.update_rates(self.active_flows, now)
@@ -728,7 +726,7 @@ class FabricSimulator:
         if self._next_recompute_event is not None and self._next_recompute_event.pending:
             self._next_recompute_event.cancel()
             self._next_recompute_event = None
-        if not self._active:
+        if not self._active_list:
             return
         table = self.incidence.built_table
         if table is None:
@@ -766,7 +764,7 @@ class FabricSimulator:
     # -- draining --------------------------------------------------------------------------
     def drain(self, deadline: Optional[float] = None) -> None:
         """Run the simulator until all active flows finish (or ``deadline``)."""
-        while self._active:
+        while self._active_list:
             next_event = self.sim.peek()
             if next_event is None:
                 raise RuntimeError(
@@ -779,7 +777,7 @@ class FabricSimulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<FabricSimulator t={self.sim.now:g} active={len(self._active)} "
+            f"<FabricSimulator t={self.sim.now:g} active={len(self._active_list)} "
             f"finished={len(self.finished_flows)}>"
         )
 

@@ -116,12 +116,15 @@ class Flow:
         tenant: str = "",
         flow_id: Optional[int] = None,
     ) -> None:
-        if size_bytes <= 0:
+        # ``not x > 0`` and ``not x >= 0`` refuse NaN too.
+        if not size_bytes > 0:
             raise ValueError(f"flow size must be positive, got {size_bytes}")
-        if priority_weight <= 0:
+        if not priority_weight > 0:
             raise ValueError(f"priority weight must be positive, got {priority_weight}")
-        if min_rate_bps < 0:
+        if not min_rate_bps >= 0:
             raise ValueError(f"minimum rate must be non-negative, got {min_rate_bps}")
+        if not app_limit_bps >= 0:
+            raise ValueError(f"application limit must be non-negative, got {app_limit_bps}")
         if int(multiplicity) != multiplicity or multiplicity < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
         self.flow_id = next(self._ids) if flow_id is None else int(flow_id)

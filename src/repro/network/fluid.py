@@ -304,7 +304,7 @@ def _certified_caps(
     cache's built table and ``flows`` the cache's trusted list.
     Each flow's effective cap ``c`` is its demand cap lowered to its
     aggregate app limit, and 0 when that is NaN or not positive or the flow
-    has no path (``DeltaWaterFiller._row_effective_caps``); its weight ``w``
+    has no path (``DeltaWaterFiller._solved_caps``); its weight ``w``
     is priority weight × multiplicity.  The caps come back as a
     ``RowRates`` when
 
@@ -355,7 +355,7 @@ def _certified_caps(
     n_rows = table.num_rows
     live = np.flatnonzero(table.live[:n_rows])
     cap = np.zeros(n_rows)
-    cap[live] = DeltaWaterFiller._row_effective_caps(table, demand_caps.rates, live)
+    cap[live] = DeltaWaterFiller._solved_caps(table, demand_caps.rates[live], live)
     positive = cap > 0.0
     weight = table.priority_weight[:n_rows][positive] * table.multiplicity[:n_rows][positive]
     if not ((weight > 0.0).all() and weight.sum() < 2.0**1023):

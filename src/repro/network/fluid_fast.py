@@ -14,12 +14,13 @@ decompose exactly per connected component (a component's links carry only
 component flows, so progressive filling never moves capacity across
 components), which makes the component-local solve equal to the full solve
 on the component rows — not an approximation.  Dirty seeds come from the
-:class:`~repro.network.incidence.IncidenceCache` change listeners plus the
-runtime-mutable inputs that changed (priority weights and link capacities,
-named by the change logs their column setters write, and demand caps).
-When the dirty component exceeds :data:`MAX_DIRTY_FRACTION` of the live
-flows the filler falls back to one full solve — incrementality only pays
-on sparse churn.
+table alone: the rows appended since the last solve, the slots its
+``slot_log`` names, and the runtime-mutable inputs that changed (priority
+weights and link capacities, named by the change logs their column setters
+write, and demand caps, compared as one row-aligned vector).  When the
+dirty component exceeds :data:`MAX_DIRTY_FRACTION` of the live flows the
+filler falls back to one full solve — incrementality only pays on sparse
+churn.
 
 The filler runs on the cache's *persistent*
 :class:`~repro.network.incidence.IncidenceTable`, so a churn event costs
@@ -43,7 +44,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.network.flow import Flow
 from repro.network.incidence import IncidenceCache, IncidenceTable
 from repro.network.topology import grown
 
@@ -52,11 +52,6 @@ from repro.network.topology import grown
 #: component solve approaches full-solve cost while paying extraction
 #: overhead on top (measured in benchmarks/test_bench_kernel_microbench.py).
 MAX_DIRTY_FRACTION = 0.25
-
-#: Pending-churn bookkeeping is dropped (the filler goes cold and the next
-#: solve is a full one) past this many un-consumed events — it bounds listener
-#: memory when a scenario churns for a long time between incremental solves.
-_MAX_PENDING_EVENTS = 200_000
 
 #: Problems with fewer (incidence) pairs than this are solved by
 #: :func:`_waterfill_scalar`, larger ones by :func:`_waterfill_kernel`: the
@@ -302,19 +297,22 @@ class RowRates(Mapping):
 class DeltaWaterFiller:
     """Incremental max-min solver bound to one :class:`IncidenceCache`.
 
-    The filler subscribes to the cache's membership listeners, keeps
-    row/slot-aligned snapshots of every solver input (weights, effective
-    demand caps, effective link capacities) plus the last full rate vector,
-    and on each solve:
+    The filler keeps row/slot-aligned copies of every solver input (weights,
+    effective demand caps, effective link capacities) plus the last rate
+    vector, all aligned with the cache's table as it stood at the last
+    solve, and on each solve:
 
-    1. verifies the runtime-mutable inputs against the snapshots (priority
-       weights are mutated in place by the SCDA priority manager every control
-       round; SLA boosts mutate link capacities without an epoch bump) —
-       changed entries become dirty seeds, exactly like churned flows.  The
-       entries to compare come from the change logs the bound flows and
-       links write (``IncidenceTable.weight_log``, ``LinkColumns.capacity_log``);
-       a log that no longer reaches back falls back to comparing every row
-       and slot;
+    1. seeds a dirty set from the table alone: the live rows appended since
+       the last solve, and the live slots whose row lists the table's
+       ``slot_log`` names (arrivals, departures and reroutes mark every slot
+       of the path).  Demand caps come in as one row-aligned vector and are
+       compared with the last solve's in one go; weights and capacities are
+       compared where their change logs say they were written
+       (``IncidenceTable.weight_log``, ``LinkColumns.capacity_log``).  Every
+       difference is a seed too.  A different table (the cache was
+       cleared), a slot log that no longer reaches back (a compaction resets
+       it) or more changed caps than a component may hold make the solve a
+       full one;
     2. grows the dirty set to the full connected component of the incidence
        graph (the unit on which max-min decomposes exactly), aborting early
        to a full solve past :data:`MAX_DIRTY_FRACTION`;
@@ -331,28 +329,25 @@ class DeltaWaterFiller:
 
     def __init__(self, cache: IncidenceCache) -> None:
         self.cache = cache
-        cache.add_listener(self._on_change)
         cache.delta = self
 
-        self._cold = True
+        #: the table the kept vectors are aligned with (None: none yet)
+        self._table: Optional[IncidenceTable] = None
         self._rate_row: Optional[np.ndarray] = None
         self._w_row: Optional[np.ndarray] = None
         self._cap_row: Optional[np.ndarray] = None
         self._linkcap_slot: Optional[np.ndarray] = None
-        #: the caps of the last solve: a dict, or a copy of a RowRates vector
-        self._caps_snapshot: Union[Dict[int, float], np.ndarray] = {}
-        #: where the snapshots stand: the weight-log and capacity-log versions
-        #: they have read up to, the link columns of that log and the slots
-        #: the capacity snapshot covers
+        #: the row-aligned demand caps of the last solve (None: it had none)
+        self._caps: Optional[np.ndarray] = None
+        #: where the copies stand: the table's rows and slot-log version, the
+        #: weight-log and capacity-log versions they have read up to, the
+        #: link columns of that log and the slots the capacity copy covers
+        self._rows_seen = 0
+        self._churn_seen = -1
         self._weights_seen = -1
         self._capacities_seen = -1
         self._links_seen = None
         self._slots_seen = 0
-        self._layout_version = -1
-        # Pending churn since the last solve.
-        self._pending_added: Set[int] = set()
-        self._pending_links: Set[str] = set()
-        self._pending_removed: Set[int] = set()
         # Perf counters (exported as kernel extras via MetricsCollector).
         self.solves_full = 0
         self.solves_incremental = 0
@@ -370,36 +365,9 @@ class DeltaWaterFiller:
             cls(cache)
         return cache.delta
 
-    # -- change feed ---------------------------------------------------------------
-    def _on_change(self, event: str, flow: Optional[Flow], path) -> None:
-        if event == "clear":
-            self._go_cold()
-            return
-        if self._cold:
-            return
-        if (
-            len(self._pending_added) + len(self._pending_links) + len(self._pending_removed)
-            > _MAX_PENDING_EVENTS
-        ):
-            self._go_cold()
-            return
-        if event == "add":
-            self._pending_added.add(flow.flow_id)
-            self._pending_removed.discard(flow.flow_id)
-            for link in path:
-                self._pending_links.add(link.link_id)
-        elif event == "remove":
-            self._pending_added.discard(flow.flow_id)
-            self._pending_removed.add(flow.flow_id)
-            for link in path:
-                self._pending_links.add(link.link_id)
-
     def _go_cold(self) -> None:
-        self._cold = True
-        self._pending_added.clear()
-        self._pending_links.clear()
-        self._pending_removed.clear()
-        self._rate_row = None
+        """Forget the table: the next solve is a full one."""
+        self._table = None
 
     # -- stats ---------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -427,78 +395,56 @@ class DeltaWaterFiller:
         the cache's (:func:`repro.network.fluid.max_min_shares` checks).
         """
         table = self.cache.table()
-        if self._cold or self._rate_row is None or self._layout_version != table.layout_version:
-            return self._solve_full(table, demand_caps)
+        caps = self._caps_vector(table, demand_caps)
+        churned = None
+        if table is self._table:
+            churned = table.slot_log.since(self._churn_seen)
+        if churned is None:
+            return self._solve_full(table, caps)
 
-        caps = demand_caps or {}
         n_rows = table.num_rows
         row_flows = table.row_flows
-        dirty_rows: Set[int] = set()
-        dirty_slots: Set[int] = set()
-
-        # Grow snapshots for rows appended since the last solve, by a quarter
-        # at a time as the table's columns grow; the new rows are dirty by
-        # construction (they are the pending adds).
+        # Grow the copies for rows appended since the last solve, by a
+        # quarter at a time as the table's columns grow.
         if self._w_row.shape[0] < n_rows:
             self._w_row = grown(self._w_row, n_rows, 1.0)
             self._cap_row = grown(self._cap_row, n_rows, 0.0)
             self._rate_row = grown(self._rate_row, n_rows, 0.0)
 
-        # 1. Churn seeds.
-        row_of = table.row_of
-        added: List[int] = []
-        for fid in self._pending_added:
-            row = row_of.get(fid)
-            if row is not None:
-                dirty_rows.add(row)
-                added.append(row)
-                flow = row_flows[row]
-                self._cap_row[row] = self._effective_cap(flow, caps)
-                self._w_row[row] = flow.effective_weight
-        slot_of = table.slot_of
-        for link_id in self._pending_links:
-            slot = slot_of.get(link_id)
-            if slot is not None:
-                dirty_slots.add(slot)
+        # 1. Churn seeds: the live rows appended since, and the live slots
+        # whose row lists changed.
+        added = [row for row in range(self._rows_seen, n_rows) if row_flows[row] is not None]
+        link_slots = table.link_slots
+        dirty_slots: Set[int] = {slot for slot in churned if link_slots[slot] is not None}
+        dirty_rows: Set[int] = set()
 
         # 2. Verify the runtime-mutable inputs; differences become seeds.
         self._verify_weights(table, added, dirty_rows)
 
-        old = self._caps_snapshot
-        row_caps = self._row_caps(demand_caps, table)
-        if row_caps is not None and isinstance(old, np.ndarray):
-            # Row-aligned caps, as at the previous solve: one comparison.  A
-            # row appended since had no cap then, so it differs.
-            live = table.live[:n_rows]
-            seen = min(old.shape[0], n_rows)
-            differs = live.copy()
-            differs[:seen] &= old[:seen] != row_caps[:seen]
-            changed = np.flatnonzero(differs)
-            if changed.size > self._region_limit(table):
-                # Already more dirty rows than a component may hold (TCP:
-                # nearly every window moved), so the component search would
-                # stop at its first check and fall back.
-                self.fallback_large_region += 1
-                return self._solve_full(table, demand_caps)
-            dirty_rows.update(changed.tolist())
-            self._cap_row[changed] = self._row_effective_caps(table, row_caps, changed)
-            self._caps_snapshot = row_caps.copy()
+        # Demand caps: the rows whose cap differs from the last solve's, and
+        # the rows appended since, which had none.
+        old = self._caps
+        if caps is None and old is None:
+            changed = np.asarray(added, dtype=np.intp)
         else:
-            if isinstance(old, np.ndarray):
-                # Row-aligned caps last time, a dict now: compare by flow id.
-                values = old.tolist()
-                old = {fid: values[row] for fid, row in row_of.items() if row < len(values)}
-            if caps != old:
-                # Demand caps changed (a new SCDA control round published new
-                # allocations): diff per flow, dirty the changed rows.
-                new = dict(caps)
-                for fid in old.keys() | new.keys():
-                    if old.get(fid) != new.get(fid):
-                        row = row_of.get(fid)
-                        if row is not None:
-                            dirty_rows.add(row)
-                            self._cap_row[row] = self._effective_cap(row_flows[row], caps)
-                self._caps_snapshot = new if row_caps is None else row_caps.copy()
+            seen = self._rows_seen
+            differs = table.live[:n_rows].copy()
+            differs[:seen] &= (_INF if old is None else old[:seen]) != (
+                _INF if caps is None else caps[:seen]
+            )
+            changed = np.flatnonzero(differs)
+        if changed.size > self._region_limit(table):
+            # More dirty rows than a component may hold (TCP: nearly every
+            # window moved; SCDA: a control round's new allocations), so the
+            # component search would stop at its first check and fall back.
+            self.fallback_large_region += 1
+            return self._solve_full(table, caps)
+        if changed.size:
+            dirty_rows.update(changed.tolist())
+            self._cap_row[changed] = self._solved_caps(
+                table, _INF if caps is None else caps[changed], changed
+            )
+        self._caps = caps
 
         self._verify_capacities(table, dirty_slots)
 
@@ -511,7 +457,7 @@ class DeltaWaterFiller:
         component = self._component_of(table, dirty_rows, dirty_slots)
         if component is None:
             self.fallback_large_region += 1
-            return self._solve_full(table, demand_caps)
+            return self._solve_full(table, caps)
         comp_rows, comp_slots = component
         self._solve_component(table, comp_rows, comp_slots)
         self.solves_incremental += 1
@@ -611,40 +557,41 @@ class DeltaWaterFiller:
 
     # -- helpers -------------------------------------------------------------------
     @staticmethod
-    def _row_caps(
-        demand_caps: Optional[Mapping[int, float]], table: IncidenceTable
+    def _caps_vector(
+        table: IncidenceTable, demand_caps: Optional[Mapping[int, float]]
     ) -> Optional[np.ndarray]:
-        """The row-aligned vector of caps that are a :class:`RowRates` of ``table``."""
+        """``demand_caps`` as a vector aligned with ``table``'s rows, inf for
+        a flow without a cap; None when there are no caps."""
+        if not demand_caps:
+            return None
         if isinstance(demand_caps, RowRates) and demand_caps.table is table:
-            return demand_caps.rates
-        return None
+            return demand_caps.rates.copy()
+        row_of = table.row_of
+        rows, values = [], []
+        for fid, cap in demand_caps.items():
+            row = row_of.get(fid)
+            if row is not None:
+                rows.append(row)
+                values.append(cap)
+        caps = np.full(table.num_rows, _INF)
+        caps[rows] = values
+        return caps
 
     @staticmethod
-    def _row_effective_caps(
-        table: IncidenceTable, row_caps: np.ndarray, rows: np.ndarray
+    def _solved_caps(
+        table: IncidenceTable, cap: Union[float, np.ndarray], rows: np.ndarray
     ) -> np.ndarray:
-        """:meth:`_effective_cap` of the flows at ``rows``, from the columns."""
-        cap = row_caps[rows]
+        """The caps the flows at ``rows`` are solved with: ``cap`` (their
+        demand caps, or inf for none) lowered to their aggregate app limit,
+        0 for a pathless flow, and 0 where that is NaN or not positive."""
         app_limit = table.app_limit[rows]
         cap = np.where(app_limit < cap, app_limit, cap)
         cap[table.row_stop[rows] == table.row_start[rows]] = 0.0
         return np.where(cap > 0.0, cap, 0.0)
 
-    @staticmethod
-    def _effective_cap(flow: Flow, caps: Mapping[int, float]) -> float:
-        cap = caps.get(flow.flow_id, _INF)
-        app_limit = flow.aggregate_app_limit_bps
-        if app_limit < cap:
-            cap = app_limit
-        if not flow.path:
-            cap = 0.0  # pathless flows get nothing, as in the reference solver
-        return max(0.0, float(cap))
-
     def _finish_bookkeeping(self, table: IncidenceTable) -> None:
-        self._pending_added.clear()
-        self._pending_links.clear()
-        self._pending_removed.clear()
-        self._layout_version = table.layout_version
+        self._rows_seen = table.num_rows
+        self._churn_seen = table.slot_log.version
 
     @staticmethod
     def _region_limit(table: IncidenceTable) -> int:
@@ -725,10 +672,9 @@ class DeltaWaterFiller:
         self.kernel_rounds += rounds
         self._rate_row[row_idx] = rate_loc
 
-    def _solve_full(
-        self, table: IncidenceTable, demand_caps: Optional[Mapping[int, float]]
-    ) -> RowRates:
-        """One full solve over the persistent table; refreshes every snapshot."""
+    def _solve_full(self, table: IncidenceTable, caps: Optional[np.ndarray]) -> RowRates:
+        """One full solve over the persistent table with the row-aligned
+        ``caps`` (None: no caps); refreshes every copy."""
         n_rows = table.num_rows
         row_flows = table.row_flows
 
@@ -741,26 +687,9 @@ class DeltaWaterFiller:
             raise ValueError(
                 f"flow {row_flows[r].flow_id} has non-positive weight {w[r]}"
             )
-        row_caps = self._row_caps(demand_caps, table)
-        if row_caps is None:
-            # Caps by flow id as a row-aligned vector, inf where a flow has
-            # none: the effective caps below are then :meth:`_effective_cap`'s
-            # without a Python call per row.
-            snapshot = dict(demand_caps or {})
-            row_of = table.row_of
-            rows, values = [], []
-            for fid, cap in snapshot.items():
-                row = row_of.get(fid)
-                if row is not None:
-                    rows.append(row)
-                    values.append(cap)
-            row_caps = np.full(n_rows, _INF)
-            row_caps[rows] = values
-        else:
-            snapshot = row_caps.copy()
         live = np.flatnonzero(table.live[:n_rows])
         cap = np.zeros(n_rows)
-        cap[live] = self._row_effective_caps(table, row_caps, live)
+        cap[live] = self._solved_caps(table, _INF if caps is None else caps[live], live)
         link_cap = table.link_capacities()
         rate, rounds = _waterfill(
             table.pair_flow[: table.pair_count],
@@ -772,16 +701,16 @@ class DeltaWaterFiller:
         self.kernel_rounds += rounds
         self.solves_full += 1
 
+        self._table = table
         self._rate_row = rate
         self._w_row = w
         self._cap_row = cap
         self._linkcap_slot = link_cap
-        self._caps_snapshot = snapshot
+        self._caps = caps
         links = table.links
         self._weights_seen = table.weight_log.version
         self._links_seen = links
         self._capacities_seen = -1 if links is None else links.capacity_log.version
         self._slots_seen = link_cap.shape[0]
-        self._cold = False
         self._finish_bookkeeping(table)
         return RowRates(table, rate.copy())

@@ -17,16 +17,14 @@ pairs are redirected to a scratch row/slot that can never bottleneck), new
 flows append, and the arrays are compacted vectorized once tombstones
 outnumber live entries.  A churn event therefore costs O(path length), not
 O(nnz), which is what lets the delta water-filler re-solve 100k-flow
-problems in per-component time.
-
-The cache also carries *change listeners* (see :meth:`add_listener`): the
-delta water-filler subscribes to arrival/departure notifications so it knows
-exactly which rows and links are dirty without diffing flow sets.
+problems in per-component time.  The table also logs the slots whose flows
+changed (:attr:`IncidenceTable.slot_log`), so the filler learns which rows
+and links are dirty from the table itself, without diffing flow sets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -497,9 +495,8 @@ class IncidenceCache:
 
     The cache is the single owner of "which flows cross which links".  Flow
     membership changes bump :attr:`epoch`; the derived link→flows map is
-    cached against the epoch and rebuilt lazily when stale.  The persistent :meth:`table` is instead *maintained*
-    on every membership change, and registered listeners (the delta
-    water-filler) are notified with the exact change.
+    cached against the epoch and rebuilt lazily when stale.  The persistent
+    :meth:`table` is instead *maintained* on every membership change.
 
     Paths are snapshotted on :meth:`add_flow` so that a reroute (which
     mutates ``flow.path`` in place) cannot silently desynchronise the cache —
@@ -523,9 +520,6 @@ class IncidenceCache:
         self._map_epoch = -1
         self._map_cache: Dict[str, List[Flow]] = {}
         self._table: Optional[IncidenceTable] = None
-        #: ``callback(event, flow, path)`` with event ``"add"``/``"remove"``
-        #: (flow+path set) or ``"clear"`` (both None).
-        self._listeners: List[Callable[[str, Optional[Flow], Optional[List[Link]]], None]] = []
         #: Attachment point for a :class:`~repro.network.fluid_fast.DeltaWaterFiller`;
         #: ``max_min_shares`` solves with it from ``AUTO_NUMPY_MIN_FLOWS`` flows.
         self.delta = None
@@ -556,12 +550,6 @@ class IncidenceCache:
     def link_of(self, link_id: str) -> Optional[Link]:
         return self._links.get(link_id)
 
-    def add_listener(
-        self, callback: Callable[[str, Optional[Flow], Optional[List[Link]]], None]
-    ) -> None:
-        """Subscribe ``callback(event, flow, path)`` to membership changes."""
-        self._listeners.append(callback)
-
     def trust_flows(self, flows: List[Flow]) -> None:
         """Declare ``flows`` as a list kept in lock-step with this cache.
 
@@ -588,8 +576,6 @@ class IncidenceCache:
         self.epoch += 1
         if self._table is not None:
             self._table.add(flow, path)
-        for listener in self._listeners:
-            listener("add", flow, path)
 
     def remove_flow(self, flow: Flow) -> None:
         """Forget ``flow`` (using the path snapshotted at add time)."""
@@ -608,8 +594,6 @@ class IncidenceCache:
         self.epoch += 1
         if self._table is not None:
             self._table.remove(flow.flow_id)
-        for listener in self._listeners:
-            listener("remove", flow, path)
 
     def clear(self) -> None:
         if self._table is not None:
@@ -621,8 +605,6 @@ class IncidenceCache:
         self.epoch += 1
         self._table = None
         self.trusted_flows = None
-        for listener in self._listeners:
-            listener("clear", None, None)
 
     def matches(self, flows: Sequence[Flow]) -> bool:
         """True when ``flows`` is exactly the cached flow set (same paths).

@@ -91,7 +91,7 @@ class Simulator:
 
         Returns the underlying event so the call can be cancelled.
         """
-        if time < self._now - 1e-12:
+        if not time >= self._now - 1e-12:  # NaN too
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
@@ -116,7 +116,7 @@ class Simulator:
         scheduled call must either use :meth:`call_at` or guard the callback
         with their own liveness flag (the record then fires as a no-op).
         """
-        if time < self._now - 1e-12:
+        if not time >= self._now - 1e-12:  # NaN too
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )

@@ -82,6 +82,25 @@ class TestEventValidation:
         with pytest.raises(RegistryError, match=f"{field} must be positive"):
             DynamicsScript.from_json(text)
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (LinkFailureEvent, "at_s"),
+            (LinkRecoveryEvent, "jitter_s"),
+            (CapacityDegradationEvent, "at_s"),
+            (BlockServerChurnEvent, "at_s"),
+            (BlockServerChurnEvent, "jitter_s"),
+            (BlockServerChurnEvent, "rejoin_after_s"),
+            (WorkloadSurgeEvent, "at_s"),
+            (WorkloadSurgeEvent, "duration_s"),
+        ],
+    )
+    def test_nan_time_rejected(self, kind, field):
+        link_events = (LinkFailureEvent, LinkRecoveryEvent, CapacityDegradationEvent)
+        fields = {"select": "host-uplink"} if kind in link_events else {}
+        with pytest.raises(DynamicsError, match=field):
+            kind(**{"at_s": 1.0, **fields, field: float("nan")})
+
     def test_churn_action_validated(self):
         with pytest.raises(DynamicsError):
             BlockServerChurnEvent(at_s=1.0, action="explode")

@@ -4,7 +4,8 @@
 memoized link shares and must return exactly the dict this returns: the same
 keys in the same order and the same bits in every value.  The tests in this
 directory and ``benchmarks/test_bench_kernel_microbench.py`` import it from
-here.
+here.  :func:`effective_cap` is the per-flow rule for the caps the fillers
+solve with, the oracle of the delta filler's row-aligned caps.
 """
 
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -12,6 +13,19 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.network.flow import Flow
 from repro.network.fluid import _cache_for
 from repro.network.incidence import IncidenceCache
+
+
+def effective_cap(flow: Flow, demand_caps: Mapping[int, float]) -> float:
+    """The cap a filler solves ``flow`` with: its demand cap (inf without
+    one) lowered to its aggregate app limit, 0 for a pathless flow, and 0
+    where that is NaN or not positive."""
+    cap = demand_caps.get(flow.flow_id, float("inf"))
+    app_limit = flow.aggregate_app_limit_bps
+    if app_limit < cap:
+        cap = app_limit
+    if not flow.path:
+        return 0.0
+    return max(0.0, float(cap))
 
 
 def max_min_shares_reference(

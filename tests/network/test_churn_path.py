@@ -194,8 +194,10 @@ class ChurnChecks:
     def check_active(self):
         fabric = self.fabric
         listed = fabric.active_flows
-        assert len(listed) == len(fabric._active)
-        assert all(a is b for a, b in zip(listed, fabric._active.values()))
+        # The cache's flows, in arrival (creation, so flow id) order.
+        cached = sorted(fabric.incidence.flows, key=lambda flow: flow.flow_id)
+        assert len(listed) == len(cached)
+        assert all(a is b for a, b in zip(listed, cached))
 
     def check_loads(self, table):
         loads = self.fabric._loads

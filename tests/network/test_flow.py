@@ -37,6 +37,13 @@ class TestFlowConstruction:
         with pytest.raises(ValueError):
             make_flow(tiny_line_topology, min_rate_bps=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["size", "priority_weight", "min_rate_bps", "app_limit_bps"]
+    )
+    def test_nan_raises(self, tiny_line_topology, field):
+        with pytest.raises(ValueError):
+            make_flow(tiny_line_topology, **{field: float("nan")})
+
     def test_flow_ids_are_unique(self, tiny_line_topology):
         a = make_flow(tiny_line_topology)
         b = make_flow(tiny_line_topology)

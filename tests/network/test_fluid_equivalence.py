@@ -37,7 +37,7 @@ from repro.network.topology import Topology
 from repro.network.transport.ideal import IdealMaxMinTransport
 from repro.sim.engine import Simulator
 
-from maxmin_reference import max_min_shares_reference
+from maxmin_reference import effective_cap, max_min_shares_reference
 
 MBPS = 1e6
 
@@ -473,22 +473,13 @@ def capped_problems(draw):
     return [GBPS] * num_links, flows, placement
 
 
-def _effective_cap(flow, cap):
-    """The filler's cap for ``flow``: the demand cap lowered to the
-    aggregate app limit, 0 when NaN or not positive."""
-    limit = flow.aggregate_app_limit_bps
-    if limit < cap:
-        cap = limit
-    return cap if cap > 0.0 else 0.0
-
-
 def _place_capacities(fabric, caps, placement, data):
     """Set every link's capacity from the effective caps crossing it, one
     drawn link as ``placement`` says; returns that link's id (None when no
     link carries a positive cap)."""
     n = len(fabric.active_flows)
     sums = {
-        link_id: sum(_effective_cap(flow, caps[flow.flow_id]) for flow in on_link)
+        link_id: sum(effective_cap(flow, caps) for flow in on_link)
         for link_id, on_link in fabric.incidence.link_flows_map().items()
     }
     loaded = sorted(link_id for link_id, total in sums.items() if total > 0.0)

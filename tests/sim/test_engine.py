@@ -62,6 +62,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.call_in(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["call_at", "call_at_fast", "call_in", "call_in_fast"])
+    def test_nan_time_raises(self, method):
+        """A NaN time never reaches the heap, where ``run()`` would end
+        with ``now`` at NaN."""
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        assert sim.heap_size == 0
+        sim.run()
+        assert sim.now == 0.0
+
     def test_callback_arguments_are_passed(self):
         sim = Simulator()
         seen = []
