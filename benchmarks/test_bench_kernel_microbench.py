@@ -174,29 +174,6 @@ def test_bench_event_engine_throughput(benchmark):
     assert count == 20_000
 
 
-@pytest.mark.benchmark(group="kernel micro")
-def test_bench_event_engine_fast_timers(benchmark):
-    """Same chained-timer load on the handle-free ``call_in_fast`` path."""
-    from repro.sim.engine import Simulator
-
-    def run_events():
-        sim = Simulator()
-        count = 0
-
-        def tick():
-            nonlocal count
-            count += 1
-            if count < 20_000:
-                sim.call_in_fast(0.001, tick)
-
-        sim.call_in_fast(0.001, tick)
-        sim.run()
-        return count
-
-    count = benchmark(run_events)
-    assert count == 20_000
-
-
 @pytest.mark.benchmark(group="water-filler")
 @pytest.mark.parametrize("num_flows", WATERFILL_SIZES)
 @pytest.mark.parametrize("filler", ["python", "delta-full"])

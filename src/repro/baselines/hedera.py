@@ -27,9 +27,9 @@ class HederaConfig:
     scheduling_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.elephant_threshold_bytes <= 0:
+        if not self.elephant_threshold_bytes > 0:  # NaN too
             raise ValueError("elephant threshold must be positive")
-        if self.scheduling_interval_s <= 0:
+        if not self.scheduling_interval_s > 0:
             raise ValueError("scheduling interval must be positive")
 
 

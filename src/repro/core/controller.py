@@ -18,9 +18,7 @@ The RM/RA computation runs every control interval τ.  The controller is
 *lazy*: the round is (re)computed when allocations or selection metrics are
 requested and the previous round is at least τ old, which is equivalent to a
 periodic recomputation while flows are active but costs nothing while the
-cloud is idle.  An explicit periodic timer can be attached for
-continuous monitoring (e.g. the off-line diagnosis stream mentioned in the
-paper's introduction).
+cloud is idle.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from repro.network.flow import Flow
 from repro.network.incidence import IncidenceCache
 from repro.network.topology import Link, Node, Topology
 from repro.sim.engine import Simulator
-from repro.sim.timers import PeriodicTimer
 
 
 @dataclass
@@ -108,7 +105,6 @@ class ScdaController:
 
         self.fabric = None  # set by attach_fabric
         self._last_round_time: Optional[float] = None
-        self._monitor_timer: Optional[PeriodicTimer] = None
         self.rounds_run = 0
         #: host_id -> expiry times of recent placement decisions not yet
         #: visible in the RM/RA rates (see ScdaControllerConfig.placement_hint_ttl_s)
@@ -132,22 +128,6 @@ class ScdaController:
         calc = self.tree._link_calc.get(link.link_id)
         if calc is not None:
             calc.capacity_bps = link.capacity_bps
-
-    def enable_periodic_monitoring(self) -> PeriodicTimer:
-        """Run the control round on a fixed timer even when no flow triggers it.
-
-        Control-round timers ride the simulator's shared timer wheel: every
-        controller monitoring on the same τ grid lands in the same deadline
-        bucket, one heap record per round instead of one per controller.
-        """
-        if self._monitor_timer is None:
-            self._monitor_timer = PeriodicTimer(
-                self.sim,
-                self.config.params.control_interval_s,
-                lambda now: self.control_round(now, force=True),
-                wheel=self.sim.timer_wheel(),
-            )
-        return self._monitor_timer
 
     # -- the control round ---------------------------------------------------------------
     def control_round(self, now: float, force: bool = False) -> bool:

@@ -135,13 +135,14 @@ class ScenarioSpec:
     scale_down_threshold_bps: float = 50e6
 
     def __post_init__(self) -> None:
-        if self.sim_time_s <= 0:
+        # ``not x > 0`` / ``not x >= 0`` refuse NaN too.
+        if not self.sim_time_s > 0:
             raise ValueError("sim_time_s must be positive")
-        if self.drain_time_s < 0:
+        if not self.drain_time_s >= 0:
             raise ValueError("drain_time_s must be non-negative")
-        if self.control_interval_s <= 0:
+        if not self.control_interval_s > 0:
             raise ValueError("control_interval_s must be positive")
-        if self.throughput_sample_interval_s <= 0:
+        if not self.throughput_sample_interval_s > 0:
             raise ValueError("throughput_sample_interval_s must be positive")
         if self.num_name_nodes < 1:
             raise ValueError("num_name_nodes must be >= 1")

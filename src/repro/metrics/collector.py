@@ -160,7 +160,7 @@ class MetricsCollector:
         the experiment runner) so benches and the serve daemon can explain
         *why* a run was slow: how often the water-filler solved incrementally
         vs in full, how large the dirty regions were, how much churn the
-        fabric coalesced, and how hard the event heap and timer wheel worked.
+        fabric coalesced, and how often the event heap was compacted.
         All values are deterministic functions of the run, so they are safe
         inside the canonical (bit-compared) result payload.
         """
@@ -174,8 +174,4 @@ class MetricsCollector:
         delta = fabric.incidence.delta
         if delta is not None:
             extras.update(delta.stats())
-        wheel = getattr(sim, "_wheel", None)
-        if wheel is not None:
-            for key, value in wheel.stats().items():
-                extras[f"wheel_{key}"] = float(value)
         return extras

@@ -67,9 +67,9 @@ class FabricConfig:
     max_active_flows: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.control_interval_s <= 0:
+        if not self.control_interval_s > 0:  # NaN too
             raise ValueError("control_interval_s must be positive")
-        if self.completion_tolerance_bytes < 0:
+        if not self.completion_tolerance_bytes >= 0:
             raise ValueError("completion_tolerance_bytes must be non-negative")
 
 
@@ -723,7 +723,7 @@ class FabricSimulator:
         self._schedule_next(now)
 
     def _schedule_next(self, now: float) -> None:
-        if self._next_recompute_event is not None and self._next_recompute_event.pending:
+        if self._next_recompute_event is not None:
             self._next_recompute_event.cancel()
             self._next_recompute_event = None
         if not self._active_list:

@@ -428,10 +428,12 @@ class DeltaWaterFiller:
             changed = np.asarray(added, dtype=np.intp)
         else:
             seen = self._rows_seen
+            before = _INF if old is None else old[:seen]
+            after = _INF if caps is None else caps[:seen]
             differs = table.live[:n_rows].copy()
-            differs[:seen] &= (_INF if old is None else old[:seen]) != (
-                _INF if caps is None else caps[:seen]
-            )
+            # Two NaNs are the same cap (``!=`` alone would dirty the row at
+            # every solve); ``-0.0`` and ``0.0`` stay equal.
+            differs[:seen] &= (before != after) & ~(np.isnan(before) & np.isnan(after))
             changed = np.flatnonzero(differs)
         if changed.size > self._region_limit(table):
             # More dirty rows than a component may hold (TCP: nearly every

@@ -5,30 +5,20 @@ queue.  Events scheduled at the same simulated time fire in FIFO order of
 scheduling (a monotone tie-break counter), which keeps runs fully
 deterministic.
 
-Two fast paths keep the hot loop lean at scale:
-
-* **Lazy-cancellation compaction** — ``heapq`` has no efficient removal, so a
-  cancelled event stays on the heap until popped.  Workloads that constantly
-  reschedule (the fabric cancels and re-arms its recompute timer on every
-  flow arrival) used to grow the heap without bound; the simulator now counts
-  cancelled residents and rebuilds the heap whenever they outnumber the live
-  ones, keeping heap size O(live events).
-* **Handle-free scheduling** — :meth:`call_at_fast` pushes a bare
-  ``(time, tick, fn, args)`` record instead of allocating an :class:`Event`
-  plus a closure.  It returns no handle and cannot be cancelled; hot periodic
-  timers that guard themselves with a flag (see
-  :class:`repro.sim.timers.PeriodicTimer`) use it to halve their per-tick
-  allocation cost.
-
-Heap records are ``(time, tick, event)`` for cancellable events and
-``(time, tick, None, fn, args)`` for fast records; the tick counter is unique
+Every heap record is ``(time, tick, event, fn, args)``: the call itself and
+its slim :class:`~repro.sim.events.Event` handle.  The tick counter is unique,
 so tuple comparison never reaches the third element.
+
+A cancelled event stays on the heap until popped; :meth:`Simulator._discard`
+rebuilds the heap whenever cancelled residents outnumber the live ones, so
+the fabric's cancel-and-re-arm recompute timer keeps it O(live events).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional
 
 from repro.sim.events import Event
@@ -62,7 +52,6 @@ class Simulator:
         self._cancelled_in_heap = 0
         #: Times the heap was rebuilt to shed cancelled residents (perf counter).
         self.heap_compactions = 0
-        self._wheel = None
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -89,32 +78,7 @@ class Simulator:
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``.
 
-        Returns the underlying event so the call can be cancelled.
-        """
-        if not time >= self._now - 1e-12:  # NaN too
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        ev = Event(self, name=getattr(fn, "__name__", "call"))
-        ev.add_callback(lambda _ev: fn(*args))
-        self._schedule_event(ev, max(time, self._now))
-        return ev
-
-    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.call_at(self._now + delay, fn, *args)
-
-    def call_at_fast(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
-
-        Pushes a bare ``(time, tick, None, fn, args)`` record — no
-        :class:`Event`, no closure — so it is materially cheaper than
-        :meth:`call_at` on hot paths that schedule millions of timers.  The
-        record cannot be cancelled; callers that may need to abandon a
-        scheduled call must either use :meth:`call_at` or guard the callback
-        with their own liveness flag (the record then fires as a no-op).
+        Returns the event's handle so the call can be cancelled.
         """
         if not time >= self._now - 1e-12:  # NaN too
             raise SimulationError(
@@ -122,36 +86,17 @@ class Simulator:
             )
         if time < self._now:
             time = self._now
-        heapq.heappush(self._heap, (time, next(self._counter), None, fn, args))
+        event = Event(self, time)
+        heapq.heappush(self._heap, (time, next(self._counter), event, fn, args))
+        return event
 
-    def call_in_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """:meth:`call_at_fast` relative to the current time."""
+    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        self.call_at_fast(self._now + delay, fn, *args)
+        return self.call_at(self._now + delay, fn, *args)
 
-    def timer_wheel(self) -> "Any":
-        """This simulator's shared :class:`~repro.sim.timers.TimerWheel`.
-
-        Created lazily on first use; periodic timers that opt into the wheel
-        (``PeriodicTimer(..., wheel=sim.timer_wheel())``) share one heap
-        record per distinct deadline instead of one per timer.
-        """
-        if self._wheel is None:
-            from repro.sim.timers import TimerWheel
-
-            self._wheel = TimerWheel(self)
-        return self._wheel
-
-    def _schedule_event(self, event: Event, time: float) -> None:
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
-        event._mark_scheduled(time)
-        heapq.heappush(self._heap, (time, next(self._counter), event))
-
-    def _discard(self, event: Event) -> None:
+    def _discard(self) -> None:
         """Account a lazy cancellation; compact the heap when it is mostly dead.
 
         ``heapq`` has no efficient removal, so cancelled events stay on the
@@ -160,8 +105,6 @@ class Simulator:
         heap growth to O(live) amortised — a workload scheduling and
         cancelling N timers does O(N log N) total compaction work.
         """
-        if event.scheduled_time is None:
-            return  # never placed on the heap (cancelled while PENDING)
         self._cancelled_in_heap += 1
         if (
             len(self._heap) >= _COMPACT_MIN_HEAP
@@ -171,9 +114,7 @@ class Simulator:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled events."""
-        self._heap = [
-            rec for rec in self._heap if rec[2] is None or not rec[2].cancelled
-        ]
+        self._heap = [rec for rec in self._heap if not rec[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
@@ -181,40 +122,30 @@ class Simulator:
     # -- execution ---------------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap:
-            rec = self._heap[0]
-            event = rec[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(self._heap)
-                if self._cancelled_in_heap > 0:
-                    self._cancelled_in_heap -= 1
+        heap = self._heap
+        while heap:
+            rec = heap[0]
+            if rec[2].cancelled:
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
                 continue
             return rec[0]
         return None
 
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
-        while self._heap:
-            rec = heapq.heappop(self._heap)
-            event = rec[2]
-            if event is None:
-                time = rec[0]
-                if time < self._now - 1e-9:
-                    raise SimulationError("event heap corrupted: time went backwards")
-                self._now = time
-                self._event_count += 1
-                rec[3](*rec[4])
-                return True
+        heap = self._heap
+        while heap:
+            time, _, event, fn, args = heapq.heappop(heap)
             if event.cancelled:
-                if self._cancelled_in_heap > 0:
-                    self._cancelled_in_heap -= 1
+                self._cancelled_in_heap -= 1
                 continue
-            time = rec[0]
             if time < self._now - 1e-9:
                 raise SimulationError("event heap corrupted: time went backwards")
             self._now = time
             self._event_count += 1
-            event._fire()
+            event.triggered = True
+            fn(*args)
             return True
         return False
 
@@ -227,6 +158,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until t=nan")
         self._running = True
         self._stopped = False
         fired = 0

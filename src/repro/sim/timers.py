@@ -4,15 +4,12 @@ The SCDA control plane re-computes rate allocations every control interval τ;
 :class:`PeriodicTimer` drives those re-computations (and any other recurring
 action such as metric sampling).
 
-Ticks are scheduled through the engine's handle-free fast path
-(:meth:`~repro.sim.engine.Simulator.call_at_fast`): every tick would
-otherwise allocate an :class:`~repro.sim.events.Event` plus a closure that is
-immediately consumed, which adds up for high-frequency monitors over long
-runs.  Cancellation is replaced by a generation counter — :meth:`stop` bumps
-the generation, so an already-scheduled tick record fires as a no-op.
+Each tick is one :meth:`~repro.sim.engine.Simulator.call_at`.  Stopping does
+not cancel the scheduled tick: :meth:`PeriodicTimer.stop` bumps a generation
+counter, so the already-scheduled tick fires as a no-op.
 
-One observable consequence: the in-flight tick record of a stopped timer
-stays on the heap (at most one, at most one interval after the stop).  An
+One observable consequence: the in-flight tick of a stopped timer stays on
+the heap (at most one, at most one interval after the stop).  An
 *unbounded* ``run()`` that would otherwise drain the queue processes it as a
 no-op, i.e. the clock can come to rest up to one interval past the stop
 time.  Bounded runs (``run(until=...)``) and ``FabricSimulator.drain`` are
@@ -21,75 +18,7 @@ unaffected.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-
-class TimerWheel:
-    """Bucket same-deadline timer callbacks behind one heap record.
-
-    Thousands of periodic control-round timers sharing a τ grid all fire at
-    the same instants; scheduled individually, every timer pays a heap
-    push+pop per round.  The wheel buckets callbacks by *exact* deadline:
-    the first callback for a deadline pushes one handle-free heap record,
-    later ones append to the bucket at O(1) — O(1) amortised per timer per
-    round instead of O(log heap).
-
-    At fire time the bucket flushes in registration order, so callbacks
-    registered through the wheel keep FIFO determinism *among themselves*.
-    Relative order against non-wheel events at the same instant changes
-    (the whole bucket fires when its record pops), which is why the wheel is
-    strictly opt-in — see :class:`PeriodicTimer`'s ``wheel`` parameter.
-    """
-
-    def __init__(self, sim: Any) -> None:
-        self.sim = sim
-        self._buckets: Dict[float, List[Tuple[Callable[..., None], tuple]]] = {}
-        # Perf counters (exported through MetricsCollector.kernel_extras).
-        self.scheduled = 0
-        self.flushes = 0
-        self.max_bucket = 0
-
-    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` through the shared bucket."""
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self.sim.call_at_fast(time, self._flush, time)
-            bucket = self._buckets[time] = []
-        bucket.append((fn, args))
-        self.scheduled += 1
-        if len(bucket) > self.max_bucket:
-            self.max_bucket = len(bucket)
-
-    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """:meth:`call_at` relative to the current simulated time."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.call_at(self.sim.now + delay, fn, *args)
-
-    def _flush(self, time: float) -> None:
-        self.flushes += 1
-        for fn, args in self._buckets.pop(time, ()):
-            fn(*args)
-
-    @property
-    def pending(self) -> int:
-        """Callbacks currently waiting in buckets (occupancy)."""
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    @property
-    def open_buckets(self) -> int:
-        """Distinct deadlines currently holding at least one callback."""
-        return len(self._buckets)
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot for the perf-counter export."""
-        return {
-            "scheduled": self.scheduled,
-            "flushes": self.flushes,
-            "max_bucket": self.max_bucket,
-            "pending": self.pending,
-            "open_buckets": self.open_buckets,
-        }
+from typing import Any, Callable
 
 
 class PeriodicTimer:
@@ -100,50 +29,23 @@ class PeriodicTimer:
     sim:
         The owning simulator.
     interval:
-        Period in seconds (must be positive).
+        Period in seconds (must be positive); the first tick is at
+        ``sim.now + interval``.
     callback:
         Called as ``callback(now)`` on every tick.
-    start_at:
-        Absolute time of the first tick.  Defaults to ``sim.now + interval``.
-    jitter_fn:
-        Optional callable returning a per-tick offset added to the period
-        (used to de-synchronise monitors if desired).
-    wheel:
-        Optional :class:`TimerWheel`.  When given, ticks are scheduled
-        through the wheel's deadline buckets instead of individual heap
-        records — the right choice for fleets of timers sharing the same
-        period grid (e.g. per-server SCDA control-round monitors), where it
-        turns a heap push per timer per round into a list append.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        interval: float,
-        callback: Callable[[float], None],
-        start_at: Optional[float] = None,
-        jitter_fn: Optional[Callable[[], float]] = None,
-        wheel: Optional[TimerWheel] = None,
-    ) -> None:
-        if interval <= 0:
+    def __init__(self, sim: Any, interval: float, callback: Callable[[float], None]) -> None:
+        if not interval > 0:  # NaN too
             raise ValueError(f"interval must be positive, got {interval}")
         self.sim = sim
         self.interval = float(interval)
         self.callback = callback
-        self.jitter_fn = jitter_fn
-        self.wheel = wheel
         self._active = True
         self._ticks = 0
-        #: Bumped on stop(); a tick record carrying a stale generation is a no-op.
+        #: Bumped on stop(); a tick carrying a stale generation is a no-op.
         self._generation = 0
-        first = sim.now + self.interval if start_at is None else max(start_at, sim.now)
-        self._schedule_tick(first)
-
-    def _schedule_tick(self, time: float) -> None:
-        if self.wheel is not None:
-            self.wheel.call_at(time, self._tick, self._generation)
-        else:
-            self.sim.call_at_fast(time, self._tick, self._generation)
+        sim.call_at(sim.now + self.interval, self._tick, self._generation)
 
     @property
     def ticks(self) -> int:
@@ -158,10 +60,9 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop the timer; the callback never runs again.
 
-        The already-scheduled tick record cannot be removed from the heap
-        (it has no handle); it fires as a no-op at its original time, which
-        an unbounded ``run()`` observes as the clock resting up to one
-        interval past the stop.
+        The already-scheduled tick is not cancelled; it fires as a no-op at
+        its original time, which an unbounded ``run()`` observes as the clock
+        resting up to one interval past the stop.
         """
         self._active = False
         self._generation += 1
@@ -171,9 +72,5 @@ class PeriodicTimer:
             return
         self._ticks += 1
         self.callback(self.sim.now)
-        if not self._active:
-            return
-        delay = self.interval
-        if self.jitter_fn is not None:
-            delay = max(1e-9, delay + float(self.jitter_fn()))
-        self._schedule_tick(self.sim.now + delay)
+        if self._active:
+            self.sim.call_at(self.sim.now + self.interval, self._tick, self._generation)

@@ -80,6 +80,14 @@ class TestHedera:
         with pytest.raises(ValueError):
             HederaConfig(scheduling_interval_s=0.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("elephant_threshold_bytes", "elephant threshold must be positive"),
+        ("scheduling_interval_s", "scheduling interval must be positive"),
+    ])
+    def test_nan_config_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            HederaConfig(**{field: float("nan")})
+
     def test_elephants_detected_by_transferred_bytes(self):
         topo = build_fat_tree(k=4, num_clients=1)
         sim = Simulator()

@@ -256,6 +256,17 @@ class TestValidationAtConstruction:
         ScenarioSpec.pareto_poisson().with_overrides(seed=4)
         assert calls == []
 
+    @pytest.mark.parametrize("field, message", [
+        ("sim_time_s", "sim_time_s must be positive"),
+        ("drain_time_s", "drain_time_s must be non-negative"),
+        ("control_interval_s", "control_interval_s must be positive"),
+        ("throughput_sample_interval_s", "throughput_sample_interval_s must be positive"),
+    ])
+    def test_nan_time_field_raises(self, field, message):
+        """A NaN horizon would run ``sim.run(until=nan)`` for ever."""
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.pareto_poisson().with_overrides(**{field: float("nan")})
+
 
 def _bench_utils():
     """``benchmarks/bench_utils.py``, loaded by path (it is not a package)."""

@@ -51,13 +51,20 @@ class TestCollectorKernelExtras:
             for key in ("solves_full", "solves_incremental", "dirty_rows_max"):
                 assert key in extras
 
-    def test_wheel_counters_appear_once_wheel_exists(self, stack):
+    def test_heap_compactions_follow_the_engine(self, stack):
         sim, fabric, collector = stack
-        assert not any(k.startswith("wheel_") for k in collector.kernel_extras())
-        sim.timer_wheel().call_at(1.0, lambda: None)
-        extras = collector.kernel_extras()
-        assert extras["wheel_scheduled"] == 1.0
-        assert extras["wheel_pending"] == 1.0
+        for i in range(1_000):
+            sim.call_at(1.0 + i, lambda: None).cancel()
+        assert sim.heap_compactions > 0
+        assert collector.kernel_extras()["heap_compactions"] == float(sim.heap_compactions)
+
+    def test_extras_are_the_fabric_engine_and_solver_counters(self, stack):
+        """The key set reaches every canonical result; nothing else joins it."""
+        sim, fabric, collector = stack
+        expected = {"recomputes", "recomputes_coalesced", "heap_compactions"}
+        if fabric.incidence.delta is not None:
+            expected |= set(fabric.incidence.delta.stats())
+        assert set(collector.kernel_extras()) == expected
 
 
 class TestRunnerExportsKernelExtras:

@@ -148,6 +148,41 @@ class TestControl:
         with pytest.raises(ValueError):
             FabricConfig(completion_tolerance_bytes=-1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("control_interval_s", "control_interval_s must be positive"),
+        ("completion_tolerance_bytes", "completion_tolerance_bytes must be non-negative"),
+    ])
+    def test_nan_config_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            FabricConfig(**{field: float("nan")})
+
+    def test_recompute_timer_is_live_or_cleared_at_every_rearm(self, ideal_fabric):
+        """A start re-arms the recompute timer by cancelling the previous one,
+        which a fired event refuses: the timer clears its handle as it fires,
+        before the completions it finds start flows of their own."""
+        sim, topo, fabric = ideal_fabric
+        client, host = topo.node("ucl-0"), topo.node("bs-0")
+        states = []
+
+        def start(size):
+            ev = fabric._next_recompute_event
+            states.append("cleared" if ev is None else "pending" if ev.pending else "spent")
+            fabric.start_flow(client, host, size)
+
+        def chain(flow, now):
+            if len(states) < 40:
+                start(2e5)
+
+        fabric.on_flow_finished(chain)
+        start(5e6)
+        for k in range(1, 20):
+            sim.call_at(k * 0.005, start, 1e5)
+        fabric.drain()
+        assert len(states) == 40
+        assert set(states) == {"cleared", "pending"}
+        assert fabric._next_recompute_event is None
+        assert fabric.active_flow_count == 0
+
 
 class TestTcpFabricIntegration:
     def test_tcp_flow_completes_and_is_slower_than_ideal(self, tiny_line_topology):

@@ -396,6 +396,22 @@ class TestRowCaps:
         check(caps)
         assert filler.solves_incremental == incremental + 1
 
+    def test_an_unchanged_nan_cap_leaves_its_row_clean(self):
+        """Two NaN caps are the same cap: solving again with the same caps,
+        one of them NaN, makes no-op solves on both the dict and the row
+        side, not an incremental solve of the NaN's component each time."""
+        twins = TwinIslands(5)
+        for flow_id in twins.caps:
+            twins.caps[flow_id] = 50 * MBPS
+        twins.caps[next(iter(twins.caps))] = float("nan")
+        before = twins.solve()
+        dirty = [cache.delta.dirty_rows_total for _, cache in twins.sides]
+        for _ in range(3):
+            counts = twins.solve()
+        assert counts["solves_noop"] == before["solves_noop"] + 3
+        assert counts["solves_incremental"] == before["solves_incremental"]
+        assert [cache.delta.dirty_rows_total for _, cache in twins.sides] == dirty
+
 
 class TestFallbacks:
     def test_large_dirty_region_falls_back_to_full_solve(self):

@@ -62,7 +62,7 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.call_in(-1.0, lambda: None)
 
-    @pytest.mark.parametrize("method", ["call_at", "call_at_fast", "call_in", "call_in_fast"])
+    @pytest.mark.parametrize("method", ["call_at", "call_in"])
     def test_nan_time_raises(self, method):
         """A NaN time never reaches the heap, where ``run()`` would end
         with ``now`` at NaN."""
@@ -79,6 +79,24 @@ class TestScheduling:
         sim.call_at(1.0, lambda a, b: seen.append((a, b)), 1, "x")
         sim.run()
         assert seen == [(1, "x")]
+
+    def test_call_in_arguments_are_passed(self):
+        sim = Simulator()
+        seen = []
+        sim.call_in(2.0, lambda a, b: seen.append((sim.now, a, b)), 1, "x")
+        sim.run()
+        assert seen == [(2.0, 1, "x")]
+
+    def test_a_call_for_now_fires_after_the_ties_already_queued(self):
+        """FIFO by scheduling order: a same-time call made while firing
+        queues behind the calls scheduled for that time earlier."""
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, lambda: (order.append("a"), sim.call_in(0.0, order.append, "c")))
+        sim.call_at(1.0, order.append, "b")
+        sim.call_at(2.0, order.append, "d")
+        sim.run()
+        assert order == ["a", "b", "c", "d"]
 
 
 class TestRunControl:
@@ -98,6 +116,20 @@ class TestRunControl:
         sim.run(until=5.0)
         sim.run()
         assert seen == [10]
+
+    @pytest.mark.parametrize("with_timer", [False, True])
+    def test_nan_until_raises(self, with_timer):
+        """``nxt > nan`` is never true, so a periodic tick would keep such a
+        run going; ``max_events`` bounds it if the refusal is missing."""
+        from repro.sim.timers import PeriodicTimer
+
+        sim = Simulator()
+        if with_timer:
+            PeriodicTimer(sim, 1.0, lambda now: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"), max_events=1000)
+        assert sim.events_processed == 0
+        assert sim.now == 0.0
 
     def test_max_events_limits_execution(self):
         sim = Simulator()
@@ -126,6 +158,25 @@ class TestRunControl:
         sim.call_at(2.0, lambda: seen.append(2))
         assert sim.step() is True
         assert seen == [1]
+
+    def test_step_skips_cancelled_events(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, seen.append, 1).cancel()
+        sim.call_at(2.0, seen.append, 2)
+        assert sim.step() is True
+        assert seen == [2]
+        assert sim.now == 2.0
+        assert sim.heap_size == 0
+
+    def test_step_returns_false_when_only_cancelled_events_remain(self):
+        sim = Simulator()
+        for t in range(3):
+            sim.call_at(float(t + 1), lambda: None).cancel()
+        assert sim.step() is False
+        assert sim.heap_size == sim.pending_count == 0
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
 
     def test_peek_returns_next_event_time(self):
         sim = Simulator()
@@ -168,3 +219,17 @@ class TestRunControl:
         sim.run()
         assert seen == [0, 1, 2, 3]
         assert sim.now == 4.0
+
+    def test_a_long_call_in_chain_runs_to_the_end(self):
+        sim = Simulator()
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < 1000:
+                sim.call_in(0.001, tick)
+
+        sim.call_in(0.001, tick)
+        sim.run()
+        assert count[0] == 1000
+        assert sim.events_processed == 1000

@@ -1,8 +1,6 @@
-"""Tests for the engine's lazy-cancellation compaction and handle-free fast path."""
+"""Tests for the engine's lazy-cancellation compaction and periodic-timer ticks."""
 
-import pytest
-
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 
 
@@ -37,11 +35,35 @@ class TestHeapCompaction:
         sim = Simulator()
         pending = None
         for i in range(10_000):
-            if pending is not None and pending.pending:
+            if pending is not None:
                 pending.cancel()
             pending = sim.call_at(1.0 + i * 1e-4, lambda: None)
         assert sim.heap_size <= 256
         assert sim.pending_count == 1
+
+    def test_no_compaction_below_the_minimum_heap_size(self):
+        sim = Simulator()
+        events = [sim.call_at(1.0 + i, lambda: None) for i in range(63)]
+        for ev in events:
+            ev.cancel()
+        assert sim.heap_compactions == 0
+        assert sim.heap_size == 63
+        assert sim.pending_count == 0
+        sim.run()
+        assert sim.events_processed == 0
+        assert sim.heap_size == 0
+
+    def test_compaction_starts_once_cancelled_records_exceed_half(self):
+        """A heap of 64 compacts at the 33rd cancellation, not the 32nd."""
+        sim = Simulator()
+        events = [sim.call_at(1.0 + i, lambda: None) for i in range(64)]
+        for ev in events[:32]:
+            ev.cancel()
+        assert sim.heap_compactions == 0
+        assert sim.heap_size == 64
+        events[32].cancel()
+        assert sim.heap_compactions == 1
+        assert sim.heap_size == sim.pending_count == 31
 
     def test_cancelled_count_survives_peek_and_step(self):
         sim = Simulator()
@@ -54,70 +76,27 @@ class TestHeapCompaction:
         assert sim.heap_size == 0
 
 
-class TestCallAtFast:
-    def test_fires_with_args_at_the_right_time(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at_fast(2.0, lambda a, b: seen.append((sim.now, a, b)), 1, "x")
-        sim.run()
-        assert seen == [(2.0, 1, "x")]
-
-    def test_returns_no_handle(self):
-        sim = Simulator()
-        assert sim.call_at_fast(1.0, lambda: None) is None
-
-    def test_interleaves_fifo_with_regular_events(self):
-        sim = Simulator()
-        order = []
-        sim.call_at(1.0, lambda: order.append("event-a"))
-        sim.call_at_fast(1.0, lambda: order.append("fast-b"))
-        sim.call_at(1.0, lambda: order.append("event-c"))
-        sim.call_at_fast(1.0, lambda: order.append("fast-d"))
-        sim.run()
-        assert order == ["event-a", "fast-b", "event-c", "fast-d"]
-
-    def test_scheduling_in_the_past_raises(self):
-        sim = Simulator()
-        sim.call_at(10.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.call_at_fast(5.0, lambda: None)
-
-    def test_call_in_fast_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.call_in_fast(-0.5, lambda: None)
-
-    def test_counts_towards_events_processed(self):
-        sim = Simulator()
-        sim.call_at_fast(1.0, lambda: None)
-        sim.call_at_fast(2.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 2
-
-    def test_chained_fast_calls(self):
-        sim = Simulator()
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < 1000:
-                sim.call_in_fast(0.001, tick)
-
-        sim.call_in_fast(0.001, tick)
-        sim.run()
-        assert count[0] == 1000
-
-
-class TestPeriodicTimerFastPath:
-    def test_timer_does_not_allocate_cancellable_events(self):
+class TestPeriodicTimerTicks:
+    def test_timer_keeps_one_record_on_the_heap(self):
         sim = Simulator()
         ticks = []
         PeriodicTimer(sim, 1.0, lambda now: ticks.append(now))
         sim.run(until=3.5)
         assert ticks == [1.0, 2.0, 3.0]
-        # Ticks ride the fast path: the heap holds a bare record, no Event.
-        assert sim._heap and sim._heap[0][2] is None
+        assert sim.heap_size == sim.pending_count == 1
+        assert sim.peek() == 4.0
+
+    def test_ticks_interleave_fifo_with_events_at_the_same_time(self):
+        """Each tick is scheduled when the previous one fires, so it queues
+        behind the calls scheduled for its time before then."""
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, order.append, "a")
+        PeriodicTimer(sim, 1.0, lambda now: order.append(f"tick@{now}"))
+        sim.call_at(1.0, order.append, "b")
+        sim.call_at(2.0, order.append, "c")
+        sim.run(until=2.5)
+        assert order == ["a", "tick@1.0", "b", "c", "tick@2.0"]
 
     def test_stopped_timer_stale_record_is_a_noop(self):
         sim = Simulator()

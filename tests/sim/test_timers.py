@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 
 
@@ -12,12 +11,6 @@ class TestPeriodicTimer:
         PeriodicTimer(sim, 1.0, lambda now: ticks.append(now))
         sim.run(until=3.5)
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_start_at_overrides_first_tick(self, sim):
-        ticks = []
-        PeriodicTimer(sim, 2.0, lambda now: ticks.append(now), start_at=0.5)
-        sim.run(until=5.0)
-        assert ticks == [0.5, 2.5, 4.5]
 
     def test_stop_prevents_future_ticks(self, sim):
         ticks = []
@@ -33,101 +26,52 @@ class TestPeriodicTimer:
         sim.run(until=10.0)
         assert ticks == [1.0]
 
-    def test_tick_counter(self, sim):
-        timer = PeriodicTimer(sim, 0.5, lambda now: None)
-        sim.run(until=2.0)
-        assert timer.ticks == 4
+    def test_stop_within_the_callback_leaves_no_record(self, sim):
+        """Stopped while firing, the timer schedules no further tick, so an
+        unbounded run rests at the last tick."""
+        def tick(now):
+            if now >= 3.0:
+                timer.stop()
 
-    def test_invalid_interval_raises(self, sim):
-        with pytest.raises(ValueError):
-            PeriodicTimer(sim, 0.0, lambda now: None)
+        timer = PeriodicTimer(sim, 1.0, tick)
+        assert sim.run() == 3.0
+        assert timer.ticks == 3
+        assert sim.heap_size == 0
 
-    def test_jitter_function_shifts_ticks(self, sim):
+    def test_timer_started_mid_run_ticks_from_now(self, sim):
         ticks = []
-        PeriodicTimer(sim, 1.0, lambda now: ticks.append(now), jitter_fn=lambda: 0.25)
-        sim.run(until=4.0)
-        assert ticks[0] == pytest.approx(1.0)
-        assert ticks[1] == pytest.approx(2.25)
-        assert ticks[2] == pytest.approx(3.5)
-
-
-class TestTimerWheel:
-    def test_same_deadline_shares_one_bucket_and_flushes_in_order(self, sim):
-        from repro.sim.timers import TimerWheel
-
-        wheel = TimerWheel(sim)
-        fired = []
-        for i in range(5):
-            wheel.call_at(1.0, fired.append, i)
-        wheel.call_at(2.0, fired.append, 99)
-        assert wheel.pending == 6
-        assert wheel.open_buckets == 2
-        assert wheel.max_bucket == 5
+        sim.run(until=0.5)
+        PeriodicTimer(sim, 1.0, ticks.append)
         sim.run(until=3.0)
-        assert fired == [0, 1, 2, 3, 4, 99]  # registration order per bucket
-        assert wheel.pending == 0
-        assert wheel.open_buckets == 0
-        assert wheel.flushes == 2
-        assert wheel.scheduled == 6
+        assert ticks == [1.5, 2.5]
 
-    def test_call_in_is_relative_to_now(self, sim):
-        wheel = sim.timer_wheel()
-        fired = []
-        sim.call_at(1.5, lambda: wheel.call_in(0.5, fired.append, sim))
-        sim.run(until=5.0)
-        assert fired == [sim]
-        with pytest.raises(ValueError):
-            wheel.call_in(-0.1, fired.append, None)
-
-    def test_engine_owns_a_single_lazy_wheel(self, sim):
-        assert sim.timer_wheel() is sim.timer_wheel()
-
-    def test_periodic_timer_on_wheel_matches_heap_schedule(self):
-        """A wheel-backed periodic timer ticks at bit-identical times."""
-        from repro.sim.engine import Simulator
-
-        def run(use_wheel):
-            sim = Simulator()
-            ticks = []
-            wheel = sim.timer_wheel() if use_wheel else None
-            PeriodicTimer(sim, 0.25, ticks.append, wheel=wheel)
-            sim.run(until=5.0)
-            return ticks
-
-        assert run(use_wheel=True) == run(use_wheel=False)
-
-    def test_coscheduled_periodic_timers_share_buckets(self, sim):
-        """N controllers on the same tau grid cost one heap event per round."""
-        wheel = sim.timer_wheel()
+    def test_timers_on_one_grid_tick_in_creation_order(self, sim):
         ticks = []
         for i in range(4):
-            PeriodicTimer(sim, 0.5, lambda now, i=i: ticks.append((now, i)), wheel=wheel)
+            PeriodicTimer(sim, 0.5, lambda now, i=i: ticks.append((now, i)))
         sim.run(until=1.1)
         assert ticks == [
             (0.5, 0), (0.5, 1), (0.5, 2), (0.5, 3),
             (1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3),
         ]
-        assert wheel.flushes == 2
-        assert wheel.max_bucket == 4
 
-    def test_stopped_timer_does_not_fire_from_a_shared_bucket(self, sim):
-        wheel = sim.timer_wheel()
+    def test_stopped_timer_does_not_fire_beside_a_running_one(self, sim):
         ticks = []
-        keep = PeriodicTimer(sim, 1.0, lambda now: ticks.append("keep"), wheel=wheel)
-        stop = PeriodicTimer(sim, 1.0, lambda now: ticks.append("stop"), wheel=wheel)
+        keep = PeriodicTimer(sim, 1.0, lambda now: ticks.append("keep"))
+        stop = PeriodicTimer(sim, 1.0, lambda now: ticks.append("stop"))
         sim.call_at(0.5, stop.stop)
         sim.run(until=2.5)
         assert ticks == ["keep", "keep"]
         assert keep.ticks == 2
+        assert stop.ticks == 0
 
-    def test_wheel_stats_snapshot(self, sim):
-        wheel = sim.timer_wheel()
-        wheel.call_at(1.0, lambda: None)
-        stats = wheel.stats()
-        assert stats == {
-            "scheduled": 1,
-            "flushes": 0,
-            "max_bucket": 1,
-            "pending": 1,
-            "open_buckets": 1,
-        }
+    def test_tick_counter(self, sim):
+        timer = PeriodicTimer(sim, 0.5, lambda now: None)
+        sim.run(until=2.0)
+        assert timer.ticks == 4
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_invalid_interval_raises(self, sim, interval):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            PeriodicTimer(sim, interval, lambda now: None)
+        assert sim.heap_size == 0
